@@ -3,7 +3,7 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Set-up generates the workload's corpus from the seed with
-`pathmove gen-corpus` several times and reports the median CPU time.  The
+`pathmove gen-corpus` several times and reports the median user CPU time.  The
 timed part then runs whole rounds of the workload's commands, each in a
 fresh process (perfbench/child.py, which calls `pathmove.cli.main`)
 with the BLAS and OpenMP pools pinned to one thread, until the given
@@ -60,7 +60,7 @@ WORKLOADS = {
     "stages-20x200": (220, 200, EXPERIMENT_CONFIG, "stages", 0),
 }
 
-SETUPS = 9
+SETUPS = 11
 DEADLINE_S = 170.0  # the whole run, set-up and checks included
 COMPARED = ("model.pmb", "recommendations.jsonl", "ground-truth.jsonl")
 DIGESTED = ("model.pmb", "recommendations.jsonl", "report.json")
@@ -130,6 +130,10 @@ def _children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def _children_user_s() -> float:
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+
+
 def gen_corpus(runner: Runner, out: Path, projects: int, held_out: int, seed: int) -> None:
     runner.run(["gen-corpus", "--out", str(out), "--projects", str(projects),
                 "--eval-projects", str(held_out), "--seed", str(seed)], trace=False)
@@ -137,12 +141,14 @@ def gen_corpus(runner: Runner, out: Path, projects: int, held_out: int, seed: in
 
 def setup(runner: Runner, run_dir: Path, projects: int, held_out: int, seed: int,
           train_seed: int | None) -> tuple[float, Path, list[str]]:
-    """Generate the corpus SETUPS times; (median CPU seconds, corpus,
-    problems).  CPU time, user and system, of the generating processes:
-    set-up is mostly file creation, and on a shared 2-core VM its wall
-    time moved between 0.12 s and 0.53 s for the same work.  All but the
-    last copy are removed at once: files removed before the kernel
-    writes them back never reach the disk.
+    """Generate the corpus SETUPS times; (median user CPU seconds,
+    corpus, problems).  User CPU time of the generating processes:
+    interpreter start, imports, the generator and the Python side of
+    the writes.  The system time of creating the same files on ext4
+    moved threefold to twentyfold with the directory they landed in and
+    with the hour, and wall time follows it, so neither is a measure of
+    the program.  All but the last copy are removed at once: files
+    removed before the kernel writes them back never reach the disk.
 
     With a training-corpus seed, the training projects come from a
     second, smaller corpus generated from that seed: project i depends
@@ -151,7 +157,7 @@ def setup(runner: Runner, run_dir: Path, projects: int, held_out: int, seed: int
     times, digests = [], set()
     for k in range(SETUPS):
         corpus = run_dir / f"corpus{k}"
-        cpu0 = _children_cpu_s()
+        user0 = _children_user_s()
         gen_corpus(runner, corpus, projects, held_out, seed)
         if train_seed is not None:
             fixed = run_dir / "train-corpus"
@@ -159,7 +165,7 @@ def setup(runner: Runner, run_dir: Path, projects: int, held_out: int, seed: int
             shutil.rmtree(corpus / "train")
             (fixed / "train").rename(corpus / "train")
             shutil.rmtree(fixed)
-        times.append(_children_cpu_s() - cpu0)
+        times.append(_children_user_s() - user0)
         digests.add(tree_digest(corpus))
         if k < SETUPS - 1:
             shutil.rmtree(corpus)
