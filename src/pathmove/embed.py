@@ -190,8 +190,7 @@ def _attend(
 def embed_bag(bag: ContextBag, params: EmbedderParams, vocabs: Vocabularies) -> CodeVector:
     """Pool one bag into a d-length vector."""
     starts, paths, ends = index_bag(bag, vocabs)
-    _, _, weights, vector = _attend(params, starts, paths, ends)
-    assert abs(weights.sum() - 1.0) < 1e-6
+    vector = _attend(params, starts, paths, ends)[3]
     return CodeVector(vector, source=bag.method_id)
 
 
@@ -231,13 +230,24 @@ class _Adam:
             arrays[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _sum_rows_by_index(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, d) matrix whose row r sums rows[index == r]; zero if unused."""
+    order = np.argsort(index, kind="stable")
+    sorted_index = index[order]
+    firsts = np.flatnonzero(np.r_[True, sorted_index[1:] != sorted_index[:-1]])
+    out = np.zeros((n_rows, rows.shape[1]))
+    out[sorted_index[firsts]] = np.add.reduceat(rows[order], firsts, axis=0)
+    return out
+
+
 def _batch_loss_and_grads(
     params: EmbedderParams, batch: list[_Indexed]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch and gradients for every group.
 
     Contexts of all bags are flattened into one matrix; per-bag softmax
-    and pooling run on segment boundaries.
+    and pooling run on segment boundaries. The first layer's gradients
+    are summed per table row before any matmul with its weights.
     """
     lengths = np.array([len(s.starts) for s in batch])
     offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
@@ -247,18 +257,26 @@ def _batch_loss_and_grads(
     ends = np.concatenate([s.ends for s in batch])
     labels = np.array([s.label for s in batch])
 
+    # The first layer acts on the small tables, not on every context row:
+    # combined @ fc_matrix == (tokens @ W_start)[starts]
+    #                       + (paths @ W_path)[paths] + (tokens @ W_end)[ends].
     d_t = params.d_t
-    d_p = params.d_p
-    combined = np.hstack(
-        [params.token_matrix[starts], params.path_matrix[paths], params.token_matrix[ends]]
-    )
-    transformed = np.tanh(combined @ params.fc_matrix + params.fc_bias)
+    w_start = params.fc_matrix[:d_t]
+    w_path = params.fc_matrix[d_t : d_t + params.d_p]
+    w_end = params.fc_matrix[d_t + params.d_p :]
+    pre = (params.token_matrix @ w_start)[starts]
+    pre += (params.path_matrix @ w_path)[paths]
+    pre += (params.token_matrix @ w_end)[ends]
+    pre += params.fc_bias
+    transformed = np.tanh(pre, out=pre)
     scores = transformed @ params.attention_vector
     score_max = np.maximum.reduceat(scores, offsets)
     exp_scores = np.exp(scores - score_max[seg])
     denom = np.add.reduceat(exp_scores, offsets)
     weights = exp_scores / denom[seg]
-    vectors = np.add.reduceat(weights[:, None] * transformed, offsets, axis=0)
+    vectors = np.stack(
+        [weights[lo:hi] @ transformed[lo:hi] for lo, hi in zip(offsets, offsets + lengths)]
+    )
 
     logits = vectors @ params.output_matrix
     logits -= logits.max(axis=1, keepdims=True)
@@ -273,24 +291,31 @@ def _batch_loss_and_grads(
     d_output = vectors.T @ d_logits
     d_vectors = d_logits @ params.output_matrix.T
 
-    d_vec_ctx = d_vectors[seg]
-    d_weights = np.sum(transformed * d_vec_ctx, axis=1)
-    d_transformed = weights[:, None] * d_vec_ctx
-    weighted = weights * d_weights
-    inner = np.add.reduceat(weighted, offsets)
+    d_transformed = d_vectors[seg]
+    d_weights = np.einsum("ij,ij->i", transformed, d_transformed)
+    d_transformed *= weights[:, None]
+    inner = np.add.reduceat(weights * d_weights, offsets)
     d_scores = weights * (d_weights - inner[seg])
     d_attention = transformed.T @ d_scores
-    d_transformed += d_scores[:, None] * params.attention_vector
-    d_pre = (1.0 - transformed**2) * d_transformed
-    d_fc = combined.T @ d_pre
+    d_transformed += np.outer(d_scores, params.attention_vector)
+    # tanh' = 1 - tanh**2, computed in place: transformed is not read again.
+    d_pre = d_transformed
+    d_pre *= np.subtract(1.0, np.square(transformed, out=transformed), out=transformed)
     d_bias = d_pre.sum(axis=0)
-    d_combined = d_pre @ params.fc_matrix.T
 
-    d_token = np.zeros_like(params.token_matrix)
-    d_path = np.zeros_like(params.path_matrix)
-    np.add.at(d_token, starts, d_combined[:, :d_t])
-    np.add.at(d_path, paths, d_combined[:, d_t : d_t + d_p])
-    np.add.at(d_token, ends, d_combined[:, d_t + d_p :])
+    n_tokens = len(params.token_matrix)
+    g_start = _sum_rows_by_index(d_pre, starts, n_tokens)
+    g_path = _sum_rows_by_index(d_pre, paths, len(params.path_matrix))
+    g_end = _sum_rows_by_index(d_pre, ends, n_tokens)
+    d_fc = np.vstack(
+        [
+            params.token_matrix.T @ g_start,
+            params.path_matrix.T @ g_path,
+            params.token_matrix.T @ g_end,
+        ]
+    )
+    d_token = g_start @ w_start.T + g_end @ w_end.T
+    d_path = g_path @ w_path.T
 
     grads = {
         "token_matrix": d_token,

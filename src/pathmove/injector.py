@@ -608,14 +608,18 @@ def read_dataset(path: str | Path) -> list[LabeledExample]:
     for line in text[1:]:
         if not line:
             continue
-        row = json.loads(line)
-        feature = FeatureVector(
-            np.array(row["feature"], dtype=np.float64),
-            row["method_id"],
-            row["class_id"],
-            "raw",
-        )
-        examples.append(LabeledExample(feature, int(row["label"])))
+        try:
+            row = json.loads(line)
+            feature = FeatureVector(
+                np.array(row["feature"], dtype=np.float64),
+                row["method_id"],
+                row["class_id"],
+                "raw",
+            )
+            example = LabeledExample(feature, int(row["label"]))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad dataset row: {exc}") from exc
+        examples.append(example)
     return examples
 
 
@@ -644,12 +648,14 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
     for line in text[1:]:
         if not line:
             continue
-        row = json.loads(line)
-        entries.append(
-            GroundTruthEntry(
+        try:
+            row = json.loads(line)
+            entry = GroundTruthEntry(
                 row["moved_method_id"],
                 row["original_class_id"],
                 row["injected_class_id"],
             )
-        )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: bad ground-truth row: {exc}") from exc
+        entries.append(entry)
     return entries

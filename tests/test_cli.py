@@ -215,6 +215,34 @@ class TestStageChain:
         assert oneshot_report["baseline"] == staged_report["baseline"]
         assert set(oneshot_report) == {"baseline", "classifier", "report", "split"}
 
+    def test_dataset_row_without_feature_is_data_error(self, tmp_path, monkeypatch,
+                                                      capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / DATASET_FILES["train"]
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        del row["feature"]
+        lines[1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["train-clf", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "feature" in err
+        assert "Traceback" not in err
+
+    def test_non_json_ground_truth_line_is_data_error(self, tmp_path, monkeypatch,
+                                                      capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / GROUND_TRUTH_FILE
+        lines = path.read_text().splitlines()
+        lines[1] = "not json"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and GROUND_TRUTH_FILE in err
+        assert "Traceback" not in err
+
     def test_jobs_flag_changes_nothing(self, tmp_path, monkeypatch, capsys):
         base = self.run_stages(tmp_path, monkeypatch)
         work = tmp_path / "work"

@@ -201,6 +201,119 @@ def test_gradients_match_finite_differences():
         assert rel < 1e-4, f"{group}: relative gradient error {rel}"
 
 
+def dense_batch_loss_and_grads(params: EmbedderParams, batch: list[_Indexed]):
+    """Reference step: concatenate every context's three rows into one
+    matrix, multiply it by fc_matrix, and scatter the row gradients back
+    with np.add.at. Same maths as the training step, another summation
+    order."""
+    lengths = np.array([len(s.starts) for s in batch])
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    seg = np.repeat(np.arange(len(batch)), lengths)
+    starts = np.concatenate([s.starts for s in batch])
+    paths = np.concatenate([s.paths for s in batch])
+    ends = np.concatenate([s.ends for s in batch])
+    labels = np.array([s.label for s in batch])
+
+    d_t = params.d_t
+    d_p = params.d_p
+    combined = np.hstack(
+        [params.token_matrix[starts], params.path_matrix[paths], params.token_matrix[ends]]
+    )
+    transformed = np.tanh(combined @ params.fc_matrix + params.fc_bias)
+    scores = transformed @ params.attention_vector
+    score_max = np.maximum.reduceat(scores, offsets)
+    exp_scores = np.exp(scores - score_max[seg])
+    denom = np.add.reduceat(exp_scores, offsets)
+    weights = exp_scores / denom[seg]
+    vectors = np.add.reduceat(weights[:, None] * transformed, offsets, axis=0)
+
+    logits = vectors @ params.output_matrix
+    logits -= logits.max(axis=1, keepdims=True)
+    exp_logits = np.exp(logits)
+    probs = exp_logits / exp_logits.sum(axis=1, keepdims=True)
+    batch_idx = np.arange(len(batch))
+    loss = float(-np.log(probs[batch_idx, labels]).mean())
+
+    d_logits = probs.copy()
+    d_logits[batch_idx, labels] -= 1.0
+    d_logits /= len(batch)
+    d_output = vectors.T @ d_logits
+    d_vectors = d_logits @ params.output_matrix.T
+
+    d_vec_ctx = d_vectors[seg]
+    d_weights = np.sum(transformed * d_vec_ctx, axis=1)
+    d_transformed = weights[:, None] * d_vec_ctx
+    inner = np.add.reduceat(weights * d_weights, offsets)
+    d_scores = weights * (d_weights - inner[seg])
+    d_attention = transformed.T @ d_scores
+    d_transformed += d_scores[:, None] * params.attention_vector
+    d_pre = (1.0 - transformed**2) * d_transformed
+    d_combined = d_pre @ params.fc_matrix.T
+
+    d_token = np.zeros_like(params.token_matrix)
+    d_path = np.zeros_like(params.path_matrix)
+    np.add.at(d_token, starts, d_combined[:, :d_t])
+    np.add.at(d_path, paths, d_combined[:, d_t : d_t + d_p])
+    np.add.at(d_token, ends, d_combined[:, d_t + d_p :])
+    grads = {
+        "token_matrix": d_token,
+        "path_matrix": d_path,
+        "fc_matrix": combined.T @ d_pre,
+        "fc_bias": d_pre.sum(axis=0),
+        "attention_vector": d_attention,
+        "output_matrix": d_output,
+    }
+    return loss, grads
+
+
+def random_batch(rng, n_bags, max_len, n_tokens, n_paths, n_names):
+    """Bags over token rows [0, n_tokens) and path rows [0, n_paths), with
+    UNK contexts, repeated contexts and one token as both start and end."""
+    batch = []
+    for _ in range(n_bags):
+        n = int(rng.integers(1, max_len + 1))
+        starts = rng.integers(0, n_tokens, n)
+        paths = rng.integers(0, n_paths, n)
+        ends = rng.integers(0, n_tokens, n)
+        starts[0] = paths[0] = ends[0] = 0  # an UNK context
+        if n > 1:
+            ends[1] = starts[1]  # one token at both ends of a path
+        if n > 2:  # a repeated context
+            starts[2], paths[2], ends[2] = starts[1], paths[1], ends[1]
+        batch.append(_Indexed(starts, paths, ends, int(rng.integers(0, n_names))))
+    return batch
+
+
+@pytest.mark.parametrize(
+    "dims, n_bags, max_len, seed",
+    [((3, 3, 4), 2, 4, 0), ((5, 4, 7), 6, 12, 1), ((16, 12, 24), 8, 60, 2)],
+)
+def test_step_matches_dense_reference(dims, n_bags, max_len, seed):
+    d_t, d_p, d = dims
+    tokens = [f"t{i}" for i in range(9)]
+    markers = [f"M{i}" for i in range(7)]
+    names = [f"n{i}" for i in range(5)]
+    vocabs = toy_vocabs(tokens, markers, names)
+    params = seeded_params(vocabs, d_t=d_t, d_p=d_p, d=d, seed=seed)
+    params.fc_bias[:] = np.random.default_rng(seed).normal(scale=0.1, size=d)
+    n_tokens = len(vocabs.token_index)
+    n_paths = len(vocabs.path_index)
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(5):
+        # The last token row and the last path row are never used.
+        batch = random_batch(rng, n_bags, max_len, n_tokens - 1, n_paths - 1, len(names))
+        loss, grads = _batch_loss_and_grads(params, batch)
+        ref_loss, ref_grads = dense_batch_loss_and_grads(params, batch)
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for group, ref in ref_grads.items():
+            assert grads[group].shape == ref.shape, group
+            diff = np.linalg.norm(grads[group] - ref)
+            assert diff <= 1e-10 * np.linalg.norm(ref), f"{group}: difference {diff}"
+        assert np.all(grads["token_matrix"][-1] == 0.0)
+        assert np.all(grads["path_matrix"][-1] == 0.0)
+
+
 def separable_corpus():
     """Five names, each tied to its own path marker: perfectly learnable."""
     samples = []
