@@ -12,22 +12,16 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 from .codegen import EVAL_DIR, GenConfig, list_projects, load_project, write_corpus
 from .config import RunConfig, load_config
 from .embed import load_model, save_model, train_embedder, training_accuracy
-from .errors import (
-    ConfigError,
-    DataError,
-    MissingArtifactError,
-    PathmoveError,
-)
+from .errors import ConfigError, DataError, MissingArtifactError
 from .frontend import print_unit, split_method_id
 from .injector import (
-    build_dataset,
-    find_movable,
     find_scoreable,
     inject_feature_envy,
     read_dataset,
@@ -40,22 +34,25 @@ from .pathctx import dump_bags, load_bags
 from .pipeline import (
     EvalReport,
     ModelBundle,
-    NoCandidatesError,
     analytic_random_baseline,
     classifier_metrics,
     corpus_samples,
-    embed_corpus,
     evaluate,
     fit_classifier,
     group_ground_truth,
     load_model_bundle,
-    ordered_map,
+    project_examples,
     read_recommendations,
-    recommend,
     run_pipeline,
     save_model_bundle,
+    score_project,
     write_recommendations,
 )
+
+# Called only through project_examples and score_project, but kept bound
+# here: perfbench/spans.py wraps these names in this module by name.
+from .injector import build_dataset  # noqa: F401
+from .pipeline import embed_corpus, recommend  # noqa: F401
 
 BAGS_FILE = "bags-train.tsv"
 EMBEDDER_FILE = "embedder.pmb"
@@ -83,8 +80,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         overrides["threshold"] = args.threshold
     if args.work_dir is not None:
         overrides["work_dir"] = args.work_dir
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if overrides:
         try:
             config = replace(config, **overrides)
@@ -192,15 +187,10 @@ def cmd_build_dataset(args: argparse.Namespace, config: RunConfig) -> None:
     params, vocabs = load_model(_require(work / EMBEDDER_FILE, "train-embed"))
     limits = config.limits()
     train_projects, _ = list_projects(args.corpus)
-
-    def project_examples(project: str):
-        units = load_project(args.corpus, project)
-        embeddings = embed_corpus(units, params, vocabs, limits)
-        return build_dataset(units, embeddings, find_movable(units))
-
     examples = []
-    for chunk in ordered_map(project_examples, train_projects, config.jobs):
-        examples.extend(chunk)
+    for project in train_projects:
+        units = load_project(args.corpus, project)
+        examples.extend(project_examples(units, params, vocabs, limits))
     splits = dict(zip(DATASET_FILES, split_dataset(examples, config.seed)))
     for name, rows in splits.items():
         write_dataset(work / DATASET_FILES[name], rows)
@@ -255,22 +245,12 @@ def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     bundle = load_model_bundle(_require(work / MODEL_FILE, "train-clf"))
     projects = _eval_projects(args.corpus)
-
-    def one(project: str):
-        units = load_project(args.corpus, project)
-        embeddings = embed_corpus(units, bundle.embedder, bundle.vocabs, bundle.limits)
-        try:
-            recs = recommend(units, embeddings, bundle)
-        except NoCandidatesError:
-            recs = []
-        return project, recs
-
-    results = dict(ordered_map(one, projects, config.jobs))
+    results = {
+        project: score_project(load_project(args.corpus, project), bundle)
+        for project in projects
+    }
     write_recommendations(work / RECOMMENDATIONS_FILE, results)
-    counts: dict[str, int] = {}
-    for recs in results.values():
-        for rec in recs:
-            counts[rec.decision] = counts.get(rec.decision, 0) + 1
+    counts = Counter(rec.decision for recs in results.values() for rec in recs)
     summary = ", ".join(f"{k} {v}" for k, v in sorted(counts.items())) or "nothing"
     print(f"scored {len(projects)} projects: {summary}")
 
@@ -298,9 +278,7 @@ def cmd_pipeline(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     save_model_bundle(work / MODEL_FILE, result.model)
     write_recommendations(work / RECOMMENDATIONS_FILE, result.recommendations)
-    entries = []
-    for project in sorted(result.ground_truth):
-        entries.extend(result.ground_truth[project])
+    entries = [e for project in sorted(result.ground_truth) for e in result.ground_truth[project]]
     write_ground_truth(work / GROUND_TRUTH_FILE, entries)
     n_train, n_test, n_validate = result.split_sizes
     payload = {
@@ -328,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--work-dir", help="artifact directory (default: work)")
     common.add_argument("--seed", type=int, help="master seed override")
     common.add_argument("--threshold", type=float, help="decision threshold override")
-    common.add_argument("--jobs", type=int, help="parallel workers for per-project stages")
 
     parser = argparse.ArgumentParser(
         prog="pathmove",
@@ -411,8 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PathmoveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure: exit 4, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     return 0
 

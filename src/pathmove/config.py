@@ -22,7 +22,6 @@ class RunConfig:
     seed: int = 0
     threshold: float = 0.5
     work_dir: str = "work"
-    jobs: int = 1
     max_length: int = 8
     max_width: int = 2
     max_contexts: int = 200
@@ -45,8 +44,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         if self.rff_dim < 1:
             raise ConfigError("rff dim must be positive")
         if self.rff_gamma is not None and self.rff_gamma <= 0:
@@ -125,7 +122,7 @@ _SECTIONS: dict[str, dict[str, str]] = {
     },
 }
 
-_TOP_LEVEL = {"seed", "threshold", "work_dir", "jobs"}
+_TOP_LEVEL = {"seed", "threshold", "work_dir"}
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -11,7 +11,7 @@ matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,13 +39,6 @@ class Vocabularies:
         for vocab in (self.token_index, self.path_index, self.name_index):
             if sorted(vocab.values()) != list(range(len(vocab))):
                 raise ValueError("vocabulary indices must be dense from 0")
-
-    @property
-    def names(self) -> list[str]:
-        ordered = [""] * len(self.name_index)
-        for name, idx in self.name_index.items():
-            ordered[idx] = name
-        return ordered
 
 
 @dataclass(eq=False)
@@ -383,39 +376,47 @@ def training_accuracy(
 
 
 def save_model(params: EmbedderParams, vocabs: Vocabularies, path: str) -> None:
-    meta = {
+    save_bundle(path, "embedder", vocab_meta(vocabs), params.grouped())
+
+
+def vocab_meta(vocabs: Vocabularies) -> dict[str, list[str]]:
+    """Bundle metadata holding each vocabulary as a list in index order."""
+    return {
         "token_vocab": _ordered(vocabs.token_index),
         "path_vocab": _ordered(vocabs.path_index),
         "name_vocab": _ordered(vocabs.name_index),
     }
-    save_bundle(path, "embedder", meta, params.grouped())
 
 
 def load_model(path: str) -> tuple[EmbedderParams, Vocabularies]:
     header, arrays = load_bundle(path, expect_kind="embedder")
-    meta = header["meta"]
     try:
-        vocabs = Vocabularies(
-            {t: i for i, t in enumerate(meta["token_vocab"])},
-            {p: i for i, p in enumerate(meta["path_vocab"])},
-            {n: i for i, n in enumerate(meta["name_vocab"])},
-        )
-        params = EmbedderParams(
-            token_matrix=arrays["token_matrix"],
-            path_matrix=arrays["path_matrix"],
-            fc_matrix=arrays["fc_matrix"],
-            fc_bias=arrays["fc_bias"],
-            attention_vector=arrays["attention_vector"],
-            output_matrix=arrays["output_matrix"],
-        )
-    except (KeyError, ValueError) as exc:
+        return unpack_model(header["meta"], arrays)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: bad embedder bundle: {exc}") from exc
+
+
+def unpack_model(
+    meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""
+) -> tuple[EmbedderParams, Vocabularies]:
+    """Embedder and vocabularies from a bundle's metadata and its arrays
+    named `prefix` + field name.  Raises KeyError, IndexError, TypeError
+    or ValueError when they are missing, malformed, non-finite or of
+    inconsistent dimensions."""
+    vocabs = Vocabularies(
+        {t: i for i, t in enumerate(meta["token_vocab"])},
+        {p: i for i, p in enumerate(meta["path_vocab"])},
+        {n: i for i, n in enumerate(meta["name_vocab"])},
+    )
+    params = EmbedderParams(
+        **{f.name: arrays[prefix + f.name] for f in fields(EmbedderParams)}
+    )
     for name, arr in params.grouped().items():
         if not np.all(np.isfinite(arr)):
-            raise CorruptFileError(f"{path}: non-finite values in {name}")
+            raise ValueError(f"non-finite values in {prefix}{name}")
     expected = 2 * params.d_t + params.d_p
     if params.fc_matrix.shape[0] != expected or params.fc_bias.shape != (params.d,):
-        raise CorruptFileError(f"{path}: inconsistent embedder dimensions")
+        raise ValueError("inconsistent embedder dimensions")
     return params, vocabs
 
 

@@ -2,8 +2,9 @@
 
 Every error raised by this package derives from PathmoveError so the CLI
 can map failures to exit codes in one place.  Module-specific exceptions
-live next to the code that raises them and subclass one of the three
-coarse categories below.
+live next to the code that raises them and subclass one of the two
+coarse categories below; the CLI reports any other exception as an
+internal failure (exit code 4).
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ class ConfigError(PathmoveError):
 
 class DataError(PathmoveError):
     """Bad or missing input data or artifacts (exit code 3)."""
-
-
-class InternalError(PathmoveError):
-    """A stage failed for reasons other than configuration or input (exit code 4)."""
 
 
 class MissingArtifactError(DataError):

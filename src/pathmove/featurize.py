@@ -142,18 +142,6 @@ def fit_pca(
     return PcaModel(mean, components, ratios[:k])
 
 
-def apply_pca(model: PcaModel, raw: FeatureVector) -> FeatureVector:
-    """Project one raw pair vector into component space."""
-    if raw.stage != "raw":
-        raise DataError("apply_pca expects a raw feature vector")
-    if raw.values.shape[0] != model.input_dim:
-        raise DimMismatchError(
-            f"vector length {raw.values.shape[0]} != PCA input {model.input_dim}"
-        )
-    reduced = model.components @ (raw.values - model.mean)
-    return FeatureVector(reduced, raw.method_id, raw.class_id, "reduced")
-
-
 def apply_pca_matrix(model: PcaModel, data: np.ndarray) -> np.ndarray:
     """Bulk projection of an (n, 2d) matrix."""
     if data.shape[1] != model.input_dim:
@@ -161,8 +149,3 @@ def apply_pca_matrix(model: PcaModel, data: np.ndarray) -> np.ndarray:
             f"matrix width {data.shape[1]} != PCA input {model.input_dim}"
         )
     return (data - model.mean) @ model.components.T
-
-
-def reconstruct(model: PcaModel, reduced: np.ndarray) -> np.ndarray:
-    """Map component-space coordinates back to the original space."""
-    return reduced @ model.components + model.mean

@@ -77,10 +77,6 @@ class LabeledExample:
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
-    @property
-    def provenance(self) -> tuple[str, str]:
-        return (self.feature.method_id, self.feature.class_id)
-
 
 # ---------------------------------------------------------------------------
 # Structural filters
@@ -573,13 +569,14 @@ DATASET_FORMAT = {"format": "dataset", "version": 1}
 GROUND_TRUTH_FORMAT = {"format": "ground-truth", "version": 1}
 
 
-def _check_header(line: str, expected: dict, path: str) -> None:
+def check_header(line: str, expected: dict, path: str) -> None:
+    """Reject a line-delimited artifact whose first line is not `expected`."""
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed header line") from exc
+        raise DataError(f"{path}: malformed header line: {exc}") from exc
     if header != expected:
-        raise DataError(f"{path}: header {header} != expected {expected}")
+        raise DataError(f"{path}: header {header!r} does not match {expected!r}")
 
 
 def write_dataset(path: str | Path, examples: list[LabeledExample]) -> None:
@@ -603,7 +600,7 @@ def read_dataset(path: str | Path) -> list[LabeledExample]:
     text = Path(path).read_text().splitlines()
     if not text:
         raise DataError(f"{path}: empty dataset file")
-    _check_header(text[0], DATASET_FORMAT, str(path))
+    check_header(text[0], DATASET_FORMAT, str(path))
     examples = []
     for line in text[1:]:
         if not line:
@@ -643,7 +640,7 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
     text = Path(path).read_text().splitlines()
     if not text:
         raise DataError(f"{path}: empty ground-truth file")
-    _check_header(text[0], GROUND_TRUTH_FORMAT, str(path))
+    check_header(text[0], GROUND_TRUTH_FORMAT, str(path))
     entries = []
     for line in text[1:]:
         if not line:

@@ -11,7 +11,6 @@ reporting per-project precision/recall/F1 with macro and micro averages.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +24,8 @@ from .embed import (
     Vocabularies,
     embed_bag,
     train_embedder,
+    unpack_model,
+    vocab_meta,
 )
 from .bundle import CorruptFileError, load_bundle, save_bundle
 from .errors import DataError
@@ -44,6 +45,7 @@ from .injector import (
     LabeledExample,
     build_class_index,
     build_dataset,
+    check_header,
     find_movable,
     find_scoreable,
     inject_feature_envy,
@@ -255,6 +257,30 @@ def recommend(
 
 
 # ---------------------------------------------------------------------------
+# Per-project stages, shared by run_pipeline and the stage commands
+
+
+def project_examples(
+    units: list[SourceUnit],
+    params: EmbedderParams,
+    vocabs: Vocabularies,
+    limits: ExtractionLimits,
+) -> list[LabeledExample]:
+    """Labeled method-class pairs of one training project."""
+    embeddings = embed_corpus(units, params, vocabs, limits)
+    return build_dataset(units, embeddings, find_movable(units))
+
+
+def score_project(units: list[SourceUnit], bundle: ModelBundle) -> list[Recommendation]:
+    """Recommendations for one project; none when nothing is scoreable."""
+    embeddings = embed_corpus(units, bundle.embedder, bundle.vocabs, bundle.limits)
+    try:
+        return recommend(units, embeddings, bundle)
+    except NoCandidatesError:
+        return []
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 
 
@@ -406,13 +432,6 @@ def analytic_random_baseline(
 # Bundle persistence
 
 
-def _vocab_list(index: dict[str, int]) -> list[str]:
-    ordered = [""] * len(index)
-    for key, i in index.items():
-        ordered[i] = key
-    return ordered
-
-
 def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
     arrays = {f"emb_{k}": v for k, v in bundle.embedder.grouped().items()}
     arrays["pca_mean"] = bundle.pca.mean
@@ -425,9 +444,7 @@ def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
         arrays["rff_phases"] = bundle.rff.phases
     hp = bundle.svm_model.hyperparams
     meta = {
-        "token_vocab": _vocab_list(bundle.vocabs.token_index),
-        "path_vocab": _vocab_list(bundle.vocabs.path_index),
-        "name_vocab": _vocab_list(bundle.vocabs.name_index),
+        **vocab_meta(bundle.vocabs),
         "threshold": bundle.threshold,
         "svm": {"c": hp.C, "epochs": hp.epochs, "seed": hp.seed, "bias": bundle.svm_model.bias},
         "platt": {"a": bundle.platt.A, "b": bundle.platt.B, "converged": bundle.platt.converged},
@@ -446,19 +463,7 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
     header, arrays = load_bundle(path, expect_kind="model")
     meta = header["meta"]
     try:
-        vocabs = Vocabularies(
-            {t: i for i, t in enumerate(meta["token_vocab"])},
-            {p: i for i, p in enumerate(meta["path_vocab"])},
-            {n: i for i, n in enumerate(meta["name_vocab"])},
-        )
-        embedder = EmbedderParams(
-            token_matrix=arrays["emb_token_matrix"],
-            path_matrix=arrays["emb_path_matrix"],
-            fc_matrix=arrays["emb_fc_matrix"],
-            fc_bias=arrays["emb_fc_bias"],
-            attention_vector=arrays["emb_attention_vector"],
-            output_matrix=arrays["emb_output_matrix"],
-        )
+        embedder, vocabs = unpack_model(meta, arrays, prefix="emb_")
         pca = PcaModel(arrays["pca_mean"], arrays["pca_components"], arrays["pca_evr"])
         hp = meta["svm"]
         svm_model = SvmModel(
@@ -480,24 +485,35 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
             lm["max_length"], lm["max_width"], lm["max_contexts"], lm["seed"]
         )
         threshold = float(meta["threshold"])
-    except (KeyError, ValueError) as exc:
+        for name, arr in {**arrays, "platt": np.array([platt.A, platt.B])}.items():
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite values in {name}")
+        _check_widths(embedder, pca, rff, svm_model)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: bad model bundle: {exc}") from exc
     return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, threshold, limits)
+
+
+def _check_widths(
+    embedder: EmbedderParams, pca: PcaModel, rff: RffMap | None, svm_model: SvmModel
+) -> None:
+    """Raise ValueError unless each stage's output width is the next
+    stage's input width."""
+    if pca.mean.shape != (pca.input_dim,) or pca.input_dim != 2 * embedder.d:
+        raise ValueError(f"PCA input width {pca.input_dim} != twice the code width {embedder.d}")
+    width = pca.k
+    if rff is not None:
+        width = rff.phases.size
+        if rff.phases.shape != (width,) or rff.omega.shape != (pca.k, width):
+            raise ValueError(f"RFF map {rff.omega.shape} does not fit PCA k {pca.k}")
+    if svm_model.weights.shape != (width,):
+        raise ValueError(f"SVM weights {svm_model.weights.shape} != feature width {width}")
 
 
 # ---------------------------------------------------------------------------
 # Recommendation serialization
 
 RECOMMENDATIONS_FORMAT = {"format": "recommendations", "version": 1}
-
-
-def _check_header(line: str, expected: dict, path: str) -> None:
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed header line: {exc}") from exc
-    if header != expected:
-        raise DataError(f"{path}: header {header!r} does not match {expected!r}")
 
 
 def write_recommendations(
@@ -525,7 +541,7 @@ def read_recommendations(path: str | Path) -> dict[str, list[Recommendation]]:
     text = Path(path).read_text().splitlines()
     if not text:
         raise DataError(f"{path}: empty recommendations file")
-    _check_header(text[0], RECOMMENDATIONS_FORMAT, str(path))
+    check_header(text[0], RECOMMENDATIONS_FORMAT, str(path))
     out: dict[str, list[Recommendation]] = {}
     for line in text[1:]:
         if not line:
@@ -581,14 +597,6 @@ class PipelineResult:
     split_sizes: tuple[int, int, int]
 
 
-def ordered_map(fn, items, jobs: int):
-    """Order-preserving map, threaded when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
     """Train everything on the train projects, then inject smells into
     the held-out projects and measure recovery."""
@@ -604,14 +612,9 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
         samples.extend(corpus_samples(train_units[project], limits))
     vocabs, params, losses = train_embedder(samples, config.train_config())
 
-    def project_examples(project: str) -> list[LabeledExample]:
-        units = train_units[project]
-        embeddings = embed_corpus(units, params, vocabs, limits)
-        return build_dataset(units, embeddings, find_movable(units))
-
     examples: list[LabeledExample] = []
-    for chunk in ordered_map(project_examples, train_projects, config.jobs):
-        examples.extend(chunk)
+    for project in train_projects:
+        examples.extend(project_examples(train_units[project], params, vocabs, limits))
     train_ex, test_ex, validate_ex = split_dataset(examples, config.seed)
 
     pca, rff, svm_model, platt = fit_classifier(train_ex, validate_ex, config)
@@ -620,23 +623,15 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
     )
     test_metrics = classifier_metrics(bundle, test_ex)
 
-    def eval_project(project: str):
-        units = load_project(corpus_root, project)
-        mutated, entries = inject_feature_envy(units, config.seed, config.max_moves)
-        embeddings = embed_corpus(mutated, params, vocabs, limits)
-        try:
-            recs = recommend(mutated, embeddings, bundle)
-        except NoCandidatesError:
-            recs = []
-        return project, recs, entries, find_scoreable(mutated)
-
     recs_by_project = {}
     gt_by_project = {}
     cands_by_project = {}
-    for project, recs, entries, cands in ordered_map(eval_project, eval_projects, config.jobs):
-        recs_by_project[project] = recs
+    for project in eval_projects:
+        units = load_project(corpus_root, project)
+        mutated, entries = inject_feature_envy(units, config.seed, config.max_moves)
         gt_by_project[project] = entries
-        cands_by_project[project] = cands
+        recs_by_project[project] = score_project(mutated, bundle)
+        cands_by_project[project] = find_scoreable(mutated)
 
     report = evaluate(recs_by_project, gt_by_project)
     baseline = analytic_random_baseline(cands_by_project, gt_by_project)

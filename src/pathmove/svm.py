@@ -199,11 +199,6 @@ def platt_probability(platt: PlattParams, score: float) -> float:
     return min(max(p, 1e-15), 1.0 - 1e-15)
 
 
-def predict_proba(model: SvmModel, platt: PlattParams, x: FeatureVector) -> float:
-    """Platt formula on the model's decision value for one sample."""
-    return platt_probability(platt, model.decision(x.values))
-
-
 # ---------------------------------------------------------------------------
 # Random Fourier feature map (RBF kernel approximation)
 

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from pathmove import cli
+from pathmove.bundle import CorruptFileError, load_bundle, save_bundle
 from pathmove.cli import (
     BAGS_FILE,
     CONFIG_ENV,
@@ -25,6 +28,7 @@ from pathmove.cli import (
     main,
     resolve_config,
 )
+from pathmove.pipeline import load_model_bundle
 
 
 @pytest.fixture(autouse=True)
@@ -96,15 +100,12 @@ class TestConfigResolution:
                     "0.7",
                     "--work-dir",
                     "elsewhere",
-                    "--jobs",
-                    "4",
                 ]
             )
         )
         assert config.seed == 42
         assert config.threshold == 0.7
         assert config.work_dir == "elsewhere"
-        assert config.jobs == 4
         assert config.code_dim == 16
 
     def test_bad_override_is_config_error(self, tmp_path, capsys):
@@ -141,9 +142,20 @@ class TestExitCodes:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"sedd": 1}))
-        assert main(["train-embed", "--config", str(path)]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        for data in ({"sedd": 1}, {"jobs": 1}):
+            path.write_text(json.dumps(data))
+            assert main(["train-embed", "--config", str(path)]) == 2
+            assert "unknown config key" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        def boom(args, config):
+            raise RuntimeError("stage exploded")
+
+        monkeypatch.setattr(cli, "cmd_evaluate", boom)
+        assert main(["evaluate", "--corpus", "anywhere"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "stage exploded" in err
+        assert "Traceback" not in err
 
     def test_gen_corpus_rejects_bad_shape(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -243,9 +255,22 @@ class TestStageChain:
         assert err.startswith("error:") and GROUND_TRUTH_FILE in err
         assert "Traceback" not in err
 
-    def test_jobs_flag_changes_nothing(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("damage", ["nan", "truncated"])
+    def test_corrupt_svm_weights_fail_at_load(self, tmp_path, monkeypatch, capsys,
+                                              damage):
         base = self.run_stages(tmp_path, monkeypatch)
-        work = tmp_path / "work"
-        before = (work / RECOMMENDATIONS_FILE).read_bytes()
-        assert main(["recommend", *base, "--corpus", "mutated", "--jobs", "3"]) == 0
-        assert (work / RECOMMENDATIONS_FILE).read_bytes() == before
+        capsys.readouterr()
+        path = tmp_path / "work" / MODEL_FILE
+        header, arrays = load_bundle(path, expect_kind="model")
+        weights = arrays["svm_weights"]
+        if damage == "nan":
+            weights[0] = np.nan
+        else:
+            arrays["svm_weights"] = weights[:-1]
+        save_bundle(path, "model", header["meta"], arrays)
+        with pytest.raises(CorruptFileError, match="svm_weights|SVM weights"):
+            load_model_bundle(path)
+        assert main(["recommend", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and MODEL_FILE in err
+        assert "Traceback" not in err

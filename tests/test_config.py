@@ -37,7 +37,7 @@ class TestRunConfig:
         [
             {"threshold": 0.0},
             {"threshold": 1.0},
-            {"jobs": 0},
+            {"svm_c": 0.0},
             {"rff_dim": 0},
             {"rff_gamma": -1.0},
             {"max_moves": 0},
@@ -62,7 +62,6 @@ class TestDictMapping:
         config = RunConfig(
             seed=4,
             threshold=0.6,
-            jobs=3,
             token_dim=64,
             pca_k=10,
             rff_enabled=True,
@@ -110,7 +109,7 @@ class TestDictMapping:
 
     def test_wraps_type_errors(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"jobs": "two"})
+            config_from_dict({"threshold": "two"})
 
 
 class TestLoadConfig:

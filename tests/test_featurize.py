@@ -13,12 +13,10 @@ from pathmove.featurize import (
     FeatureVector,
     NoMethodsError,
     PcaModel,
-    apply_pca,
     apply_pca_matrix,
     class_embedding,
     fit_pca,
     make_pair_vector,
-    reconstruct,
 )
 from pathmove.frontend import parse_unit
 
@@ -158,14 +156,10 @@ def test_projection_edge_cases():
     rng = np.random.default_rng(13)
     data = rng.normal(size=(50, 5))
     model = fit_pca(raw_features(data), k=3)
-    mean_fv = FeatureVector(model.mean.copy(), "m", "c", "raw")
-    assert np.allclose(apply_pca(model, mean_fv).values, 0.0, atol=1e-12)
-    for i in range(model.k):
-        shifted = FeatureVector(model.mean + model.components[i], "m", "c", "raw")
-        got = apply_pca(model, shifted).values
-        expected = np.zeros(model.k)
-        expected[i] = 1.0
-        assert np.allclose(got, expected, atol=1e-8), f"component {i}"
+    assert np.allclose(apply_pca_matrix(model, model.mean[None, :]), 0.0, atol=1e-12)
+    # row i sits one unit along component i from the mean
+    shifted = model.mean + model.components
+    assert np.allclose(apply_pca_matrix(model, shifted), np.eye(model.k), atol=1e-8)
 
 
 def test_full_rank_reconstruction_is_exact():
@@ -173,7 +167,7 @@ def test_full_rank_reconstruction_is_exact():
     data = rng.normal(size=(60, 6))
     model = fit_pca(raw_features(data), k=6)
     projected = apply_pca_matrix(model, data)
-    back = reconstruct(model, projected)
+    back = projected @ model.components + model.mean
     assert np.max(np.abs(back - data)) < 1e-8
 
 
@@ -183,7 +177,7 @@ def test_reconstruction_error_non_increasing_in_k():
     errors = []
     for k in range(1, 7):
         model = fit_pca(raw_features(data), k=k)
-        back = reconstruct(model, apply_pca_matrix(model, data))
+        back = apply_pca_matrix(model, data) @ model.components + model.mean
         errors.append(float(np.sum((back - data) ** 2)))
     for small, big in zip(errors[1:], errors[:-1]):
         assert small <= big + 1e-9
@@ -228,9 +222,7 @@ def test_pca_error_cases():
         fit_pca(data, k=4)
     model = fit_pca(data, k=2)
     with pytest.raises(DimMismatchError):
-        apply_pca(model, FeatureVector(np.zeros(5), "m", "c", "raw"))
-    with pytest.raises(DataError):
-        apply_pca(model, FeatureVector(np.zeros(2), "m", "c", "reduced"))
+        apply_pca_matrix(model, np.zeros((1, 5)))
 
 
 def test_pca_model_validation():

@@ -9,10 +9,12 @@ method embeddings.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pathmove.bundle import CorruptFileError
 from pathmove.codegen import GenConfig, write_corpus
 from pathmove.config import RunConfig
 from pathmove.embed import UNK, CodeVector, EmbedderParams, Vocabularies, save_model
@@ -44,7 +46,7 @@ from pathmove.pipeline import (
     save_model_bundle,
     write_recommendations,
 )
-from pathmove.svm import PlattParams, SvmHyperparams, SvmModel, platt_probability
+from pathmove.svm import PlattParams, RffMap, SvmHyperparams, SvmModel, platt_probability
 
 ALPHA_SRC = """
 class Alpha {
@@ -504,13 +506,14 @@ def fitted_bundle(with_rff):
     validate = blob_examples(5, seed=26)
     config = RunConfig(seed=2, svm_epochs=60, rff_enabled=with_rff, rff_dim=16)
     pca, rff, svm_model, platt = fit_classifier(train, validate, config)
+    # code vectors of width 1, so that pairs are as wide as the blobs
     embedder = EmbedderParams(
         token_matrix=rng.standard_normal((3, 2)),
         path_matrix=rng.standard_normal((2, 2)),
-        fc_matrix=rng.standard_normal((6, 2)),
-        fc_bias=rng.standard_normal(2),
-        attention_vector=rng.standard_normal(2),
-        output_matrix=rng.standard_normal((2, 2)),
+        fc_matrix=rng.standard_normal((6, 1)),
+        fc_bias=rng.standard_normal(1),
+        attention_vector=rng.standard_normal(1),
+        output_matrix=rng.standard_normal((1, 2)),
     )
     vocabs = Vocabularies(
         {UNK: 0, "left": 1, "right": 2},
@@ -559,6 +562,27 @@ class TestBundlePersistence:
         save_model_bundle(tmp_path / "a.pmb", bundle)
         save_model_bundle(tmp_path / "b.pmb", bundle)
         assert (tmp_path / "a.pmb").read_bytes() == (tmp_path / "b.pmb").read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda b: replace(b, platt=PlattParams(float("nan"), 0.0)),
+            lambda b: replace(b, pca=replace(b.pca, mean=np.full(2, np.inf))),
+            # code vectors of width 2 make pairs of width 4, but PCA takes 2
+            lambda b: replace(b, embedder=replace(
+                b.embedder, fc_matrix=np.zeros((6, 2)), fc_bias=np.zeros(2),
+                attention_vector=np.zeros(2), output_matrix=np.zeros((2, 2)))),
+            lambda b: replace(b, rff=replace(b.rff, omega=b.rff.omega[:, :-1])),
+            lambda b: replace(b, rff=replace(b.rff, omega=np.vstack([b.rff.omega] * 2))),
+            lambda b: replace(b, svm_model=replace(b.svm_model, weights=b.svm_model.weights[1:])),
+        ],
+        ids=["platt-nan", "pca-inf", "pca-width", "rff-phases", "rff-rows", "svm-width"],
+    )
+    def test_rejects_inconsistent_classifier(self, tmp_path, damage):
+        path = tmp_path / "model.pmb"
+        save_model_bundle(path, damage(fitted_bundle(True)))
+        with pytest.raises(CorruptFileError):
+            load_model_bundle(path)
 
     def test_rejects_wrong_kind(self, tmp_path):
         bundle = fitted_bundle(False)

@@ -18,7 +18,6 @@ from pathmove.svm import (
     fit_rff,
     hinge_objective,
     platt_probability,
-    predict_proba,
     train_svm,
 )
 
@@ -170,11 +169,11 @@ def test_predict_proba_end_to_end():
     data, labels = blob_set(seed=12)
     model = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=80, seed=0))
     platt = fit_platt(model, as_pairs(data, labels))
-    hot = predict_proba(model, platt, FeatureVector(np.array([1.2, 1.1]), "m", "c", "reduced"))
-    cold = predict_proba(model, platt, FeatureVector(np.array([-1.2, -1.1]), "m", "c", "reduced"))
+    hot = platt_probability(platt, model.decision(np.array([1.2, 1.1])))
+    cold = platt_probability(platt, model.decision(np.array([-1.2, -1.1])))
     assert hot > 0.5 > cold
     with pytest.raises(DimMismatchError):
-        predict_proba(model, platt, FeatureVector(np.zeros(5), "m", "c", "reduced"))
+        model.decision(np.zeros(5))
 
 
 def test_rff_approximates_rbf_kernel():
