@@ -161,7 +161,7 @@ def config_to_dict(config: RunConfig) -> dict:
 def load_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)

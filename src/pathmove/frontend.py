@@ -89,7 +89,9 @@ class AstNode:
     `token` is set exactly on Name and Literal leaves.  `op` is the
     operator text of a BinaryExpression and is ignored by path extraction
     (the label alone identifies the node kind there).  `pos` is
-    (line, col) for diagnostics and is excluded from equality.
+    (line, col) for diagnostics and is excluded from equality.  Parsed
+    trees are never mutated: rewrites build new nodes, so corpora share
+    untouched subtrees.
     """
 
     label: str

@@ -14,10 +14,9 @@ each target (label 0), keeping the two label counts exactly equal.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -382,12 +381,13 @@ def perform_move(
     Inside the moved body, accesses through the target-typed parameter
     lose their qualifier; bare references to origin members gain one
     through an origin-typed parameter.  The input corpus is left
-    untouched; a rewritten deep copy is returned with the ground-truth
-    record.  Refuses moves whose rewrite would capture or collide names.
+    untouched: the returned corpus rebuilds only the moved method, its
+    origin and target classes and the units holding them, and shares
+    every other unit, class, method and AST node with the input.
+    Refuses moves whose rewrite would capture or collide names.
     """
-    mutated = copy.deepcopy(units)
-    index = build_class_index(mutated)
-    origin_cls, method = find_enclosing(mutated, method_id)
+    index = build_class_index(units)
+    origin_cls, method = find_enclosing(units, method_id)
     if target_class_id not in index:
         raise UnresolvedTargetError(f"target class {target_class_id!r} not in corpus")
     if target_class_id == origin_cls.name:
@@ -424,13 +424,20 @@ def perform_move(
     skip = set(method.param_names) | introduced
     body = _requalify(body, origin_cls, method, skip, carrier, need_carrier)
 
-    origin_cls.methods.remove(method)
-    method.body = body
-    method.id = make_method_id(
-        target_unit.file_path, target_cls.name, method.name, method.arity
-    )
-    target_cls.methods.append(method)
-    return mutated, GroundTruthEntry(method.id, origin_cls.name, target_cls.name)
+    new_id = make_method_id(target_unit.file_path, target_cls.name, method.name, method.arity)
+    moved = replace(method, body=body, id=new_id)
+    swap = {  # class names are unique in the corpus (build_class_index)
+        origin_cls.name: replace(
+            origin_cls, methods=[m for m in origin_cls.methods if m is not method]
+        ),
+        target_cls.name: replace(target_cls, methods=target_cls.methods + [moved]),
+    }
+    mutated = [
+        replace(u, classes=[swap.get(c.name, c) for c in u.classes])
+        if any(c.name in swap for c in u.classes) else u
+        for u in units
+    ]
+    return mutated, GroundTruthEntry(moved.id, origin_cls.name, target_cls.name)
 
 
 def canonical_corpus(units: list[SourceUnit]) -> list[SourceUnit]:
@@ -602,7 +609,7 @@ def read_dataset(path: str | Path) -> list[LabeledExample]:
         raise DataError(f"{path}: empty dataset file")
     check_header(text[0], DATASET_FORMAT, str(path))
     examples = []
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         if not line:
             continue
         try:
@@ -615,7 +622,9 @@ def read_dataset(path: str | Path) -> list[LabeledExample]:
             )
             example = LabeledExample(feature, int(row["label"]))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad dataset row: {exc}") from exc
+            raise DataError(f"{path}:{lineno}: bad dataset row: {exc}") from exc
+        if examples and feature.values.shape != examples[0].feature.values.shape:
+            raise DataError(f"{path}:{lineno}: feature width differs from the first row's")
         examples.append(example)
     return examples
 

@@ -140,6 +140,30 @@ class TestExitCodes:
         path.write_text("{oops")
         assert main(["train-embed", "--config", str(path)]) == 2
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"seed": 1\xff}')
+        assert main(["train-embed", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.json" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_bags_file_is_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        base = ["--config", write_config(tmp_path)]
+        assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "3",
+                     "--eval-projects", "1"]) == 0
+        assert main(["extract", *base, "--corpus", "corpus"]) == 0
+        capsys.readouterr()
+        path = tmp_path / "work" / BAGS_FILE
+        data = path.read_bytes()
+        lead = next(i for i, byte in enumerate(data) if byte >= 0xC0)
+        path.write_bytes(data[: lead + 1])  # ends inside a multi-byte character
+        assert main(["train-embed", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "decode" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for data in ({"sedd": 1}, {"jobs": 1}):
@@ -240,6 +264,21 @@ class TestStageChain:
         assert main(["train-clf", *base]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "feature" in err
+        assert "Traceback" not in err
+
+    def test_dataset_row_of_other_width_is_data_error(self, tmp_path, monkeypatch,
+                                                      capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / DATASET_FILES["train"]
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        row["feature"] = row["feature"][:-3]
+        lines[1] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["train-clf", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{DATASET_FILES['train']}:3:" in err
         assert "Traceback" not in err
 
     def test_non_json_ground_truth_line_is_data_error(self, tmp_path, monkeypatch,

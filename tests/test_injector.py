@@ -7,6 +7,7 @@ so the enumeration tests assert complete sets rather than spot checks.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
@@ -520,6 +521,77 @@ def test_move_rejects_two_target_params():
         perform_move(units, units[0].classes[0].methods[0].id, "Ledger")
 
 
+def test_move_shares_what_it_does_not_change():
+    # only the two classes, their units and the moved method are rebuilt;
+    # a whole-project copy would fail every `is` below
+    units = fixture_units()
+    merge_id = method_of(units, "Wallet", "merge")[1].id
+    mutated, _ = perform_move(units, merge_id, "Ledger")
+    assert mutated[2] is units[2]
+    assert mutated[0] is not units[0] and mutated[1] is not units[1]
+    wallet, ledger = units[0].classes[0], units[1].classes[0]
+    new_wallet, new_ledger = mutated[0].classes[0], mutated[1].classes[0]
+    assert new_wallet is not wallet and new_ledger is not ledger
+    kept = [m for m in wallet.methods if m.name != "merge"]
+    assert len(new_wallet.methods) == len(kept)
+    assert all(a is b for a, b in zip(new_wallet.methods, kept))
+    assert all(a is b for a, b in zip(new_ledger.methods, ledger.methods))
+    moved, original = new_ledger.methods[-1], method_of(units, "Wallet", "merge")[1]
+    assert moved.name == "merge" and moved.params is original.params
+
+
+SAME_FILE_SRC = """
+class Wallet {
+    int balance;
+
+    int merge(Wallet home, Ledger ledger, int bonus) {
+        int sum = ledger.total + bonus;
+        return sum;
+    }
+
+    int spend(Ledger ledger, int cost) {
+        ledger.add(cost);
+        return cost;
+    }
+}
+
+class Ledger {
+    int total;
+
+    void add(int amount) {
+        total = total + amount;
+    }
+}
+"""
+
+
+def test_move_between_classes_of_one_file():
+    units = [parse_unit(SAME_FILE_SRC, "Book.java"), parse_unit(REPORT_SRC, "Report.java")]
+    snapshot = copy.deepcopy(units)
+    merge_id = "Book.java::Wallet::merge/3"
+    mutated, entry = perform_move(units, merge_id, "Ledger")
+    assert entry == GroundTruthEntry("Book.java::Ledger::merge/3", "Wallet", "Ledger")
+    assert units == snapshot
+    assert mutated[1] is units[1]
+
+    wallet, ledger = mutated[0].classes
+    assert (wallet.name, ledger.name) == ("Wallet", "Ledger")
+    assert [m.name for m in wallet.methods] == ["spend"]
+    assert [m.id for m in ledger.methods] == [
+        "Book.java::Ledger::add/1",
+        entry.moved_method_id,
+    ]
+    text = print_unit(mutated[0])
+    assert "sum = total + bonus;" in text
+    assert "ledger.total" not in text
+    assert text.index("class Ledger") < text.index("merge(")
+
+    restored, back = perform_move(mutated, entry.moved_method_id, "Wallet")
+    assert back == GroundTruthEntry(merge_id, "Ledger", "Wallet")
+    assert corpora_equal(units, restored)
+    assert units == snapshot
+
+
 # ---------------------------------------------------------------------------
 # Involution: moving back restores the corpus
 
@@ -656,10 +728,37 @@ def test_inject_cap():
 
 
 def test_inject_leaves_input_untouched():
+    # `==` compares every unit, class, method (with its id) and AST node;
+    # printing alone would not show a rewritten method id
+    units = fixture_units()
+    snapshot = copy.deepcopy(units)
+
+    merge_id = method_of(units, "Wallet", "merge")[1].id
+    perform_move(units, merge_id, "Ledger")
+    assert units == snapshot
+
+    # audit reads a bare origin field and has no Wallet parameter to carry
+    # it, so the refusal comes only after the body has been rewritten
+    audit_id = method_of(units, "Wallet", "audit")[1].id
+    with pytest.raises(NotMovableError):
+        perform_move(units, audit_id, "Ledger")
+    assert units == snapshot
+
+    _, entries = inject_feature_envy(units, seed=1)
+    assert entries
+    assert units == snapshot
+
+
+def test_inject_shares_unmoved_units():
     units = envy_units()
-    before = print_unit(units[0])
-    inject_feature_envy(units, seed=1)
-    assert print_unit(units[0]) == before
+    mutated, entries = inject_feature_envy(units, seed=7, max_moves=1)
+    (entry,) = entries
+    touched = {entry.original_class_id, entry.injected_class_id}
+    for before, after in zip(units, mutated):
+        if before.classes[0].name in touched:
+            assert after is not before
+        else:
+            assert after is before
 
 
 # ---------------------------------------------------------------------------
