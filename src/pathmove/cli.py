@@ -20,7 +20,7 @@ from .codegen import EVAL_DIR, GenConfig, list_projects, load_project, write_cor
 from .config import RunConfig, load_config
 from .embed import load_model, save_model, train_embedder, training_accuracy
 from .errors import ConfigError, DataError, MissingArtifactError
-from .frontend import print_unit, split_method_id
+from .frontend import print_unit
 from .injector import (
     find_scoreable,
     inject_feature_envy,
@@ -36,7 +36,7 @@ from .pipeline import (
     ModelBundle,
     analytic_random_baseline,
     classifier_metrics,
-    corpus_samples,
+    corpus_bags,
     evaluate,
     fit_classifier,
     group_ground_truth,
@@ -46,6 +46,7 @@ from .pipeline import (
     run_pipeline,
     save_model_bundle,
     score_project,
+    training_samples,
     write_recommendations,
 )
 
@@ -158,7 +159,7 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> None:
     bags = []
     for project in train_projects:
         units = load_project(args.corpus, project)
-        bags.extend(bag for bag, _ in corpus_samples(units, limits))
+        bags.extend(corpus_bags(units, limits))
     work = _work_dir(config)
     (work / BAGS_FILE).write_text(dump_bags(bags))
     n_contexts = sum(len(bag.contexts) for bag in bags)
@@ -170,9 +171,12 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> None:
 
 def cmd_train_embed(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
-    text = _require(work / BAGS_FILE, "extract").read_text()
-    bags = load_bags(text)
-    samples = [(bag, split_method_id(bag.method_id)[2]) for bag in bags]
+    path = _require(work / BAGS_FILE, "extract")
+    try:
+        bags = load_bags(path.read_text())
+    except DataError as exc:
+        raise DataError(f"{path}:{exc}") from exc
+    samples = training_samples(bags)
     vocabs, params, losses = train_embedder(samples, config.train_config())
     save_model(params, vocabs, work / EMBEDDER_FILE)
     accuracy = training_accuracy(samples, params, vocabs)
@@ -190,7 +194,7 @@ def cmd_build_dataset(args: argparse.Namespace, config: RunConfig) -> None:
     examples = []
     for project in train_projects:
         units = load_project(args.corpus, project)
-        examples.extend(project_examples(units, params, vocabs, limits))
+        examples.extend(project_examples(units, corpus_bags(units, limits), params, vocabs))
     splits = dict(zip(DATASET_FILES, split_dataset(examples, config.seed)))
     for name, rows in splits.items():
         write_dataset(work / DATASET_FILES[name], rows)

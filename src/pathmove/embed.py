@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundle import CorruptFileError, load_bundle, save_bundle
 from .errors import DataError
-from .pathctx import ContextBag, EmptyBagError, path_to_string
+from .pathctx import ContextBag, EmptyBagError
 
 UNK = "<UNK>"
 
@@ -114,8 +114,7 @@ def build_vocabularies(
         for ctx in bag.contexts:
             token_counts[ctx.start_token] = token_counts.get(ctx.start_token, 0) + 1
             token_counts[ctx.end_token] = token_counts.get(ctx.end_token, 0) + 1
-            key = path_to_string(ctx.path)
-            path_counts[key] = path_counts.get(key, 0) + 1
+            path_counts[ctx.path] = path_counts.get(ctx.path, 0) + 1
     if len(names) < 2:
         raise VocabTooSmallError(
             f"need at least 2 distinct method names, got {len(names)}"
@@ -155,10 +154,7 @@ def index_bag(bag: ContextBag, vocabs: Vocabularies) -> tuple[np.ndarray, np.nda
     starts = np.array(
         [vocabs.token_index.get(c.start_token, 0) for c in bag.contexts], dtype=np.int64
     )
-    paths = np.array(
-        [vocabs.path_index.get(path_to_string(c.path), 0) for c in bag.contexts],
-        dtype=np.int64,
-    )
+    paths = np.array([vocabs.path_index.get(c.path, 0) for c in bag.contexts], dtype=np.int64)
     ends = np.array(
         [vocabs.token_index.get(c.end_token, 0) for c in bag.contexts], dtype=np.int64
     )

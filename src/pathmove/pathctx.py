@@ -1,10 +1,17 @@
 """Path-context extraction over method bodies.
 
-A path-context is a triple (start token, syntactic path, end token) for a
-pair of leaves in the body AST: the path walks from the first leaf up to
-the lowest common ancestor and down to the second leaf, recording node
-labels and travel direction.  A method is represented by the bag of all
-such triples that fit the length/width limits, down-sampled to a cap.
+A path-context is a triple of strings (start token, path, end token) for
+a pair of leaves in the body AST.  The path walks from the first leaf up
+to the lowest common ancestor and down to the second leaf; it joins the
+node labels with `↑` up to the ancestor and `↓` after it, as in
+`Name↑Assignment↓Name`.  Labels hold no arrows, so the path is a
+vocabulary key and nothing more is kept of its structure.  A method is
+represented by the bag of all such triples that fit the length/width
+limits, down-sampled to a cap.
+
+A bag dump has one line per method: the method id, then one
+tab-separated `start,path,end` cell per context.  A method with no
+contexts is a line holding only its id.
 """
 
 from __future__ import annotations
@@ -13,35 +20,18 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DataError
 from .frontend import AstNode, MethodDecl
 
 METHOD_NAME_PLACEHOLDER = "METHOD_NAME"
 
-UP = "up"
-DOWN = "down"
 
-
-@dataclass(frozen=True)
-class PathElement:
-    label: str
-    direction: str  # UP strictly before the common ancestor, DOWN from it on
-
-    def __post_init__(self):
-        if self.direction not in (UP, DOWN):
-            raise ValueError(f"bad direction {self.direction!r}")
-
-
-@dataclass(frozen=True)
-class PathContext:
+class PathContext(NamedTuple):
     start_token: str
-    path: tuple[PathElement, ...]
+    path: str
     end_token: str
-
-    @property
-    def length(self) -> int:
-        return len(self.path)
 
 
 @dataclass
@@ -60,7 +50,6 @@ class ExtractionLimits:
 class ContextBag:
     method_id: str
     contexts: list[PathContext] = field(default_factory=list)
-    empty_body: bool = False  # fewer than two leaves in the body
 
 
 class EmptyBagError(DataError):
@@ -80,19 +69,8 @@ def normalize_token(leaf: AstNode) -> str:
     return "NUM"
 
 
-def path_to_string(path: tuple[PathElement, ...]) -> str:
-    """Join labels with an arrow per hop: up-arrows until the common
-    ancestor, down-arrows after. Injective because labels never contain
-    arrow characters."""
-    parts = [path[0].label]
-    for prev, elem in zip(path, path[1:]):
-        arrow = "↑" if prev.direction == UP else "↓"
-        parts.append(arrow + elem.label)
-    return "".join(parts)
-
-
 def context_to_string(ctx: PathContext) -> str:
-    return f"{ctx.start_token},{path_to_string(ctx.path)},{ctx.end_token}"
+    return f"{ctx.start_token},{ctx.path},{ctx.end_token}"
 
 
 def _collect_leaves(root: AstNode) -> list[tuple[AstNode, tuple[AstNode, ...]]]:
@@ -112,23 +90,27 @@ def _collect_leaves(root: AstNode) -> list[tuple[AstNode, tuple[AstNode, ...]]]:
 
 
 def _pair_path(
-    chain_a: tuple[AstNode, ...], chain_b: tuple[AstNode, ...]
-) -> tuple[tuple[PathElement, ...], int]:
-    """Path elements from leaf a to leaf b plus the width at their lowest
-    common ancestor (index distance between the ancestor's two children
-    the leaves descend through)."""
+    chain_a: tuple[AstNode, ...], chain_b: tuple[AstNode, ...], limits: ExtractionLimits
+) -> str | None:
+    """Path string from leaf a to leaf b, or None when it exceeds the
+    length limit (nodes on the path) or the width limit (index distance
+    between the two children of the lowest common ancestor that the
+    leaves descend through)."""
     shared = 0
     limit = min(len(chain_a), len(chain_b))
     while shared < limit and chain_a[shared] is chain_b[shared]:
         shared += 1
-    lca = chain_a[shared - 1]
+    if len(chain_a) + len(chain_b) - 2 * shared + 1 > limits.max_length:
+        return None
     child_a = chain_a[shared]
     child_b = chain_b[shared]
-    indices = {id(c): i for i, c in enumerate(lca.children)}
-    width = abs(indices[id(child_a)] - indices[id(child_b)])
-    rising = [PathElement(n.label, UP) for n in reversed(chain_a[shared:])]
-    falling = [PathElement(n.label, DOWN) for n in chain_b[shared - 1 :]]
-    return tuple(rising + falling), width
+    siblings = chain_a[shared - 1].children
+    pos_a = next(k for k, c in enumerate(siblings) if c is child_a)
+    pos_b = next(k for k, c in enumerate(siblings) if c is child_b)
+    if abs(pos_b - pos_a) > limits.max_width:
+        return None
+    rising = "↑".join([n.label for n in reversed(chain_a[shared - 1 :])])
+    return rising + "↓" + "↓".join([n.label for n in chain_b[shared:]])
 
 
 def _bag_rng(seed: int, method_id: str) -> random.Random:
@@ -143,13 +125,9 @@ def extract_contexts(method: MethodDecl, limits: ExtractionLimits) -> ContextBag
 
     Name leaves matching the method's own name are replaced by a
     placeholder so a name-prediction objective cannot see its answer.
-    Bodies with fewer than two leaves yield an empty bag with the
-    empty_body flag set rather than an error.
+    Bodies with fewer than two leaves yield an empty bag, not an error.
     """
     leaves = _collect_leaves(method.body)
-    if len(leaves) < 2:
-        return ContextBag(method.id, [], empty_body=True)
-
     tokens = []
     for leaf, _ in leaves:
         text = normalize_token(leaf)
@@ -160,10 +138,9 @@ def extract_contexts(method: MethodDecl, limits: ExtractionLimits) -> ContextBag
     contexts: list[PathContext] = []
     for i in range(len(leaves)):
         for j in range(i + 1, len(leaves)):
-            path, width = _pair_path(leaves[i][1], leaves[j][1])
-            if len(path) > limits.max_length or width > limits.max_width:
-                continue
-            contexts.append(PathContext(tokens[i], path, tokens[j]))
+            path = _pair_path(leaves[i][1], leaves[j][1], limits)
+            if path is not None:
+                contexts.append(PathContext(tokens[i], path, tokens[j]))
 
     if len(contexts) > limits.max_contexts:
         rng = _bag_rng(limits.seed, method.id)
@@ -175,6 +152,11 @@ def extract_contexts(method: MethodDecl, limits: ExtractionLimits) -> ContextBag
 # ---------------------------------------------------------------------------
 # Bag serialization (one method per line, tab-separated contexts)
 
+# start,path,end as extraction writes them: tokens and labels are
+# non-empty and free of commas and arrows, and a path rises at least once
+# and then falls at least once.
+_CONTEXT_CELL = re.compile(r"([^,↑↓]+),([^,↑↓]+(?:↑[^,↑↓]+)+(?:↓[^,↑↓]+)+),([^,↑↓]+)")
+
 
 def dump_bags(bags: list[ContextBag]) -> str:
     lines = []
@@ -184,61 +166,19 @@ def dump_bags(bags: list[ContextBag]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_context_string(text: str) -> tuple[str, str, str]:
-    """Split a dumped context back into (start, path-string, end)."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise DataError(f"malformed context record {text!r}")
-    return parts[0], parts[1], parts[2]
-
-
-def load_bag_strings(text: str) -> list[tuple[str, list[tuple[str, str, str]]]]:
-    """Parse a dump back into (method_id, [(start, path, end), ...]) rows.
-
-    String-level round-trip: path structure is not rebuilt because
-    downstream consumers only need the rendered path as a vocabulary key.
-    """
-    rows = []
-    for line in text.splitlines():
+def load_bags(text: str) -> list[ContextBag]:
+    """Read a dump back into bags; a malformed cell raises DataError
+    naming its line as `LINE: ...`."""
+    bags = []
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
-        cells = line.split("\t")
-        rows.append((cells[0], [parse_context_string(c) for c in cells[1:]]))
-    return rows
-
-
-def parse_path_string(text: str) -> tuple[PathElement, ...]:
-    """Inverse of path_to_string.
-
-    The arrow after each label records that element's direction; the
-    final element carries none, but every extracted path reaches its end
-    leaf downward, so its direction is always DOWN.
-    """
-    parts = re.split("([↑↓])", text)
-    labels = parts[0::2]
-    arrows = parts[1::2]
-    if not labels or any(not label for label in labels):
-        raise DataError(f"malformed path string {text!r}")
-    elements = [
-        PathElement(label, UP if arrow == "↑" else DOWN)
-        for label, arrow in zip(labels, arrows)
-    ]
-    elements.append(PathElement(labels[-1], DOWN))
-    return tuple(elements)
-
-
-def load_bags(text: str) -> list[ContextBag]:
-    """Rebuild full bags from a dump.
-
-    A bag dumped with no contexts reloads with empty_body set: whether
-    the body was too small or every pair exceeded the limits, the bag is
-    equally unusable downstream.
-    """
-    bags = []
-    for method_id, triples in load_bag_strings(text):
-        contexts = [
-            PathContext(start, parse_path_string(path), end)
-            for start, path, end in triples
-        ]
-        bags.append(ContextBag(method_id, contexts, empty_body=not contexts))
+        method_id, *cells = line.split("\t")
+        contexts = []
+        for cell in cells:
+            match = _CONTEXT_CELL.fullmatch(cell)
+            if match is None:
+                raise DataError(f"{lineno}: malformed path-context {cell!r}")
+            contexts.append(PathContext(*match.groups()))
+        bags.append(ContextBag(method_id, contexts))
     return bags

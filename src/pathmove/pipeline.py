@@ -38,7 +38,7 @@ from .featurize import (
     fit_pca,
     make_pair_vector,
 )
-from .frontend import SourceUnit
+from .frontend import SourceUnit, split_method_id
 from .injector import (
     CandidateMove,
     GroundTruthEntry,
@@ -88,34 +88,28 @@ class Recommendation:
 # Corpus-level embedding
 
 
-def corpus_samples(
-    units: list[SourceUnit], limits: ExtractionLimits
-) -> list[tuple[ContextBag, str]]:
-    """(bag, method name) pairs for embedder training, in source order."""
-    samples = []
-    for unit in units:
-        for cls in unit.classes:
-            for method in cls.methods:
-                samples.append((extract_contexts(method, limits), method.name))
-    return samples
+def corpus_bags(units: list[SourceUnit], limits: ExtractionLimits) -> list[ContextBag]:
+    """One bag per method, in source order."""
+    return [
+        extract_contexts(method, limits)
+        for unit in units
+        for cls in unit.classes
+        for method in cls.methods
+    ]
+
+
+def training_samples(bags: list[ContextBag]) -> list[tuple[ContextBag, str]]:
+    """(bag, method name) pairs for embedder training."""
+    return [(bag, split_method_id(bag.method_id)[2]) for bag in bags]
 
 
 def embed_corpus(
-    units: list[SourceUnit],
-    params: EmbedderParams,
-    vocabs: Vocabularies,
-    limits: ExtractionLimits,
+    bags: list[ContextBag], params: EmbedderParams, vocabs: Vocabularies
 ) -> dict[str, CodeVector]:
     """Vector per method id; methods with empty bags are left out."""
-    out = {}
-    for unit in units:
-        for cls in unit.classes:
-            for method in cls.methods:
-                bag = extract_contexts(method, limits)
-                if not bag.contexts:
-                    continue
-                out[method.id] = embed_bag(bag, params, vocabs)
-    return out
+    return {
+        bag.method_id: embed_bag(bag, params, vocabs) for bag in bags if bag.contexts
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +256,19 @@ def recommend(
 
 def project_examples(
     units: list[SourceUnit],
+    bags: list[ContextBag],
     params: EmbedderParams,
     vocabs: Vocabularies,
-    limits: ExtractionLimits,
 ) -> list[LabeledExample]:
-    """Labeled method-class pairs of one training project."""
-    embeddings = embed_corpus(units, params, vocabs, limits)
+    """Labeled method-class pairs of one training project, given its bags."""
+    embeddings = embed_corpus(bags, params, vocabs)
     return build_dataset(units, embeddings, find_movable(units))
 
 
 def score_project(units: list[SourceUnit], bundle: ModelBundle) -> list[Recommendation]:
     """Recommendations for one project; none when nothing is scoreable."""
-    embeddings = embed_corpus(units, bundle.embedder, bundle.vocabs, bundle.limits)
+    bags = corpus_bags(units, bundle.limits)
+    embeddings = embed_corpus(bags, bundle.embedder, bundle.vocabs)
     try:
         return recommend(units, embeddings, bundle)
     except NoCandidatesError:
@@ -606,15 +601,16 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
         raise DataError("corpus needs both train and eval projects")
 
     train_units = {p: load_project(corpus_root, p) for p in train_projects}
+    train_bags = {p: corpus_bags(train_units[p], limits) for p in train_projects}
 
-    samples = []
-    for project in train_projects:
-        samples.extend(corpus_samples(train_units[project], limits))
+    samples = training_samples([b for p in train_projects for b in train_bags[p]])
     vocabs, params, losses = train_embedder(samples, config.train_config())
 
     examples: list[LabeledExample] = []
     for project in train_projects:
-        examples.extend(project_examples(train_units[project], params, vocabs, limits))
+        examples.extend(
+            project_examples(train_units[project], train_bags[project], params, vocabs)
+        )
     train_ex, test_ex, validate_ex = split_dataset(examples, config.seed)
 
     pca, rff, svm_model, platt = fit_classifier(train_ex, validate_ex, config)

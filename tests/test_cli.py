@@ -164,6 +164,24 @@ class TestExitCodes:
         assert err.startswith("error:") and "decode" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path", ["Name", "Name↓X↑Y", "Name↑X↑Y"])
+    def test_impossible_path_in_bags_file_is_data_error(self, tmp_path, monkeypatch,
+                                                        capsys, path):
+        monkeypatch.chdir(tmp_path)
+        base = ["--config", write_config(tmp_path)]
+        assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "3",
+                     "--eval-projects", "1"]) == 0
+        assert main(["extract", *base, "--corpus", "corpus"]) == 0
+        capsys.readouterr()
+        bags = tmp_path / "work" / BAGS_FILE
+        lines = bags.read_text().splitlines()
+        lines[1] += f"\tx,{path},y"
+        bags.write_text("\n".join(lines) + "\n")
+        assert main(["train-embed", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{BAGS_FILE}:2:" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for data in ({"sedd": 1}, {"jobs": 1}):

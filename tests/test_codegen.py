@@ -137,9 +137,8 @@ def test_getter_bags_empty_setter_bags_not():
     limits = ExtractionLimits()
     getter = next(m for m in cls.methods if m.name.startswith("get"))
     setter = next(m for m in cls.methods if m.name.startswith("set"))
-    assert extract_contexts(getter, limits).empty_body
-    bag = extract_contexts(setter, limits)
-    assert not bag.empty_body and len(bag.contexts) == 1
+    assert extract_contexts(getter, limits).contexts == []
+    assert len(extract_contexts(setter, limits).contexts) == 1
 
 
 def test_generate_project_deterministic():

@@ -23,24 +23,11 @@ from pathmove.embed import (
     train_embedder,
     training_accuracy,
 )
-from pathmove.pathctx import (
-    DOWN,
-    UP,
-    ContextBag,
-    EmptyBagError,
-    PathContext,
-    PathElement,
-    path_to_string,
-)
+from pathmove.pathctx import ContextBag, EmptyBagError, PathContext
 
 
 def simple_context(start: str, marker: str, end: str) -> PathContext:
-    path = (
-        PathElement("Name", UP),
-        PathElement(marker, DOWN),
-        PathElement("Name", DOWN),
-    )
-    return PathContext(start, path, end)
+    return PathContext(start, f"Name↑{marker}↓Name", end)
 
 
 def toy_vocabs(tokens, markers, names) -> Vocabularies:
@@ -49,8 +36,7 @@ def toy_vocabs(tokens, markers, names) -> Vocabularies:
         token_index[t] = len(token_index)
     path_index = {UNK: 0}
     for m in markers:
-        key = path_to_string(simple_context("x", m, "y").path)
-        path_index[key] = len(path_index)
+        path_index[simple_context("x", m, "y").path] = len(path_index)
     return Vocabularies(token_index, path_index, {n: i for i, n in enumerate(sorted(names))})
 
 
@@ -77,7 +63,7 @@ def test_forward_matches_straight_line_recomputation():
     scores = []
     for ctx in contexts:
         s = vocabs.token_index.get(ctx.start_token, 0)
-        p = vocabs.path_index.get(path_to_string(ctx.path), 0)
+        p = vocabs.path_index.get(ctx.path, 0)
         e = vocabs.token_index.get(ctx.end_token, 0)
         c = list(params.token_matrix[s]) + list(params.path_matrix[p]) + list(
             params.token_matrix[e]
@@ -386,10 +372,8 @@ def test_vocab_cutoff_and_unk():
     assert "common" in vocabs.token_index
     assert "rare" not in vocabs.token_index  # occurs once, collapsed
     assert vocabs.token_index[UNK] == 0
-    m1_key = path_to_string(c1.path)
-    m2_key = path_to_string(c2.path)
-    assert m1_key in vocabs.path_index
-    assert m2_key not in vocabs.path_index
+    assert c1.path in vocabs.path_index
+    assert c2.path not in vocabs.path_index
 
 
 def test_vocab_too_small():

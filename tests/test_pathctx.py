@@ -8,28 +8,25 @@ between the two is meaningful.
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_method_source
 from pathmove.errors import DataError
 from pathmove.frontend import AstNode, parse_unit
 from pathmove.pathctx import (
-    DOWN,
     METHOD_NAME_PLACEHOLDER,
-    UP,
     ContextBag,
     ExtractionLimits,
     PathContext,
-    PathElement,
     context_to_string,
     dump_bags,
     extract_contexts,
-    load_bag_strings,
     load_bags,
     normalize_token,
-    parse_path_string,
-    path_to_string,
 )
 
 WIDE = ExtractionLimits(max_length=10**6, max_width=10**6, max_contexts=10**6)
@@ -57,9 +54,11 @@ def test_minimal_shared_parent():
     assert [context_to_string(c) for c in bag.contexts] == [
         "x,Name↑Assignment↓Name,y"
     ]
-    ctx = bag.contexts[0]
-    assert ctx.length == 3
-    assert [e.direction for e in ctx.path] == [UP, DOWN, DOWN]
+    assert bag.contexts[0] == PathContext("x", "Name↑Assignment↓Name", "y")
+
+
+def path_nodes(path: str) -> int:
+    return 1 + path.count("↑") + path.count("↓")
 
 
 def test_directions_up_then_down():
@@ -67,9 +66,9 @@ def test_directions_up_then_down():
     for _ in range(25):
         method = method_of(random_method_source(rng))
         for ctx in extract_contexts(method, WIDE).contexts:
-            dirs = [e.direction for e in ctx.path]
-            flips = sum(1 for a, b in zip(dirs, dirs[1:]) if a != b)
-            assert dirs[0] == UP and dirs[-1] == DOWN and flips == 1
+            arrows = [ch for ch in ctx.path if ch in "↑↓"]
+            flips = sum(1 for a, b in zip(arrows, arrows[1:]) if a != b)
+            assert arrows[0] == "↑" and arrows[-1] == "↓" and flips == 1
 
 
 def _brute_force_strings(body: AstNode) -> list[str]:
@@ -147,7 +146,7 @@ def test_limit_monotonicity():
                 assert context_to_string(ctx) in loose_strings
             assert len(tight.contexts) <= len(loose.contexts)
             for ctx in tight.contexts:
-                assert ctx.length <= max_length
+                assert path_nodes(ctx.path) <= max_length
 
 
 def test_width_by_hand():
@@ -170,8 +169,7 @@ def test_length_boundary():
     keep = ExtractionLimits(max_length=3, max_width=5, max_contexts=10)
     drop = ExtractionLimits(max_length=2, max_width=5, max_contexts=10)
     assert len(extract_contexts(method, keep).contexts) == 1
-    dropped = extract_contexts(method, drop)
-    assert dropped.contexts == [] and not dropped.empty_body
+    assert extract_contexts(method, drop).contexts == []
 
 
 def test_own_name_masked():
@@ -195,28 +193,11 @@ def test_normalize_token():
 
 def test_empty_and_tiny_bodies():
     empty = extract_contexts(method_of("class T { void f() { } }"), WIDE)
-    assert empty.empty_body and empty.contexts == []
+    assert empty.contexts == []
     single = extract_contexts(method_of("class T { int f(int x) { return x; } }"), WIDE)
-    assert single.empty_body and single.contexts == []
+    assert single.contexts == []
     pair = extract_contexts(method_of("class T { int f(int x) { return x + 1; } }"), WIDE)
-    assert not pair.empty_body and len(pair.contexts) == 1
-
-
-def test_path_string_injective_fuzz():
-    # 10k random valid paths: distinct structures give distinct strings.
-    labels = ["Block", "Name", "MethodCall", "FieldAccess", "Assignment", "Literal"]
-    rng = random.Random(99)
-    structures = set()
-    for _ in range(10_000):
-        rise = rng.randrange(1, 4)
-        fall = rng.randrange(2, 5)
-        path = tuple(
-            [PathElement(rng.choice(labels), UP) for _ in range(rise)]
-            + [PathElement(rng.choice(labels), DOWN) for _ in range(fall)]
-        )
-        structures.add(path)
-    strings = {path_to_string(p) for p in structures}
-    assert len(strings) == len(structures)
+    assert len(pair.contexts) == 1
 
 
 def test_sampling_cap_and_determinism():
@@ -252,15 +233,14 @@ def test_dump_and_load_round_trip():
         bag = extract_contexts(method, ExtractionLimits())
         bag.method_id = f"T.java::Gen::run/{i}"
         bags.append(bag)
-    bags.append(ContextBag("T.java::Gen::empty/0", [], empty_body=True))
-    text = dump_bags(bags)
-    rows = load_bag_strings(text)
-    assert len(rows) == len(bags)
-    for row, bag in zip(rows, bags):
-        assert row[0] == bag.method_id
-        assert [f"{s},{p},{e}" for s, p, e in row[1]] == [
+    bags.append(ContextBag("T.java::Gen::empty/0", []))
+    lines = dump_bags(bags).splitlines()
+    assert len(lines) == len(bags)
+    for line, bag in zip(lines, bags):
+        assert line.split("\t") == [bag.method_id] + [
             context_to_string(c) for c in bag.contexts
         ]
+    assert lines[-1] == "T.java::Gen::empty/0"
 
 
 def test_limits_validation():
@@ -278,27 +258,73 @@ def test_structured_load_round_trip():
         bag = extract_contexts(method, ExtractionLimits())
         bag.method_id = f"T.java::Gen::run/{i}"
         bags.append(bag)
-    bags.append(ContextBag("T.java::Gen::empty/0", [], empty_body=True))
+    bags.append(ContextBag("T.java::Gen::empty/0", []))
     loaded = load_bags(dump_bags(bags))
     assert loaded == bags
     # and dumping the reloaded bags is byte-identical
     assert dump_bags(loaded) == dump_bags(bags)
 
 
-def test_parse_path_string_inverse():
-    rng = random.Random(29)
-    seen = 0
-    for _ in range(20):
-        method = method_of(random_method_source(rng), index=0)
-        for ctx in extract_contexts(method, ExtractionLimits()).contexts:
-            text = path_to_string(ctx.path)
-            assert parse_path_string(text) == ctx.path
-            seen += 1
-    assert seen > 100
+GOOD_CELL = "x,Name↑Assignment↓Name,y"
 
 
-def test_parse_path_string_rejects_junk():
-    with pytest.raises(DataError):
-        parse_path_string("")
-    with pytest.raises(DataError):
-        parse_path_string("Name↑↑Name")
+def test_load_bags_rejects_junk():
+    assert load_bags(f"T.java::T::f/0\t{GOOD_CELL}\nT.java::T::g/0\n") == [
+        ContextBag("T.java::T::f/0", [PathContext("x", "Name↑Assignment↓Name", "y")]),
+        ContextBag("T.java::T::g/0", []),
+    ]
+    junk = [
+        "",
+        "x,Name,y",
+        "x,Name↓X↑Y,y",
+        "x,Name↑X↑Y,y",
+        "x,Name↓X↓Y,y",
+        "x,Name↑↑Name,y",
+        "x,Name↑↑Name↓Name,y",
+        "x,↑Assignment↓Name,y",
+        "x,Name↑Assignment↓,y",
+        ",Name↑Assignment↓Name,y",
+        "x,Name↑Assignment↓Name,",
+        "x,Name↑Assignment↓Name",
+        "x,Name↑Assignment↓Name,y,z",
+        "x↑,Name↑Assignment↓Name,y",
+    ]
+    for cell in junk:
+        with pytest.raises(DataError, match="^2: "):
+            load_bags(f"T.java::T::f/0\t{GOOD_CELL}\nT.java::T::g/0\t{GOOD_CELL}\t{cell}\n")
+
+
+# Text over the dump's alphabet: free-form, and built line by line from
+# cells shaped like start,label↑label↓label,end whose pieces may carry
+# separators, so that well-formed and near-miss cells both come up often.
+BAG_ALPHABET = string.ascii_letters + string.digits + ".:/_\t,↑↓\n"
+BAG_PIECE = st.one_of(
+    st.sampled_from(["Name", "x", "T.java::T::f/0"]),
+    st.text(alphabet=BAG_ALPHABET, min_size=1, max_size=3),
+)
+BAG_CELL = st.builds(
+    lambda start, up, down, end: f"{start},{'↑'.join(up)}↓{'↓'.join(down)},{end}",
+    BAG_PIECE,
+    st.lists(BAG_PIECE, min_size=2, max_size=3),
+    st.lists(BAG_PIECE, min_size=1, max_size=2),
+    BAG_PIECE,
+)
+BAG_LINE = st.builds(
+    lambda method_id, cells: "\t".join([method_id, *cells]),
+    BAG_PIECE,
+    st.lists(BAG_CELL, max_size=3),
+)
+BAG_TEXT = st.one_of(
+    st.text(alphabet=BAG_ALPHABET),
+    st.lists(BAG_LINE, max_size=4).map("\n".join),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(BAG_TEXT)
+def test_load_bags_round_trips_or_rejects(text):
+    try:
+        bags = load_bags(text)
+    except DataError:
+        return
+    assert load_bags(dump_bags(bags)) == bags

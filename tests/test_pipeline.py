@@ -9,11 +9,13 @@ method embeddings.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pathmove import pipeline
 from pathmove.bundle import CorruptFileError
 from pathmove.codegen import GenConfig, write_corpus
 from pathmove.config import RunConfig
@@ -32,7 +34,7 @@ from pathmove.pipeline import (
     Recommendation,
     analytic_random_baseline,
     classifier_metrics,
-    corpus_samples,
+    corpus_bags,
     embed_corpus,
     evaluate,
     f1_score,
@@ -44,6 +46,7 @@ from pathmove.pipeline import (
     recommend,
     run_pipeline,
     save_model_bundle,
+    training_samples,
     write_recommendations,
 )
 from pathmove.svm import PlattParams, RffMap, SvmHyperparams, SvmModel, platt_probability
@@ -658,9 +661,16 @@ class TestRecommendationIO:
 class TestCorpusEmbedding:
     def test_samples_follow_source_order(self):
         units = parse_corpus(("Alpha.java", ALPHA_SRC), ("Beta.java", BETA_SRC))
-        limits = ExtractionLimits(8, 2, 200, 0)
-        samples = corpus_samples(units, limits)
+        bags = corpus_bags(units, ExtractionLimits(8, 2, 200, 0))
+        assert [bag.method_id for bag in bags] == [
+            "Alpha.java::Alpha::getOre/0",
+            "Alpha.java::Alpha::lift/2",
+            "Beta.java::Beta::getMass/0",
+            "Beta.java::Beta::churn/1",
+        ]
+        samples = training_samples(bags)
         assert [name for _, name in samples] == ["getOre", "lift", "getMass", "churn"]
+        assert [bag for bag, _ in samples] == bags
 
     def test_embed_corpus_skips_empty_bodies(self):
         idle_alpha = ALPHA_SRC.replace(
@@ -668,8 +678,8 @@ class TestCorpusEmbedding:
             "void idle() {\n    }",
         )
         units = parse_corpus(("Alpha.java", idle_alpha), ("Beta.java", BETA_SRC))
-        limits = ExtractionLimits(8, 2, 200, 0)
-        samples = corpus_samples(units, limits)
+        bags = corpus_bags(units, ExtractionLimits(8, 2, 200, 0))
+        samples = training_samples(bags)
         assert [name for _, name in samples] == ["idle", "lift", "getMass", "churn"]
 
         from pathmove.embed import TrainConfig, train_embedder
@@ -678,7 +688,7 @@ class TestCorpusEmbedding:
             samples,
             TrainConfig(d_t=4, d_p=4, d=8, epochs=1, batch_size=4, min_count=1),
         )
-        vectors = embed_corpus(units, params, vocabs, limits)
+        vectors = embed_corpus(bags, params, vocabs)
         names = set()
         for unit in units:
             for cls in unit.classes:
@@ -738,3 +748,21 @@ class TestRunPipeline:
         assert first.recommendations == second.recommendations
         assert first.ground_truth == second.ground_truth
         assert first.baseline_f1 == second.baseline_f1
+
+    def test_each_method_is_extracted_once(self, tmp_path, monkeypatch):
+        write_corpus(
+            tmp_path,
+            GenConfig(n_projects=3, eval_projects=1, min_classes=5, max_classes=5, seed=7),
+        )
+        calls = Counter()
+        extract = pipeline.extract_contexts
+
+        def counting(method, limits):
+            calls[method.id] += 1
+            return extract(method, limits)
+
+        monkeypatch.setattr(pipeline, "extract_contexts", counting)
+        run_pipeline(tmp_path, self.micro_config())
+        assert any(m.startswith("train/") for m in calls)
+        assert any(m.startswith("eval/") for m in calls)
+        assert set(calls.values()) == {1}
