@@ -1,4 +1,4 @@
-"""Versioned binary container for model artifacts.
+"""The two artifact formats: binary bundles and line-delimited JSON.
 
 A bundle is a JSON header (kind tag plus arbitrary metadata and the array
 directory) followed by the raw C-order bytes of each array in directory
@@ -6,6 +6,11 @@ order.  Writes are byte-deterministic: the header is serialized with
 sorted keys and arrays are stored in sorted name order, so saving the
 same data twice produces identical files.  Floats round-trip bit-exactly
 because the payload is the raw IEEE representation.
+
+A line-delimited artifact (datasets, ground truth, recommendations) is a
+header line such as `{"format": "dataset", "version": 1}` followed by
+one sorted-key JSON object per row.  Readers reject a missing or foreign
+header and report a malformed row as a DataError naming its line.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,3 +110,32 @@ def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict,
     if offset != len(raw):
         raise CorruptFileError(f"{path}: {len(raw) - offset} trailing bytes")
     return header, arrays
+
+
+def write_jsonl(path: str | Path, header: dict, rows: Iterable[dict]) -> None:
+    """Write the header line, then one sorted-key JSON object per row."""
+    lines = [json.dumps(header, sort_keys=True)]
+    lines.extend(json.dumps(row, sort_keys=True) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_jsonl(path: str | Path, header: dict, parse_row: Callable[[dict], object]) -> list:
+    """Parse every non-blank row after a header line equal to `header`.
+    A KeyError, TypeError, ValueError or OverflowError from decoding or
+    `parse_row` becomes a DataError naming the file and line."""
+    lines = Path(path).read_text().splitlines() or [""]
+    try:
+        found = json.loads(lines[0])
+    except json.JSONDecodeError:
+        found = None
+    if found != header:
+        raise DataError(f"{path}:1: expected header {header!r}, found {lines[0][:80]!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            rows.append(parse_row(json.loads(line)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+    return rows

@@ -38,6 +38,8 @@ class FeatureVector:
     stage: str  # 'raw' (2d) or 'reduced' (k)
 
     def __post_init__(self):
+        if not (isinstance(self.method_id, str) and isinstance(self.class_id, str)):
+            raise TypeError(f"ids must be strings, got {self.method_id!r}, {self.class_id!r}")
         if self.stage not in ("raw", "reduced"):
             raise ValueError(f"bad stage {self.stage!r}")
 

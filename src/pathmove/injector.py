@@ -14,13 +14,14 @@ each target (label 0), keeping the two label counts exactly equal.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from .bundle import read_jsonl, write_jsonl
 from .embed import CodeVector
 from .errors import DataError
 from .featurize import FeatureVector, NoMethodsError, class_embedding, make_pair_vector
@@ -66,6 +67,10 @@ class GroundTruthEntry:
     original_class_id: str
     injected_class_id: str
 
+    def __post_init__(self):
+        if not all(isinstance(v, str) for v in vars(self).values()):
+            raise TypeError(f"ground-truth ids must be strings: {self!r}")
+
 
 @dataclass(eq=False)
 class LabeledExample:
@@ -73,8 +78,8 @@ class LabeledExample:
     label: int
 
     def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +494,41 @@ def inject_feature_envy(
 # Dataset construction
 
 
+def candidate_pairs(
+    units: list[SourceUnit],
+    embeddings: dict[str, CodeVector],
+    candidates: list[CandidateMove],
+) -> Iterator[tuple[CandidateMove, FeatureVector | None, list[FeatureVector]]]:
+    """(candidate, origin pair, target pairs) for each candidate, in the
+    given order; training and recommendation both pair through here.
+    The origin's class vector leaves the candidate out; the origin pair
+    is None when nothing else in its class is embedded.  Only target
+    classes with an embedded method get a pair, and a candidate with no
+    code vector gets no pairs at all.  Full class means are computed
+    once per call."""
+    index = build_class_index(units)
+
+    def mean(class_id: str, exclude: str | None = None) -> CodeVector | None:
+        try:
+            return class_embedding(index[class_id][1], embeddings, exclude)
+        except (KeyError, NoMethodsError):
+            return None
+
+    full = {class_id: mean(class_id) for class_id in index}
+    for candidate in candidates:
+        method_vec = embeddings.get(candidate.method_id)
+        if method_vec is None:
+            yield candidate, None, []
+            continue
+        origin = mean(candidate.origin_class_id, exclude=candidate.method_id)
+        targets = [full.get(t) for t in candidate.target_class_ids]
+        yield (
+            candidate,
+            None if origin is None else make_pair_vector(method_vec, origin),
+            [make_pair_vector(method_vec, t) for t in targets if t is not None],
+        )
+
+
 def build_dataset(
     units: list[SourceUnit],
     embeddings: dict[str, CodeVector],
@@ -498,40 +538,14 @@ def build_dataset(
     (label 1, one duplicate per kept target).  A pair whose class cannot
     be embedded is dropped together with one positive, so the two label
     counts stay exactly equal."""
-    index = build_class_index(units)
+    ordered = sorted(candidates, key=lambda c: c.method_id)
     examples: list[LabeledExample] = []
-    for candidate in sorted(candidates, key=lambda c: c.method_id):
-        method_vec = embeddings.get(candidate.method_id)
-        if method_vec is None:
+    for _, origin, targets in candidate_pairs(units, embeddings, ordered):
+        if origin is None:
             continue
-        origin_entry = index.get(candidate.origin_class_id)
-        if origin_entry is None:
-            continue
-        origin_cls = origin_entry[1]
-        try:
-            origin_vec = class_embedding(
-                origin_cls, embeddings, exclude=candidate.method_id
-            )
-        except NoMethodsError:
-            continue
-        positive = make_pair_vector(method_vec, origin_vec)
-        for target_id in candidate.target_class_ids:
-            entry = index.get(target_id)
-            if entry is None:
-                continue
-            try:
-                target_vec = class_embedding(entry[1], embeddings)
-            except NoMethodsError:
-                continue
-            examples.append(LabeledExample(make_pair_vector(method_vec, target_vec), 0))
-            examples.append(
-                LabeledExample(
-                    FeatureVector(
-                        positive.values, positive.method_id, positive.class_id, "raw"
-                    ),
-                    1,
-                )
-            )
+        for pair in targets:
+            examples.append(LabeledExample(pair, 0))
+            examples.append(LabeledExample(origin, 1))
     return examples
 
 
@@ -576,92 +590,38 @@ DATASET_FORMAT = {"format": "dataset", "version": 1}
 GROUND_TRUTH_FORMAT = {"format": "ground-truth", "version": 1}
 
 
-def check_header(line: str, expected: dict, path: str) -> None:
-    """Reject a line-delimited artifact whose first line is not `expected`."""
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed header line: {exc}") from exc
-    if header != expected:
-        raise DataError(f"{path}: header {header!r} does not match {expected!r}")
-
-
 def write_dataset(path: str | Path, examples: list[LabeledExample]) -> None:
-    lines = [json.dumps(DATASET_FORMAT, sort_keys=True)]
-    for example in examples:
-        lines.append(
-            json.dumps(
-                {
-                    "method_id": example.feature.method_id,
-                    "class_id": example.feature.class_id,
-                    "label": example.label,
-                    "feature": example.feature.values.tolist(),
-                },
-                sort_keys=True,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        {
+            "method_id": e.feature.method_id,
+            "class_id": e.feature.class_id,
+            "label": e.label,
+            "feature": e.feature.values.tolist(),
+        }
+        for e in examples
+    )
+    write_jsonl(path, DATASET_FORMAT, rows)
 
 
 def read_dataset(path: str | Path) -> list[LabeledExample]:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise DataError(f"{path}: empty dataset file")
-    check_header(text[0], DATASET_FORMAT, str(path))
-    examples = []
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-            feature = FeatureVector(
-                np.array(row["feature"], dtype=np.float64),
-                row["method_id"],
-                row["class_id"],
-                "raw",
-            )
-            example = LabeledExample(feature, int(row["label"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad dataset row: {exc}") from exc
-        if examples and feature.values.shape != examples[0].feature.values.shape:
-            raise DataError(f"{path}:{lineno}: feature width differs from the first row's")
-        examples.append(example)
-    return examples
+    """Every feature must be a list of finite numbers as wide as the
+    first row's."""
+    shapes: set[tuple[int, ...]] = set()
+
+    def parse(row: dict) -> LabeledExample:
+        values = np.array(row["feature"], dtype=np.float64)
+        shapes.add(values.shape)
+        if values.ndim != 1 or len(shapes) > 1 or not np.isfinite(values).all():
+            raise ValueError("feature is not a finite list of the first row's width")
+        feature = FeatureVector(values, row["method_id"], row["class_id"], "raw")
+        return LabeledExample(feature, row["label"])
+
+    return read_jsonl(path, DATASET_FORMAT, parse)
 
 
 def write_ground_truth(path: str | Path, entries: list[GroundTruthEntry]) -> None:
-    lines = [json.dumps(GROUND_TRUTH_FORMAT, sort_keys=True)]
-    for entry in entries:
-        lines.append(
-            json.dumps(
-                {
-                    "moved_method_id": entry.moved_method_id,
-                    "original_class_id": entry.original_class_id,
-                    "injected_class_id": entry.injected_class_id,
-                },
-                sort_keys=True,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_jsonl(path, GROUND_TRUTH_FORMAT, map(asdict, entries))
 
 
 def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise DataError(f"{path}: empty ground-truth file")
-    check_header(text[0], GROUND_TRUTH_FORMAT, str(path))
-    entries = []
-    for line in text[1:]:
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-            entry = GroundTruthEntry(
-                row["moved_method_id"],
-                row["original_class_id"],
-                row["injected_class_id"],
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad ground-truth row: {exc}") from exc
-        entries.append(entry)
-    return entries
+    return read_jsonl(path, GROUND_TRUTH_FORMAT, lambda row: GroundTruthEntry(**row))

@@ -10,8 +10,8 @@ reporting per-project precision/recall/F1 with macro and micro averages.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,25 +27,16 @@ from .embed import (
     unpack_model,
     vocab_meta,
 )
-from .bundle import CorruptFileError, load_bundle, save_bundle
+from .bundle import CorruptFileError, load_bundle, read_jsonl, save_bundle, write_jsonl
 from .errors import DataError
-from .featurize import (
-    FeatureVector,
-    NoMethodsError,
-    PcaModel,
-    apply_pca_matrix,
-    class_embedding,
-    fit_pca,
-    make_pair_vector,
-)
+from .featurize import FeatureVector, PcaModel, apply_pca_matrix, fit_pca
 from .frontend import SourceUnit, split_method_id
 from .injector import (
     CandidateMove,
     GroundTruthEntry,
     LabeledExample,
-    build_class_index,
     build_dataset,
-    check_header,
+    candidate_pairs,
     find_movable,
     find_scoreable,
     inject_feature_envy,
@@ -80,6 +71,10 @@ class Recommendation:
     decision: str
 
     def __post_init__(self):
+        if not (isinstance(self.method_id, str) and isinstance(self.best_class_id, str)):
+            raise TypeError(f"recommendation ids must be strings: {self!r}")
+        if not 0.0 <= self.probability <= 1.0:  # NaN fails too
+            raise ValueError(f"probability {self.probability!r} is not in [0, 1]")
         if self.decision not in (MOVE, STAY, NO_RECOMMENDATION):
             raise ValueError(f"bad decision {self.decision!r}")
 
@@ -154,12 +149,7 @@ def fit_classifier(
         if rff is not None:
             matrix = rff.transform(matrix)
         return [
-            (
-                FeatureVector(
-                    row, e.feature.method_id, e.feature.class_id, "reduced"
-                ),
-                e.label,
-            )
+            (FeatureVector(row, e.feature.method_id, e.feature.class_id, "reduced"), e.label)
             for row, e in zip(matrix, examples)
         ]
 
@@ -203,49 +193,17 @@ def recommend(
     candidates = find_scoreable(units)
     if not candidates:
         raise NoCandidatesError("no scoreable methods in corpus")
-    index = build_class_index(units)
     out = []
-    for cand in candidates:
-        method_vec = embeddings.get(cand.method_id)
-        if method_vec is None:
-            out.append(
-                Recommendation(cand.method_id, cand.origin_class_id, 0.0, NO_RECOMMENDATION)
-            )
-            continue
-        class_ids: list[str] = []
-        rows: list[np.ndarray] = []
-        origin_cls = index[cand.origin_class_id][1]
-        try:
-            origin_mean = class_embedding(origin_cls, embeddings, exclude=cand.method_id)
-            class_ids.append(cand.origin_class_id)
-            rows.append(make_pair_vector(method_vec, origin_mean).values)
-        except NoMethodsError:
-            pass
-        for target in cand.target_class_ids:
-            try:
-                mean = class_embedding(index[target][1], embeddings)
-            except NoMethodsError:
-                continue
-            class_ids.append(target)
-            rows.append(make_pair_vector(method_vec, mean).values)
-        if not rows:
-            out.append(
-                Recommendation(cand.method_id, cand.origin_class_id, 0.0, NO_RECOMMENDATION)
-            )
-            continue
-        probs = bundle.pair_probabilities(np.stack(rows))
-        best_prob = float(probs.max())
-        tied = [c for c, p in zip(class_ids, probs) if p == best_prob]
-        if cand.origin_class_id in tied:
-            best = cand.origin_class_id
-        else:
-            best = min(tied)
-        if best_prob <= bundle.threshold:
-            decision = NO_RECOMMENDATION
-        elif best == cand.origin_class_id:
-            decision = STAY
-        else:
-            decision = MOVE
+    for cand, origin, targets in candidate_pairs(units, embeddings, candidates):
+        pairs = ([origin] if origin is not None else []) + targets
+        best, best_prob, decision = cand.origin_class_id, 0.0, NO_RECOMMENDATION
+        if pairs:
+            probs = bundle.pair_probabilities(np.stack([p.values for p in pairs]))
+            best_prob = float(probs.max())
+            tied = [p.class_id for p, prob in zip(pairs, probs) if prob == best_prob]
+            best = cand.origin_class_id if cand.origin_class_id in tied else min(tied)
+            if best_prob > bundle.threshold:
+                decision = STAY if best == cand.origin_class_id else MOVE
         out.append(Recommendation(cand.method_id, best, best_prob, decision))
     return out
 
@@ -340,7 +298,9 @@ def evaluate(
     gt_by_project: dict[str, list[GroundTruthEntry]],
 ) -> EvalReport:
     """A recommendation counts as correct when it moves a ground-truth
-    method back to the exact class it was taken from."""
+    method back to the exact class it was taken from.  A project may name
+    each method at most once in its recommendations and in its ground
+    truth."""
     if set(recs_by_project) != set(gt_by_project):
         raise DataError(
             f"project sets differ: recommendations {sorted(recs_by_project)} "
@@ -352,8 +312,11 @@ def evaluate(
         entries = gt_by_project[project]
         if not entries:
             raise DataError(f"project {project} has no ground-truth entries")
+        recs = recs_by_project[project]
+        _require_unique(project, "ground truth", [e.moved_method_id for e in entries])
+        _require_unique(project, "recommendations", [r.method_id for r in recs])
         home = {e.moved_method_id: e.original_class_id for e in entries}
-        moves = [r for r in recs_by_project[project] if r.decision == MOVE]
+        moves = [r for r in recs if r.decision == MOVE]
         correct = sum(1 for r in moves if home.get(r.method_id) == r.best_class_id)
         undefined = not moves
         precision = correct / len(moves) if moves else 0.0
@@ -385,6 +348,12 @@ def evaluate(
         micro_recall=micro_recall,
         micro_f1=f1_score(micro_precision, micro_recall),
     )
+
+
+def _require_unique(project: str, source: str, method_ids: list[str]) -> None:
+    repeated = sorted(m for m, n in Counter(method_ids).items() if n > 1)
+    if repeated:
+        raise DataError(f"project {project}: {source} name {repeated[0]!r} more than once")
 
 
 def analytic_random_baseline(
@@ -514,44 +483,26 @@ RECOMMENDATIONS_FORMAT = {"format": "recommendations", "version": 1}
 def write_recommendations(
     path: str | Path, recs_by_project: dict[str, list[Recommendation]]
 ) -> None:
-    lines = [json.dumps(RECOMMENDATIONS_FORMAT, sort_keys=True)]
-    for project in sorted(recs_by_project):
-        for rec in recs_by_project[project]:
-            lines.append(
-                json.dumps(
-                    {
-                        "project": project,
-                        "method_id": rec.method_id,
-                        "best_class_id": rec.best_class_id,
-                        "probability": rec.probability,
-                        "decision": rec.decision,
-                    },
-                    sort_keys=True,
-                )
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        {"project": project, **asdict(rec)}
+        for project in sorted(recs_by_project)
+        for rec in recs_by_project[project]
+    )
+    write_jsonl(path, RECOMMENDATIONS_FORMAT, rows)
+
+
+def _parse_recommendation(row: dict) -> tuple[str, Recommendation]:
+    if not isinstance(row["project"], str):
+        raise TypeError(f"project {row['project']!r} is not a string")
+    rec = Recommendation(
+        row["method_id"], row["best_class_id"], float(row["probability"]), row["decision"]
+    )
+    return row["project"], rec
 
 
 def read_recommendations(path: str | Path) -> dict[str, list[Recommendation]]:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise DataError(f"{path}: empty recommendations file")
-    check_header(text[0], RECOMMENDATIONS_FORMAT, str(path))
     out: dict[str, list[Recommendation]] = {}
-    for line in text[1:]:
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-            rec = Recommendation(
-                row["method_id"],
-                row["best_class_id"],
-                float(row["probability"]),
-                row["decision"],
-            )
-            project = row["project"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad recommendation row: {exc}") from exc
+    for project, rec in read_jsonl(path, RECOMMENDATIONS_FORMAT, _parse_recommendation):
         out.setdefault(project, []).append(rec)
     return out
 

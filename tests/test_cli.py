@@ -312,6 +312,42 @@ class TestStageChain:
         assert err.startswith("error:") and GROUND_TRUTH_FILE in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, key, value, command",
+        [
+            (RECOMMENDATIONS_FILE, "method_id", [1], ["evaluate", "--corpus", "mutated"]),
+            (GROUND_TRUTH_FILE, "moved_method_id", 5, ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "probability", "nan", ["evaluate", "--corpus", "mutated"]),
+            (DATASET_FILES["train"], "class_id", None, ["train-clf"]),
+        ],
+    )
+    def test_malformed_row_value_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                               name, key, value, command):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / name
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        row[key] = value
+        lines[1] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert main([*command, *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{name}:2:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", [RECOMMENDATIONS_FILE, GROUND_TRUTH_FILE])
+    def test_duplicated_rows_are_data_error(self, tmp_path, monkeypatch, capsys, name):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[1:]) + "\n")
+        assert main(["evaluate", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "more than once" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("damage", ["nan", "truncated"])
     def test_corrupt_svm_weights_fail_at_load(self, tmp_path, monkeypatch, capsys,
                                               damage):

@@ -8,6 +8,7 @@ so the enumeration tests assert complete sets rather than spot checks.
 from __future__ import annotations
 
 import copy
+import json
 import random
 
 import numpy as np
@@ -993,6 +994,28 @@ def test_dataset_rejects_bad_header(tmp_path):
         read_dataset(path)
     path.write_text("not json\n")
     with pytest.raises(DataError):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("feature", [float("nan"), 0.0, 0.0]),
+        ("method_id", 7),
+        ("class_id", None),
+        ("label", 0.9),
+        ("label", "1"),
+    ],
+)
+def test_dataset_rejects_malformed_row_values(tmp_path, key, value):
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(path, grouped_examples(2))
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[2])
+    row[key] = value
+    lines[2] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=":3: "):
         read_dataset(path)
 
 

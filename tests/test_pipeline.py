@@ -8,12 +8,15 @@ method embeddings.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathmove import pipeline
 from pathmove.bundle import CorruptFileError
@@ -23,7 +26,15 @@ from pathmove.embed import UNK, CodeVector, EmbedderParams, Vocabularies, save_m
 from pathmove.errors import DataError
 from pathmove.featurize import FeatureVector, PcaModel
 from pathmove.frontend import parse_unit
-from pathmove.injector import CandidateMove, GroundTruthEntry, LabeledExample
+from pathmove.injector import (
+    CandidateMove,
+    GroundTruthEntry,
+    LabeledExample,
+    read_dataset,
+    read_ground_truth,
+    write_dataset,
+    write_ground_truth,
+)
 from pathmove.pathctx import ExtractionLimits
 from pathmove.pipeline import (
     MOVE,
@@ -652,6 +663,97 @@ class TestRecommendationIO:
             "eval/proj-04/A.java::A::m/2",
             "eval/proj-04/B.java::B::n/1",
         ]
+
+
+# ---------------------------------------------------------------------------
+# Line-delimited artifacts under corruption
+
+VALID_GT = [
+    GroundTruthEntry("eval/proj-01/A.java::A::m/1", "B", "A"),
+    GroundTruthEntry("eval/proj-01/C.java::C::n/1", "A", "C"),
+    GroundTruthEntry("eval/proj-02/D.java::D::p/2", "E", "D"),
+]
+VALID_RECS = {
+    "eval/proj-01": [
+        Recommendation("eval/proj-01/A.java::A::m/1", "B", 0.9, MOVE),
+        Recommendation("eval/proj-01/C.java::C::n/1", "C", 0.7, STAY),
+    ],
+    "eval/proj-02": [
+        Recommendation("eval/proj-02/D.java::D::p/2", "D", 0.3, NO_RECOMMENDATION),
+    ],
+}
+VALID_ROWS = [
+    LabeledExample(FeatureVector(np.array([0.5, -1.0, 2.0]), e.moved_method_id, c, "raw"), y)
+    for e, c, y in zip(VALID_GT, ("A", "B", "D"), (1, 0, 1))
+]
+
+
+def _stack_features(path):
+    examples = read_dataset(path)
+    if examples:  # a split may legitimately be empty
+        np.stack([e.feature.values for e in examples])
+
+
+LINE_ARTIFACTS = {
+    "dataset": (lambda path: write_dataset(path, VALID_ROWS), _stack_features),
+    "ground-truth": (
+        lambda path: write_ground_truth(path, VALID_GT),
+        lambda path: evaluate(VALID_RECS, group_ground_truth(read_ground_truth(path))),
+    ),
+    "recommendations": (
+        lambda path: write_recommendations(path, VALID_RECS),
+        lambda path: evaluate(read_recommendations(path), group_ground_truth(VALID_GT)),
+    ),
+}
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["eval/proj-01/A.java::A::m/1", "A", MOVE, "nan", 0.5])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2)
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def corruptions(draw, text: str) -> str:
+    """The text with one field replaced by an arbitrary JSON value, one
+    line dropped or duplicated, or everything after some point cut."""
+    lines = text.splitlines()
+    how = draw(st.sampled_from(["field", "drop", "duplicate", "cut"]))
+    if how == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "drop":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        row = json.loads(lines[i])
+        row[draw(st.sampled_from(sorted(row)))] = draw(JSON_VALUES)
+        lines[i] = json.dumps(row, sort_keys=True)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_ARTIFACTS))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_line_readers_load_or_reject_corrupt_files(tmp_path_factory, kind, data):
+    """Reading a corrupted artifact and using what was read either works
+    or raises DataError, never another exception."""
+    write, use = LINE_ARTIFACTS[kind]
+    directory = tmp_path_factory.mktemp(kind)  # new files: truncating one may wait on a flush
+    write(directory / "valid.jsonl")
+    path = directory / "corrupt.jsonl"
+    path.write_text(data.draw(corruptions((directory / "valid.jsonl").read_text())))
+    try:
+        use(path)
+    except DataError:
+        pass
 
 
 # ---------------------------------------------------------------------------
