@@ -16,6 +16,7 @@ header and report a malformed row as a DataError naming its line.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Callable, Iterable
@@ -94,13 +95,19 @@ def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict,
         raise CorruptFileError(
             f"{path}: bundle kind {header['kind']!r}, expected {expect_kind!r}"
         )
+    if not isinstance(header["arrays"], list):
+        raise CorruptFileError(f"{path}: array directory is not a list")
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        dtype = entry["dtype"]
+        if not isinstance(entry, dict) or type(entry.get("name")) is not str:
+            raise CorruptFileError(f"{path}: array entry {entry!r} has no string name")
+        dtype = entry.get("dtype")
         if dtype not in _ALLOWED_DTYPES:
             raise CorruptFileError(f"{path}: illegal dtype {dtype!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise CorruptFileError(f"{path}: array {entry['name']!r} has bad shape {shape!r}")
+        count = math.prod(shape)
         nbytes = count * np.dtype(dtype).itemsize
         if offset + nbytes > len(raw):
             raise CorruptFileError(f"{path}: truncated array {entry['name']!r}")

@@ -2,13 +2,15 @@
 
 The file is a flat object of sections; unknown keys anywhere are errors
 so typos cannot silently fall back to defaults.  Every field has a
-default, so an empty object {} is a valid config.
+default, so an empty object {} is a valid config.  A value must have
+its field's annotated type (a bool is not an int, floats are finite).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .embed import TrainConfig
@@ -42,6 +44,15 @@ class RunConfig:
     max_moves: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            what, check = _TYPES[kind]
+            if not (optional and value is None or check(value)):
+                raise ConfigError(
+                    f"config value {_KEYS.get(f.name, f.name)} must be {what}"
+                    f"{' or null' if optional else ''}, got {value!r}"
+                )
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.rff_dim < 1:
@@ -123,6 +134,19 @@ _SECTIONS: dict[str, dict[str, str]] = {
 }
 
 _TOP_LEVEL = {"seed", "threshold", "work_dir"}
+
+_KEYS = {attr: f"{section}.{sub}" for section, m in _SECTIONS.items() for sub, attr in m.items()}
+
+# annotation -> (description, check); a bool is neither an int nor a float
+_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": (
+        "a finite number",
+        lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+    ),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+}
 
 
 def config_from_dict(data: dict) -> RunConfig:

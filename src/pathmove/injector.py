@@ -6,7 +6,9 @@ setter), does not touch its own class's instance state, and has at least
 one parameter whose declared type resolves to a corpus class.  Injection
 relocates such methods into one of their parameter-type classes,
 rewriting member qualifiers so the result still parses; every move is
-recorded as ground truth and can be undone.
+recorded as ground truth and can be undone.  One walker, `_map_members`,
+finds member references for both the state check and the rewrites, and
+rewrites share every subtree they leave unchanged.
 
 Datasets pair each candidate with its origin (label 1, duplicated) and
 each target (label 0), keeping the two label counts exactly equal.
@@ -152,57 +154,57 @@ def passes_structural_filters(method: MethodDecl, cls: ClassDecl) -> bool:
     )
 
 
-def _bare_member_refs(
-    method: MethodDecl, cls: ClassDecl
-) -> tuple[set[str], set[str], bool]:
-    """Unqualified references the body makes into the enclosing class.
+def _map_members(node: AstNode, bare, qualified) -> AstNode:
+    """`node` with each member reference replaced by a callback's result.
 
-    Returns (field names read or written bare, method names called bare,
-    saw_unknown_call).  Parameter names shadow fields.  Member-position
-    names of field accesses and qualified calls are not the enclosing
-    class's members and are ignored.  Local variables cannot be told
-    apart from field writes after parsing, so a bare name matching a
-    field counts as a reference; generated corpora never shadow fields.
+    `bare(name, is_call)` gets every Name that is not the member half of
+    a FieldAccess; `qualified(access, is_call)` gets every FieldAccess
+    after its receiver has been mapped.  `is_call` marks the callee of a
+    MethodCall.  Copy-on-write: a node whose children all come back as
+    the same objects is returned itself, so untouched subtrees are
+    shared and a read-only walk builds no nodes.
     """
-    params = set(method.param_names)
-    fields: set[str] = set()
-    calls: set[str] = set()
-    unknown_call = False
 
-    def visit(node: AstNode):
-        nonlocal unknown_call
-        if node.label == "MethodCall":
-            callee = node.children[0]
-            if callee.label == "Name":
-                if callee.token != method.name:
-                    if callee.token in cls.method_names:
-                        calls.add(callee.token)
-                    else:
-                        unknown_call = True
-            else:
-                visit(callee)
-            for arg in node.children[1:]:
-                visit(arg)
-            return
-        if node.label == "FieldAccess":
-            visit(node.children[0])  # member name belongs to the receiver
-            return
+    def visit(node: AstNode, is_call: bool = False) -> AstNode:
         if node.label == "Name":
-            if node.token in cls.field_names and node.token not in params:
-                fields.add(node.token)
-            return
-        for child in node.children:
-            visit(child)
+            return bare(node, is_call)
+        if node.label == "FieldAccess":
+            receiver, member = node.children
+            mapped = visit(receiver)
+            if mapped is not receiver:
+                node = AstNode("FieldAccess", [mapped, member], pos=node.pos)
+            return qualified(node, is_call)
+        calls = node.label == "MethodCall"
+        children = [visit(c, calls and i == 0) for i, c in enumerate(node.children)]
+        if all(new is old for new, old in zip(children, node.children)):
+            return node
+        return AstNode(node.label, children, op=node.op, pos=node.pos)
 
-    visit(method.body)
-    return fields, calls, unknown_call
+    return visit(node)
+
+
+def _keep(node: AstNode, is_call: bool) -> AstNode:
+    return node
 
 
 def touches_instance_state(method: MethodDecl, cls: ClassDecl) -> bool:
     """True when the body references the enclosing class's fields or
-    methods without a qualifier (beyond calling itself)."""
-    fields, calls, unknown_call = _bare_member_refs(method, cls)
-    return bool(fields or calls or unknown_call)
+    methods without a qualifier.  Every bare call other than recursion
+    counts, whether or not it names a known method.  Parameter names
+    shadow fields.  Local variables cannot be told apart from field
+    writes after parsing, so a bare name matching a field counts as a
+    reference; generated corpora never shadow fields.
+    """
+    fields = cls.field_names - set(method.param_names)
+    refs: list[AstNode] = []
+
+    def record(name: AstNode, is_call: bool) -> AstNode:
+        if (name.token != method.name) if is_call else (name.token in fields):
+            refs.append(name)
+        return name
+
+    _map_members(method.body, record, _keep)
+    return bool(refs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,99 +287,6 @@ def _assigned_names(body: AstNode) -> set[str]:
     }
 
 
-def _unqualify(
-    node: AstNode, qualifier: str, target: ClassDecl, introduced: set[str], method_id: str
-) -> AstNode:
-    """Rewrite `q.member` into bare `member` for the target-typed
-    parameter q, validating that each member exists on the target."""
-
-    def is_qualifier(candidate: AstNode) -> bool:
-        return candidate.label == "Name" and candidate.token == qualifier
-
-    if node.label == "MethodCall":
-        callee = node.children[0]
-        if callee.label == "FieldAccess" and is_qualifier(callee.children[0]):
-            name = callee.children[1].token
-            if name not in target.method_names:
-                raise NotMovableError(
-                    f"{method_id}: {qualifier}.{name}() is not a method of {target.name}"
-                )
-            introduced.add(name)
-            new_callee = AstNode("Name", token=name, pos=callee.pos)
-        else:
-            new_callee = _unqualify(callee, qualifier, target, introduced, method_id)
-        args = [
-            _unqualify(a, qualifier, target, introduced, method_id)
-            for a in node.children[1:]
-        ]
-        return AstNode("MethodCall", [new_callee] + args, pos=node.pos)
-    if node.label == "FieldAccess":
-        receiver = _unqualify(node.children[0], qualifier, target, introduced, method_id)
-        if is_qualifier(receiver):
-            name = node.children[1].token
-            if name not in target.field_names:
-                raise NotMovableError(
-                    f"{method_id}: {qualifier}.{name} is not a field of {target.name}"
-                )
-            introduced.add(name)
-            return AstNode("Name", token=name, pos=node.pos)
-        return AstNode("FieldAccess", [receiver, node.children[1]], pos=node.pos)
-    if node.is_leaf:
-        return node
-    children = [_unqualify(c, qualifier, target, introduced, method_id) for c in node.children]
-    return AstNode(node.label, children, op=node.op, pos=node.pos)
-
-
-def _requalify(
-    node: AstNode,
-    origin: ClassDecl,
-    method: MethodDecl,
-    skip: set[str],
-    carrier: list[str | None],
-    need_carrier,
-) -> AstNode:
-    """Rewrite bare references to the origin class's members into
-    accesses through an origin-typed parameter (the carrier), resolved
-    lazily so state-free methods never require one."""
-
-    def qualify(name_node: AstNode) -> AstNode:
-        if carrier[0] is None:
-            carrier[0] = need_carrier()
-        holder = AstNode("Name", token=carrier[0], pos=name_node.pos)
-        return AstNode("FieldAccess", [holder, name_node], pos=name_node.pos)
-
-    if node.label == "MethodCall":
-        callee = node.children[0]
-        if (
-            callee.label == "Name"
-            and callee.token != method.name
-            and callee.token in origin.method_names
-        ):
-            new_callee = qualify(callee)
-        elif callee.label == "Name":
-            new_callee = callee
-        else:
-            new_callee = _requalify(callee, origin, method, skip, carrier, need_carrier)
-        args = [
-            _requalify(a, origin, method, skip, carrier, need_carrier)
-            for a in node.children[1:]
-        ]
-        return AstNode("MethodCall", [new_callee] + args, pos=node.pos)
-    if node.label == "FieldAccess":
-        receiver = _requalify(node.children[0], origin, method, skip, carrier, need_carrier)
-        return AstNode("FieldAccess", [receiver, node.children[1]], pos=node.pos)
-    if node.label == "Name":
-        if node.token in origin.field_names and node.token not in skip:
-            return qualify(node)
-        return node
-    if node.is_leaf:
-        return node
-    children = [
-        _requalify(c, origin, method, skip, carrier, need_carrier) for c in node.children
-    ]
-    return AstNode(node.label, children, op=node.op, pos=node.pos)
-
-
 def perform_move(
     units: list[SourceUnit], method_id: str, target_class_id: str
 ) -> tuple[list[SourceUnit], GroundTruthEntry]:
@@ -407,7 +316,21 @@ def perform_move(
     qualifier = _unique_param_of_type(method, target_class_id, "to drop its qualifier")
 
     introduced: set[str] = set()
-    body = _unqualify(method.body, qualifier, target_cls, introduced, method_id)
+
+    def unqualify(access: AstNode, is_call: bool) -> AstNode:
+        receiver, member = access.children
+        if receiver.label != "Name" or receiver.token != qualifier:
+            return access
+        names = target_cls.method_names if is_call else target_cls.field_names
+        if member.token not in names:
+            what = "() is not a method" if is_call else " is not a field"
+            raise NotMovableError(
+                f"{method_id}: {qualifier}.{member.token}{what} of {target_cls.name}"
+            )
+        introduced.add(member.token)
+        return AstNode("Name", token=member.token, pos=access.pos)
+
+    body = _map_members(method.body, _keep, unqualify)
 
     blocked = set(method.param_names) | _assigned_names(method.body)
     collisions = introduced & blocked
@@ -421,13 +344,20 @@ def perform_move(
             f"{method_id}: member names {sorted(ambiguous)} exist on both classes"
         )
 
-    carrier: list[str | None] = [None]
+    origin_calls = origin_cls.method_names - {method.name}
+    origin_fields = origin_cls.field_names - set(method.param_names) - introduced
+    carrier: str | None = None
 
-    def need_carrier() -> str:
-        return _unique_param_of_type(method, origin_cls.name, "to requalify origin members")
+    def requalify(name: AstNode, is_call: bool) -> AstNode:
+        nonlocal carrier
+        if name.token not in (origin_calls if is_call else origin_fields):
+            return name
+        if carrier is None:  # resolved lazily: state-free methods need none
+            carrier = _unique_param_of_type(method, origin_cls.name, "to requalify origin members")
+        holder = AstNode("Name", token=carrier, pos=name.pos)
+        return AstNode("FieldAccess", [holder, name], pos=name.pos)
 
-    skip = set(method.param_names) | introduced
-    body = _requalify(body, origin_cls, method, skip, carrier, need_carrier)
+    body = _map_members(body, requalify, _keep)
 
     new_id = make_method_id(target_unit.file_path, target_cls.name, method.name, method.arity)
     moved = replace(method, body=body, id=new_id)

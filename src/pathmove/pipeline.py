@@ -449,7 +449,10 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
             lm["max_length"], lm["max_width"], lm["max_contexts"], lm["seed"]
         )
         threshold = float(meta["threshold"])
-        for name, arr in {**arrays, "platt": np.array([platt.A, platt.B])}.items():
+        if not 0.0 < threshold < 1.0:
+            raise ValueError(f"threshold {threshold} outside (0, 1)")
+        scalars = {"platt": [platt.A, platt.B], "svm bias": svm_model.bias}
+        for name, arr in {**arrays, **scalars}.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
         _check_widths(embedder, pca, rff, svm_model)

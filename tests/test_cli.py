@@ -9,12 +9,14 @@ path.
 from __future__ import annotations
 
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from pathmove import cli
-from pathmove.bundle import CorruptFileError, load_bundle, save_bundle
+from pathmove.bundle import MAGIC, CorruptFileError, load_bundle, save_bundle
 from pathmove.cli import (
     BAGS_FILE,
     CONFIG_ENV,
@@ -362,6 +364,56 @@ class TestStageChain:
             arrays["svm_weights"] = weights[:-1]
         save_bundle(path, "model", header["meta"], arrays)
         with pytest.raises(CorruptFileError, match="svm_weights|SVM weights"):
+            load_model_bundle(path)
+        assert main(["recommend", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and MODEL_FILE in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, pattern, replacement, command",
+        [
+            (MODEL_FILE, rb'("dtype":"\w+",)"name"', rb'\1"nbme"', ["recommend"]),
+            (MODEL_FILE, rb'"shape":\[(\d+)\]', rb'"shape":\1  ', ["recommend"]),
+            (EMBEDDER_FILE, rb'"dtype":', rb'"dtyp" :', ["build-dataset"]),
+        ],
+        ids=["entry-without-name", "scalar-shape", "entry-without-dtype"],
+    )
+    def test_malformed_array_directory_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                                     name, pattern, replacement, command):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / name
+        raw = path.read_bytes()
+        start = len(MAGIC) + 12
+        _, header_len = struct.unpack_from("<IQ", raw, len(MAGIC))
+        header = re.sub(pattern, replacement, raw[start : start + header_len], count=1)
+        assert len(header) == header_len and header != raw[start : start + header_len]
+        path.write_bytes(raw[:start] + header + raw[start + header_len :])
+        assert main([*command, *base, "--corpus", "corpus"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "threshold", 7.0),
+            (None, "threshold", float("nan")),
+            (None, "threshold", -1.0),
+            ("svm", "bias", float("inf")),
+        ],
+    )
+    def test_out_of_range_model_metadata_fails_at_load(self, tmp_path, monkeypatch,
+                                                       capsys, section, key, value):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / MODEL_FILE
+        header, arrays = load_bundle(path, expect_kind="model")
+        meta = header["meta"]
+        (meta[section] if section else meta)[key] = value
+        save_bundle(path, "model", meta, arrays)
+        with pytest.raises(CorruptFileError, match="threshold|svm bias"):
             load_model_bundle(path)
         assert main(["recommend", *base, "--corpus", "mutated"]) == 3
         err = capsys.readouterr().err

@@ -111,6 +111,33 @@ class TestDictMapping:
         with pytest.raises(ConfigError):
             config_from_dict({"threshold": "two"})
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"limits": {"max_contexts": 2.5}}',
+            '{"embedder": {"epochs": 1.5}}',
+            '{"embedder": {"token_dim": 8.5}}',
+            '{"seed": "x"}',
+            '{"seed": 1.5}',
+            '{"svm": {"epochs": 2.5}}',
+            '{"rff": {"dim": 3.5}}',
+            '{"pca": {"k": 2.5}}',
+            '{"embedder": {"learning_rate": NaN}}',
+            '{"embedder": {"learning_rate": Infinity}}',
+            '{"rff": {"gamma": NaN}}',
+            '{"svm": {"c": Infinity}}',
+            '{"rff": {"enabled": "no"}}',
+            '{"injection": {"max_moves": 1.5}}',
+            '{"embedder": {"epochs": true}}',
+        ],
+    )
+    def test_rejects_value_of_wrong_type(self, text):
+        data = json.loads(text)
+        section, value = next(iter(data.items()))
+        key = section if not isinstance(value, dict) else f"{section}.{next(iter(value))}"
+        with pytest.raises(ConfigError, match=rf"config value {key} must be"):
+            config_from_dict(data)
+
 
 class TestLoadConfig:
     def test_reads_json_file(self, tmp_path):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from helpers import random_method_source
 from pathmove.frontend import (
     AstNode,
     DuplicateSignatureError,
@@ -196,69 +197,14 @@ def test_print_round_trip_fixture():
     assert print_unit(again) == text
 
 
-def _random_expression(rng: random.Random, names: list[str], depth: int) -> str:
-    if depth <= 0 or rng.random() < 0.3:
-        kind = rng.choice(["name", "int", "bool"])
-        if kind == "name":
-            return rng.choice(names)
-        if kind == "int":
-            return str(rng.randrange(100))
-        return rng.choice(["true", "false"])
-    kind = rng.choice(["binary", "paren", "ternary", "call", "access"])
-    if kind == "binary":
-        op = rng.choice(["+", "-", "*", "<", "==", "&&"])
-        left = _random_expression(rng, names, depth - 1)
-        right = _random_expression(rng, names, depth - 1)
-        return f"{left} {op} {right}"
-    if kind == "paren":
-        return f"({_random_expression(rng, names, depth - 1)})"
-    if kind == "ternary":
-        parts = [_random_expression(rng, names, depth - 1) for _ in range(3)]
-        return f"{parts[0]} ? {parts[1]} : {parts[2]}"
-    if kind == "call":
-        n_args = rng.randrange(3)
-        args = ", ".join(_random_expression(rng, names, depth - 1) for _ in range(n_args))
-        recv = rng.choice(["", rng.choice(names) + "."])
-        return f"{recv}{rng.choice(names)}({args})"
-    return f"{rng.choice(names)}.{rng.choice(names)}"
-
-
-def _random_statement(rng: random.Random, names: list[str], depth: int) -> str:
-    kinds = ["assign", "expr", "return", "decl"]
-    if depth > 0:
-        kinds += ["if", "ifelse", "while", "block"]
-    kind = rng.choice(kinds)
-    expr = _random_expression(rng, names, 2)
-    if kind == "assign":
-        return f"{rng.choice(names)} = {expr};"
-    if kind == "expr":
-        return f"{expr};"
-    if kind == "return":
-        return f"return {expr};" if rng.random() < 0.8 else "return;"
-    if kind == "decl":
-        return f"int {rng.choice(names)} = {expr};"
-    inner = _random_statement(rng, names, depth - 1)
-    if kind == "if":
-        return f"if ({expr}) {{ {inner} }}"
-    if kind == "ifelse":
-        other = _random_statement(rng, names, depth - 1)
-        return f"if ({expr}) {{ {inner} }} else {{ {other} }}"
-    if kind == "while":
-        return f"while ({expr}) {{ {inner} }}"
-    return f"{{ {inner} }}"
-
-
 def test_print_round_trip_generated():
     # Property: parse(print(parse(s))) == parse(s) across 100 random units.
     rng = random.Random(20260816)
-    names = ["alpha", "beta", "gamma", "delta"]
     for case in range(100):
-        n_stmts = rng.randrange(1, 5)
-        body = " ".join(_random_statement(rng, names, 2) for _ in range(n_stmts))
-        src = f"class A {{ int run(int alpha, int beta) {{ {body} }} }}"
-        unit = parse_unit(src, "A.java")
+        src = random_method_source(rng)
+        unit = parse_unit(src, "Gen.java")
         text = print_unit(unit)
-        assert parse_unit(text, "A.java") == unit, f"case {case}: {src!r}"
+        assert parse_unit(text, "Gen.java") == unit, f"case {case}: {src!r}"
 
 
 def test_printer_preserves_unbraced_bodies():

@@ -259,6 +259,21 @@ def test_state_touch_self_recursion_allowed():
     assert not touches_instance_state(cls.methods[0], cls)
 
 
+def test_state_touch_bare_call_as_receiver():
+    unit = parse_unit(
+        """
+        class Probe {
+            int peek(Ledger ledger, int n) {
+                return helper().total + ledger.total;
+            }
+        }
+        """,
+        "Probe.java",
+    )
+    cls = unit.classes[0]
+    assert touches_instance_state(cls.methods[0], cls)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -539,6 +554,19 @@ def test_move_shares_what_it_does_not_change():
     assert all(a is b for a, b in zip(new_ledger.methods, ledger.methods))
     moved, original = new_ledger.methods[-1], method_of(units, "Wallet", "merge")[1]
     assert moved.name == "merge" and moved.params is original.params
+
+
+def test_move_shares_statements_it_does_not_rewrite():
+    # `int mid = ...` and `return mid;` reference no member; only the
+    # `ledger.add(mid);` statement is rebuilt
+    units = fixture_units()
+    spread = method_of(units, "Wallet", "spread")[1]
+    mutated, _ = perform_move(units, spread.id, "Ledger")
+    moved = build_class_index(mutated)["Ledger"][1].methods[-1]
+    before, after = spread.body.children, moved.body.children
+    assert moved.name == "spread" and len(after) == len(before) == 3
+    assert after[0] is before[0] and after[2] is before[2]
+    assert after[1] is not before[1]
 
 
 SAME_FILE_SRC = """
