@@ -248,6 +248,7 @@ def cmd_inject(args: argparse.Namespace, config: RunConfig) -> None:
 def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     bundle = load_model_bundle(_require(work / MODEL_FILE, "train-clf"))
+    bundle = replace(bundle, threshold=config.threshold)
     projects = _eval_projects(args.corpus)
     results = {
         project: score_project(load_project(args.corpus, project), bundle)

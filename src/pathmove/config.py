@@ -46,12 +46,10 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
-            what, check = _TYPES[kind]
-            if not (optional and value is None or check(value)):
+            what = mistyped(value, f.type)
+            if what:
                 raise ConfigError(
-                    f"config value {_KEYS.get(f.name, f.name)} must be {what}"
-                    f"{' or null' if optional else ''}, got {value!r}"
+                    f"config value {_KEYS.get(f.name, f.name)} must be {what}, got {value!r}"
                 )
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
@@ -147,6 +145,16 @@ _TYPES = {
     "bool": ("true or false", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
 }
+
+
+def mistyped(value, annotation: str) -> str | None:
+    """What a value of `annotation` ("int", "float | None", ...) must be
+    when `value` does not have that type; None when it does."""
+    kind, _, optional = annotation.partition(" | ")
+    what, check = _TYPES[kind]
+    if optional and value is None or check(value):
+        return None
+    return what + (" or null" if optional else "")
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -6,7 +6,8 @@ through a tanh layer, and the method vector is the attention-weighted sum
 of those transformed contexts.  Training maximizes the likelihood of the
 method's own name under a softmax over a name vocabulary; afterwards the
 name head is discarded for downstream use and only the pooled vector
-matters.
+matters.  Training runs in float32; the stored parameters and every
+forward pass outside training stay float64.
 """
 
 from __future__ import annotations
@@ -196,27 +197,37 @@ class _Indexed:
 
 
 class _Adam:
-    """Adaptive-moment optimizer over a dict of parameter arrays."""
+    """Adaptive-moment optimizer over a dict of parameter arrays, in their dtype."""
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], lr: float):
+    def __init__(self, arrays: dict[str, np.ndarray], lr: float):
         self.lr = lr
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
         self.step = 0
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.m = {k: np.zeros_like(a) for k, a in arrays.items()}
+        self.v = {k: np.zeros_like(a) for k, a in arrays.items()}
 
     def update(self, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """One step in place; each grad is overwritten as scratch."""
         self.step += 1
         correct1 = 1.0 - self.beta1**self.step
         correct2 = 1.0 - self.beta2**self.step
         for key, grad in grads.items():
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * grad
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * grad**2
-            m_hat = self.m[key] / correct1
-            v_hat = self.v[key] / correct2
-            arrays[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[key], self.v[key]
+            m *= self.beta1
+            grad *= 1 - self.beta1
+            m += grad
+            v *= self.beta2
+            grad *= grad
+            grad *= (1 - self.beta2) / (1 - self.beta1) ** 2
+            v += grad
+            # lr/c1 * m / (sqrt(v)/sqrt(c2) + eps), times sqrt(c2)/sqrt(c2)
+            np.sqrt(v, out=grad)
+            grad += self.eps * np.sqrt(correct2)
+            np.divide(m, grad, out=grad)
+            grad *= self.lr * np.sqrt(correct2) / correct1
+            arrays[key] -= grad
 
 
 def _sum_rows_by_index(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
@@ -224,7 +235,7 @@ def _sum_rows_by_index(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.n
     order = np.argsort(index, kind="stable")
     sorted_index = index[order]
     firsts = np.flatnonzero(np.r_[True, sorted_index[1:] != sorted_index[:-1]])
-    out = np.zeros((n_rows, rows.shape[1]))
+    out = np.zeros((n_rows, rows.shape[1]), dtype=rows.dtype)
     out[sorted_index[firsts]] = np.add.reduceat(rows[order], firsts, axis=0)
     return out
 
@@ -237,6 +248,7 @@ def _batch_loss_and_grads(
     Contexts of all bags are flattened into one matrix; per-bag softmax
     and pooling run on segment boundaries. The first layer's gradients
     are summed per table row before any matmul with its weights.
+    Everything runs in the parameters' dtype.
     """
     lengths = np.array([len(s.starts) for s in batch])
     offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
@@ -286,7 +298,7 @@ def _batch_loss_and_grads(
     inner = np.add.reduceat(weights * d_weights, offsets)
     d_scores = weights * (d_weights - inner[seg])
     d_attention = transformed.T @ d_scores
-    d_transformed += np.outer(d_scores, params.attention_vector)
+    d_transformed += d_scores[:, None] * params.attention_vector
     # tanh' = 1 - tanh**2, computed in place: transformed is not read again.
     d_pre = d_transformed
     d_pre *= np.subtract(1.0, np.square(transformed, out=transformed), out=transformed)
@@ -322,13 +334,15 @@ def train_embedder(
 ) -> tuple[Vocabularies, EmbedderParams, list[float]]:
     """Fit the embedder on (bag, method-name) pairs.
 
-    Empty bags are skipped. Returns the vocabularies, trained parameters
-    and per-epoch mean training loss. Deterministic for a fixed config.
+    Empty bags are skipped. Returns the vocabularies, float64 parameters
+    trained in float32, and per-epoch mean training loss. Deterministic
+    for a fixed config and BLAS thread count.
     """
     usable = [(bag, name) for bag, name in samples if bag.contexts]
     vocabs = build_vocabularies(usable, config.min_count)
     rng = np.random.default_rng(config.seed)
-    params = init_params(vocabs, config, rng)
+    drawn = init_params(vocabs, config, rng).grouped()
+    params = EmbedderParams(**{k: a.astype(np.float32) for k, a in drawn.items()})
 
     indexed = []
     for bag, name in usable:
@@ -336,7 +350,7 @@ def train_embedder(
         indexed.append(_Indexed(starts, paths, ends, vocabs.name_index[name]))
 
     arrays = params.grouped()
-    adam = _Adam({k: v.shape for k, v in arrays.items()}, config.learning_rate)
+    adam = _Adam(arrays, config.learning_rate)
     history: list[float] = []
     order = np.arange(len(indexed))
     for _ in range(config.epochs):
@@ -348,7 +362,8 @@ def train_embedder(
             adam.update(arrays, grads)
             total += loss * len(batch)
         history.append(total / len(indexed))
-    return vocabs, params, history
+    trained = EmbedderParams(**{k: a.astype(np.float64) for k, a in arrays.items()})
+    return vocabs, trained, history
 
 
 def training_accuracy(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .codegen import list_projects, load_project
-from .config import RunConfig
+from .config import RunConfig, mistyped
 from .embed import (
     CodeVector,
     EmbedderParams,
@@ -427,6 +427,7 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
     header, arrays = load_bundle(path, expect_kind="model")
     meta = header["meta"]
     try:
+        _check_setting_types(meta)
         embedder, vocabs = unpack_model(meta, arrays, prefix="emb_")
         pca = PcaModel(arrays["pca_mean"], arrays["pca_components"], arrays["pca_evr"])
         hp = meta["svm"]
@@ -439,11 +440,13 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
         platt = PlattParams(
             A=float(meta["platt"]["a"]),
             B=float(meta["platt"]["b"]),
-            converged=bool(meta["platt"]["converged"]),
+            converged=meta["platt"]["converged"],
         )
         rff = None
         if meta["rff_gamma"] is not None:
             rff = RffMap(arrays["rff_omega"], arrays["rff_phases"], float(meta["rff_gamma"]))
+            if rff.gamma <= 0:
+                raise ValueError(f"rff_gamma {rff.gamma} is not positive")
         lm = meta["limits"]
         limits = ExtractionLimits(
             lm["max_length"], lm["max_width"], lm["max_contexts"], lm["seed"]
@@ -451,14 +454,33 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
         threshold = float(meta["threshold"])
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold {threshold} outside (0, 1)")
-        scalars = {"platt": [platt.A, platt.B], "svm bias": svm_model.bias}
-        for name, arr in {**arrays, **scalars}.items():
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
         _check_widths(embedder, pca, rff, svm_model)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: bad model bundle: {exc}") from exc
     return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, threshold, limits)
+
+
+# model.pmb settings: section (None: top level) -> key -> config annotation
+_SETTING_TYPES = {
+    None: {"threshold": "float", "rff_gamma": "float | None"},
+    "svm": {"c": "float", "epochs": "int", "seed": "int", "bias": "float"},
+    "platt": {"a": "float", "b": "float", "converged": "bool"},
+    "limits": dict.fromkeys(("max_length", "max_width", "max_contexts", "seed"), "int"),
+}
+
+
+def _check_setting_types(meta: dict) -> None:
+    """Raise TypeError unless every stored setting has its config type."""
+    for section, types in _SETTING_TYPES.items():
+        values = meta[section] if section else meta
+        for key, annotation in types.items():
+            what = mistyped(values[key], annotation)
+            if what:
+                name = f"{section} {key}" if section else key
+                raise TypeError(f"{name} must be {what}, got {values[key]!r}")
 
 
 def _check_widths(

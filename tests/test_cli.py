@@ -419,3 +419,46 @@ class TestStageChain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and MODEL_FILE in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("limits", "max_length", 2.5, "limits max_length must be an integer"),
+            ("limits", "seed", "x", "limits seed must be an integer"),
+            ("svm", "epochs", 2.5, "svm epochs must be an integer"),
+            (None, "rff_gamma", -1.0, "rff_gamma -1.0 is not positive"),
+            ("platt", "converged", "yes", "platt converged must be true or false"),
+        ],
+        ids=["max_length-float", "limits-seed-str", "svm-epochs-float", "rff_gamma-negative",
+             "converged-str"],
+    )
+    def test_mistyped_model_settings_fail_at_load(self, tmp_path, monkeypatch, capsys,
+                                                  section, key, value, message):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / MODEL_FILE
+        header, arrays = load_bundle(path, expect_kind="model")
+        meta = header["meta"]
+        if key == "rff_gamma":  # the chain's config has no random features
+            arrays["rff_omega"] = np.ones((len(arrays["pca_evr"]), len(arrays["svm_weights"])))
+            arrays["rff_phases"] = np.zeros(len(arrays["svm_weights"]))
+        (meta[section] if section else meta)[key] = value
+        save_bundle(path, "model", meta, arrays)
+        with pytest.raises(CorruptFileError, match=message):
+            load_model_bundle(path)
+        assert main(["recommend", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and MODEL_FILE in err
+        assert "Traceback" not in err
+
+    def test_recommend_threshold_overrides_stored_one(self, tmp_path, monkeypatch, capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        path = tmp_path / "work" / RECOMMENDATIONS_FILE
+
+        def moves() -> int:
+            return sum(json.loads(line).get("decision") == "Move"
+                       for line in path.read_text().splitlines())
+
+        default_moves = moves()
+        assert main(["recommend", *base, "--corpus", "mutated", "--threshold", "0.95"]) == 0
+        assert moves() < default_moves

@@ -13,6 +13,7 @@ from pathmove.embed import (
     TrainConfig,
     Vocabularies,
     VocabTooSmallError,
+    _Adam,
     _batch_loss_and_grads,
     _Indexed,
     build_vocabularies,
@@ -300,6 +301,51 @@ def test_step_matches_dense_reference(dims, n_bags, max_len, seed):
         assert np.all(grads["path_matrix"][-1] == 0.0)
 
 
+def float32_copy(params: EmbedderParams) -> EmbedderParams:
+    return EmbedderParams(**{k: a.astype(np.float32) for k, a in params.grouped().items()})
+
+
+def test_float32_step_keeps_dtype_and_agrees_with_float64():
+    tokens = [f"t{i}" for i in range(9)]
+    markers = [f"M{i}" for i in range(7)]
+    vocabs = toy_vocabs(tokens, markers, [f"n{i}" for i in range(5)])
+    params = seeded_params(vocabs, d_t=16, d_p=12, d=24, seed=4)
+    rng = np.random.default_rng(40)
+    batch = random_batch(rng, 8, 60, len(vocabs.token_index), len(vocabs.path_index), 5)
+    loss64, grads64 = _batch_loss_and_grads(params, batch)
+    loss32, grads32 = _batch_loss_and_grads(float32_copy(params), batch)
+    assert abs(loss32 - loss64) <= 1e-5 * loss64
+    assert grads32.keys() == grads64.keys()
+    for group, ref in grads64.items():
+        assert grads32[group].dtype == np.float32, group
+        rel = np.linalg.norm(grads32[group] - ref) / np.linalg.norm(ref)
+        assert rel <= 1e-4, f"{group}: relative error {rel}"
+
+
+def test_adam_update_matches_textbook():
+    rng = np.random.default_rng(6)
+    shapes = {"w": (5, 3), "b": (7,)}
+    arrays = {k: rng.normal(size=s) for k, s in shapes.items()}
+    expected = {k: a.copy() for k, a in arrays.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    adam = _Adam(arrays, lr)
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        for k, g in grads.items():
+            m[k] = beta1 * m[k] + (1 - beta1) * g
+            v[k] = beta2 * v[k] + (1 - beta2) * g**2
+            m_hat = m[k] / (1 - beta1**t)
+            v_hat = v[k] / (1 - beta2**t)
+            expected[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam.update(arrays, grads)
+        for k in shapes:
+            np.testing.assert_allclose(adam.m[k], m[k], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(adam.v[k], v[k], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(arrays[k], expected[k], rtol=0, atol=1e-12)
+
+
 def separable_corpus():
     """Five names, each tied to its own path marker: perfectly learnable."""
     samples = []
@@ -398,6 +444,7 @@ def test_save_load_round_trip(tmp_path):
     loaded_params, loaded_vocabs = load_model(path)
     assert loaded_vocabs == vocabs
     for key, arr in params.grouped().items():
+        assert arr.dtype == loaded_params.grouped()[key].dtype == np.float64, key
         assert np.array_equal(arr, loaded_params.grouped()[key]), key
     bag = samples[0][0]
     before = embed_bag(bag, params, vocabs).values
