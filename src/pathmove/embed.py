@@ -222,7 +222,7 @@ class _Adam:
             grad *= grad
             grad *= (1 - self.beta2) / (1 - self.beta1) ** 2
             v += grad
-            # lr/c1 * m / (sqrt(v)/sqrt(c2) + eps), times sqrt(c2)/sqrt(c2)
+            # lr/c1 * m / (sqrt(v)/sqrt(c2) + eps), both sides of the / times sqrt(c2)
             np.sqrt(v, out=grad)
             grad += self.eps * np.sqrt(correct2)
             np.divide(m, grad, out=grad)
