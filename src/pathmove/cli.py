@@ -30,7 +30,7 @@ from .injector import (
     write_dataset,
     write_ground_truth,
 )
-from .pathctx import dump_bags, load_bags
+from .pathctx import ContextBag, dump_bags, load_bags
 from .pipeline import (
     EvalReport,
     ModelBundle,
@@ -41,6 +41,7 @@ from .pipeline import (
     fit_classifier,
     group_ground_truth,
     load_model_bundle,
+    method_project,
     project_examples,
     read_recommendations,
     run_pipeline,
@@ -74,13 +75,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """File config (flag, then environment), then flag overrides."""
     path = args.config or os.environ.get(CONFIG_ENV)
     config = load_config(path) if path else RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.work_dir is not None:
-        overrides["work_dir"] = args.work_dir
+    overrides = {
+        key: value
+        for key in ("seed", "threshold", "work_dir")
+        if (value := getattr(args, key)) is not None
+    }
     if overrides:
         try:
             config = replace(config, **overrides)
@@ -121,16 +120,9 @@ def _print_report(report: EvalReport, baseline: float) -> None:
             f"{s.project:<20} {s.n_ground_truth:>4} {s.n_recommended:>4} "
             f"{s.n_correct:>4} {s.precision:>7.3f} {s.recall:>7.3f} {s.f1:>7.3f}"
         )
-    print(
-        f"{'macro':<20} {'':>4} {'':>4} {'':>4} "
-        f"{report.macro_precision:>7.3f} {report.macro_recall:>7.3f} "
-        f"{report.macro_f1:>7.3f}"
-    )
-    print(
-        f"{'micro':<20} {'':>4} {'':>4} {'':>4} "
-        f"{report.micro_precision:>7.3f} {report.micro_recall:>7.3f} "
-        f"{report.micro_f1:>7.3f}"
-    )
+    for average in ("macro", "micro"):
+        p, r, f = (getattr(report, f"{average}_{k}") for k in ("precision", "recall", "f1"))
+        print(f"{average:<20} {'':>4} {'':>4} {'':>4} {p:>7.3f} {r:>7.3f} {f:>7.3f}")
     print(f"random baseline macro-F1 {baseline:.4f}")
 
 
@@ -169,14 +161,17 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> None:
     )
 
 
-def cmd_train_embed(args: argparse.Namespace, config: RunConfig) -> None:
-    work = _work_dir(config)
+def _read_bags(work: Path) -> list[ContextBag]:
     path = _require(work / BAGS_FILE, "extract")
     try:
-        bags = load_bags(path.read_text())
+        return load_bags(path.read_text())
     except DataError as exc:
         raise DataError(f"{path}:{exc}") from exc
-    samples = training_samples(bags)
+
+
+def cmd_train_embed(args: argparse.Namespace, config: RunConfig) -> None:
+    work = _work_dir(config)
+    samples = training_samples(_read_bags(work))
     vocabs, params, losses = train_embedder(samples, config.train_config())
     save_model(params, vocabs, work / EMBEDDER_FILE)
     accuracy = training_accuracy(samples, params, vocabs)
@@ -189,12 +184,22 @@ def cmd_train_embed(args: argparse.Namespace, config: RunConfig) -> None:
 def cmd_build_dataset(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     params, vocabs = load_model(_require(work / EMBEDDER_FILE, "train-embed"))
-    limits = config.limits()
+    by_project: dict[str, list[ContextBag]] = {}
+    for bag in _read_bags(work):
+        by_project.setdefault(method_project(bag.method_id), []).append(bag)
     train_projects, _ = list_projects(args.corpus)
     examples = []
     for project in train_projects:
         units = load_project(args.corpus, project)
-        examples.extend(project_examples(units, corpus_bags(units, limits), params, vocabs))
+        project_bags = by_project.pop(project, [])
+        methods = [m.id for unit in units for cls in unit.classes for m in cls.methods]
+        if [bag.method_id for bag in project_bags] != methods:
+            raise DataError(f"{work / BAGS_FILE}: methods of {project} differ from the "
+                            "corpus's; run the 'extract' stage again")
+        examples.extend(project_examples(units, project_bags, params, vocabs))
+    if by_project:
+        raise DataError(f"{work / BAGS_FILE}: {min(by_project)} is not a training project "
+                        "of the corpus; run the 'extract' stage again")
     splits = dict(zip(DATASET_FILES, split_dataset(examples, config.seed)))
     for name, rows in splits.items():
         write_dataset(work / DATASET_FILES[name], rows)
@@ -212,9 +217,7 @@ def cmd_train_clf(args: argparse.Namespace, config: RunConfig) -> None:
     pca, rff, svm_model, platt = fit_classifier(
         splits["train"], splits["validate"], config
     )
-    bundle = ModelBundle(
-        params, vocabs, pca, svm_model, platt, rff, config.threshold, config.limits()
-    )
+    bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, config.limits())
     save_model_bundle(work / MODEL_FILE, bundle)
     metrics = classifier_metrics(bundle, splits["test"])
     calibrated = "calibrated" if platt.converged else "calibration did not converge"
@@ -248,10 +251,9 @@ def cmd_inject(args: argparse.Namespace, config: RunConfig) -> None:
 def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     bundle = load_model_bundle(_require(work / MODEL_FILE, "train-clf"))
-    bundle = replace(bundle, threshold=config.threshold)
     projects = _eval_projects(args.corpus)
     results = {
-        project: score_project(load_project(args.corpus, project), bundle)
+        project: score_project(load_project(args.corpus, project), bundle, config.threshold)
         for project in projects
     }
     write_recommendations(work / RECOMMENDATIONS_FILE, results)

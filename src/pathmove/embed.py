@@ -6,13 +6,15 @@ through a tanh layer, and the method vector is the attention-weighted sum
 of those transformed contexts.  Training maximizes the likelihood of the
 method's own name under a softmax over a name vocabulary; afterwards the
 name head is discarded for downstream use and only the pooled vector
-matters.  Training runs in float32; the stored parameters and every
+matters.  One forward pass serves training and inference, one bag or
+many.  Training runs in float32; the stored parameters and every
 forward pass outside training stay float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import Counter
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,32 +104,23 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
 
 
-def build_vocabularies(
-    samples: list[tuple[ContextBag, str]], min_count: int = 2
-) -> Vocabularies:
-    """Count tokens/paths over the training bags; entries below min_count
-    collapse to UNK. Name vocabulary keeps every distinct name."""
-    token_counts: dict[str, int] = {}
-    path_counts: dict[str, int] = {}
-    names: set[str] = set()
-    for bag, name in samples:
-        names.add(name)
-        for ctx in bag.contexts:
-            token_counts[ctx.start_token] = token_counts.get(ctx.start_token, 0) + 1
-            token_counts[ctx.end_token] = token_counts.get(ctx.end_token, 0) + 1
-            path_counts[ctx.path] = path_counts.get(ctx.path, 0) + 1
+def build_vocabularies(samples: list[tuple[ContextBag, str]], min_count: int = 2) -> Vocabularies:
+    """Count tokens/paths over the training bags; a literal UNK and entries
+    below min_count collapse to UNK. Every distinct name is kept."""
+    contexts = [ctx for bag, _ in samples for ctx in bag.contexts]
+    token_counts = Counter(ctx.start_token for ctx in contexts)
+    token_counts.update(ctx.end_token for ctx in contexts)
+    path_counts = Counter(ctx.path for ctx in contexts)
+    names = sorted({name for _, name in samples})
     if len(names) < 2:
-        raise VocabTooSmallError(
-            f"need at least 2 distinct method names, got {len(names)}"
-        )
-    token_index = {UNK: 0}
-    for token in sorted(t for t, c in token_counts.items() if c >= min_count):
-        token_index[token] = len(token_index)
-    path_index = {UNK: 0}
-    for path in sorted(p for p, c in path_counts.items() if c >= min_count):
-        path_index[path] = len(path_index)
-    name_index = {name: i for i, name in enumerate(sorted(names))}
-    return Vocabularies(token_index, path_index, name_index)
+        raise VocabTooSmallError(f"need at least 2 distinct method names, got {len(names)}")
+
+    def frequent(counts: Counter) -> dict[str, int]:
+        kept = sorted(key for key, count in counts.items() if count >= min_count and key != UNK)
+        return {key: i for i, key in enumerate([UNK, *kept])}
+
+    name_index = {name: i for i, name in enumerate(names)}
+    return Vocabularies(frequent(token_counts), frequent(path_counts), name_index)
 
 
 def init_params(vocabs: Vocabularies, config: TrainConfig, rng: np.random.Generator) -> EmbedderParams:
@@ -162,26 +155,67 @@ def index_bag(bag: ContextBag, vocabs: Vocabularies) -> tuple[np.ndarray, np.nda
     return starts, paths, ends
 
 
+# Bags per forward call when embedding many: bounds the (contexts, d)
+# intermediates, which would otherwise grow with the whole corpus.
+_CHUNK_BAGS = 32
+
+
 def _attend(
-    params: EmbedderParams, starts: np.ndarray, paths: np.ndarray, ends: np.ndarray
+    params: EmbedderParams, starts: np.ndarray, paths: np.ndarray, ends: np.ndarray,
+    lengths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Single-bag forward pass: (combined, transformed, weights, vector)."""
-    combined = np.hstack(
-        [params.token_matrix[starts], params.path_matrix[paths], params.token_matrix[ends]]
-    )
-    transformed = np.tanh(combined @ params.fc_matrix + params.fc_bias)
+    """Forward pass over bags laid end to end, lengths[i] contexts in bag i
+    (default: one bag), in the parameters' dtype: (bag of each context,
+    transformed contexts, attention weights, one pooled vector per bag).
+    The first layer acts on the small tables, not on every context row:
+    combined @ fc_matrix == (tokens @ W_start)[starts]
+                          + (paths @ W_path)[paths] + (tokens @ W_end)[ends].
+    """
+    if lengths is None:
+        lengths = np.array([len(starts)])
+    offsets = np.cumsum(lengths) - lengths
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    w_start, w_path, w_end = np.split(params.fc_matrix, [params.d_t, params.d_t + params.d_p])
+    pre = (params.token_matrix @ w_start)[starts]
+    pre += (params.path_matrix @ w_path)[paths]
+    pre += (params.token_matrix @ w_end)[ends]
+    pre += params.fc_bias
+    transformed = np.tanh(pre, out=pre)
     scores = transformed @ params.attention_vector
-    shifted = np.exp(scores - scores.max())
-    weights = shifted / shifted.sum()
-    vector = weights @ transformed
-    return combined, transformed, weights, vector
+    score_max = np.maximum.reduceat(scores, offsets)
+    exp_scores = np.exp(scores - score_max[seg])
+    denom = np.add.reduceat(exp_scores, offsets)
+    weights = exp_scores / denom[seg]
+    vectors = np.stack(
+        [weights[lo:hi] @ transformed[lo:hi] for lo, hi in zip(offsets, offsets + lengths)]
+    )
+    return seg, transformed, weights, vectors
 
 
 def embed_bag(bag: ContextBag, params: EmbedderParams, vocabs: Vocabularies) -> CodeVector:
     """Pool one bag into a d-length vector."""
-    starts, paths, ends = index_bag(bag, vocabs)
-    vector = _attend(params, starts, paths, ends)[3]
+    vector = _attend(params, *index_bag(bag, vocabs))[3][0]
     return CodeVector(vector, source=bag.method_id)
+
+
+def _pooled(bags: list[ContextBag], params: EmbedderParams, vocabs: Vocabularies) -> np.ndarray:
+    """(len(bags), d) vectors of non-empty bags, _CHUNK_BAGS per forward call."""
+    out = np.empty((len(bags), params.d), dtype=params.fc_matrix.dtype)
+    for lo in range(0, len(bags), _CHUNK_BAGS):
+        indexed = [index_bag(bag, vocabs) for bag in bags[lo : lo + _CHUNK_BAGS]]
+        starts, paths, ends = (np.concatenate(column) for column in zip(*indexed))
+        lengths = np.array([len(s) for s, _, _ in indexed])
+        out[lo : lo + len(indexed)] = _attend(params, starts, paths, ends, lengths)[3]
+    return out
+
+
+def embed_corpus(
+    bags: list[ContextBag], params: EmbedderParams, vocabs: Vocabularies
+) -> dict[str, CodeVector]:
+    """Vector per method id; methods with empty bags are left out."""
+    kept = [bag for bag in bags if bag.contexts]
+    vectors = _pooled(kept, params, vocabs)
+    return {bag.method_id: CodeVector(v, bag.method_id) for bag, v in zip(kept, vectors)}
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +279,18 @@ def _batch_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch and gradients for every group.
 
-    Contexts of all bags are flattened into one matrix; per-bag softmax
-    and pooling run on segment boundaries. The first layer's gradients
-    are summed per table row before any matmul with its weights.
-    Everything runs in the parameters' dtype.
+    The forward pass is `_attend` over the batch's bags laid end to end;
+    this is its backward pass. The first layer's gradients are summed
+    per table row before any matmul with its weights. Everything runs in
+    the parameters' dtype.
     """
     lengths = np.array([len(s.starts) for s in batch])
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    seg = np.repeat(np.arange(len(batch)), lengths)
+    offsets = np.cumsum(lengths) - lengths
     starts = np.concatenate([s.starts for s in batch])
     paths = np.concatenate([s.paths for s in batch])
     ends = np.concatenate([s.ends for s in batch])
     labels = np.array([s.label for s in batch])
-
-    # The first layer acts on the small tables, not on every context row:
-    # combined @ fc_matrix == (tokens @ W_start)[starts]
-    #                       + (paths @ W_path)[paths] + (tokens @ W_end)[ends].
-    d_t = params.d_t
-    w_start = params.fc_matrix[:d_t]
-    w_path = params.fc_matrix[d_t : d_t + params.d_p]
-    w_end = params.fc_matrix[d_t + params.d_p :]
-    pre = (params.token_matrix @ w_start)[starts]
-    pre += (params.path_matrix @ w_path)[paths]
-    pre += (params.token_matrix @ w_end)[ends]
-    pre += params.fc_bias
-    transformed = np.tanh(pre, out=pre)
-    scores = transformed @ params.attention_vector
-    score_max = np.maximum.reduceat(scores, offsets)
-    exp_scores = np.exp(scores - score_max[seg])
-    denom = np.add.reduceat(exp_scores, offsets)
-    weights = exp_scores / denom[seg]
-    vectors = np.stack(
-        [weights[lo:hi] @ transformed[lo:hi] for lo, hi in zip(offsets, offsets + lengths)]
-    )
+    seg, transformed, weights, vectors = _attend(params, starts, paths, ends, lengths)
 
     logits = vectors @ params.output_matrix
     logits -= logits.max(axis=1, keepdims=True)
@@ -315,6 +328,7 @@ def _batch_loss_and_grads(
             params.token_matrix.T @ g_end,
         ]
     )
+    w_start, w_path, w_end = np.split(params.fc_matrix, [params.d_t, params.d_t + params.d_p])
     d_token = g_start @ w_start.T + g_end @ w_end.T
     d_path = g_path @ w_path.T
 
@@ -344,10 +358,7 @@ def train_embedder(
     drawn = init_params(vocabs, config, rng).grouped()
     params = EmbedderParams(**{k: a.astype(np.float32) for k, a in drawn.items()})
 
-    indexed = []
-    for bag, name in usable:
-        starts, paths, ends = index_bag(bag, vocabs)
-        indexed.append(_Indexed(starts, paths, ends, vocabs.name_index[name]))
+    indexed = [_Indexed(*index_bag(bag, vocabs), vocabs.name_index[name]) for bag, name in usable]
 
     arrays = params.grouped()
     adam = _Adam(arrays, config.learning_rate)
@@ -370,16 +381,13 @@ def training_accuracy(
     samples: list[tuple[ContextBag, str]], params: EmbedderParams, vocabs: Vocabularies
 ) -> float:
     """Fraction of non-empty bags whose name the model ranks first."""
-    hits = 0
-    total = 0
-    for bag, name in samples:
-        if not bag.contexts:
-            continue
-        vector = embed_bag(bag, params, vocabs).values
-        predicted = int(np.argmax(vector @ params.output_matrix))
-        hits += int(predicted == vocabs.name_index.get(name, -1))
-        total += 1
-    return hits / total if total else 0.0
+    kept = [(bag, name) for bag, name in samples if bag.contexts]
+    if not kept:
+        return 0.0
+    vectors = _pooled([bag for bag, _ in kept], params, vocabs)
+    predicted = np.argmax(vectors @ params.output_matrix, axis=1)
+    labels = np.array([vocabs.name_index.get(name, -1) for _, name in kept])
+    return float(np.mean(predicted == labels))
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +401,9 @@ def save_model(params: EmbedderParams, vocabs: Vocabularies, path: str) -> None:
 def vocab_meta(vocabs: Vocabularies) -> dict[str, list[str]]:
     """Bundle metadata holding each vocabulary as a list in index order."""
     return {
-        "token_vocab": _ordered(vocabs.token_index),
-        "path_vocab": _ordered(vocabs.path_index),
-        "name_vocab": _ordered(vocabs.name_index),
+        "token_vocab": sorted(vocabs.token_index, key=vocabs.token_index.get),
+        "path_vocab": sorted(vocabs.path_index, key=vocabs.path_index.get),
+        "name_vocab": sorted(vocabs.name_index, key=vocabs.name_index.get),
     }
 
 
@@ -430,9 +438,3 @@ def unpack_model(
         raise ValueError("inconsistent embedder dimensions")
     return params, vocabs
 
-
-def _ordered(index: dict[str, int]) -> list[str]:
-    ordered = [""] * len(index)
-    for key, i in index.items():
-        ordered[i] = key
-    return ordered

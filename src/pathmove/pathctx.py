@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -168,7 +169,8 @@ def dump_bags(bags: list[ContextBag]) -> str:
 
 def load_bags(text: str) -> list[ContextBag]:
     """Read a dump back into bags; a malformed cell raises DataError
-    naming its line as `LINE: ...`."""
+    naming its line as `LINE: ...`.  Tokens and paths repeat across the
+    corpus, so each distinct string is kept once."""
     bags = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
@@ -179,6 +181,6 @@ def load_bags(text: str) -> list[ContextBag]:
             match = _CONTEXT_CELL.fullmatch(cell)
             if match is None:
                 raise DataError(f"{lineno}: malformed path-context {cell!r}")
-            contexts.append(PathContext(*match.groups()))
+            contexts.append(PathContext(*map(sys.intern, match.groups())))
         bags.append(ContextBag(method_id, contexts))
     return bags

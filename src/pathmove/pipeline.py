@@ -22,7 +22,7 @@ from .embed import (
     CodeVector,
     EmbedderParams,
     Vocabularies,
-    embed_bag,
+    embed_corpus,
     train_embedder,
     unpack_model,
     vocab_meta,
@@ -53,6 +53,10 @@ from .svm import (
     platt_probability,
     train_svm,
 )
+
+# Not called here (embed_corpus embeds many bags per forward pass), but
+# kept bound: perfbench/spans.py wraps this name in this module by name.
+from .embed import embed_bag  # noqa: F401
 
 MOVE = "Move"
 STAY = "Stay"
@@ -98,15 +102,6 @@ def training_samples(bags: list[ContextBag]) -> list[tuple[ContextBag, str]]:
     return [(bag, split_method_id(bag.method_id)[2]) for bag in bags]
 
 
-def embed_corpus(
-    bags: list[ContextBag], params: EmbedderParams, vocabs: Vocabularies
-) -> dict[str, CodeVector]:
-    """Vector per method id; methods with empty bags are left out."""
-    return {
-        bag.method_id: embed_bag(bag, params, vocabs) for bag in bags if bag.contexts
-    }
-
-
 # ---------------------------------------------------------------------------
 # Trained model bundle
 
@@ -119,7 +114,6 @@ class ModelBundle:
     svm_model: SvmModel
     platt: PlattParams
     rff: RffMap | None
-    threshold: float
     limits: ExtractionLimits
 
     def pair_probabilities(self, raw: np.ndarray) -> np.ndarray:
@@ -183,6 +177,7 @@ def recommend(
     units: list[SourceUnit],
     embeddings: dict[str, CodeVector],
     bundle: ModelBundle,
+    threshold: float,
 ) -> list[Recommendation]:
     """Score every structurally scoreable method against its candidate
     classes.  Decision order: a best probability at or below the
@@ -202,7 +197,7 @@ def recommend(
             best_prob = float(probs.max())
             tied = [p.class_id for p, prob in zip(pairs, probs) if prob == best_prob]
             best = cand.origin_class_id if cand.origin_class_id in tied else min(tied)
-            if best_prob > bundle.threshold:
+            if best_prob > threshold:
                 decision = STAY if best == cand.origin_class_id else MOVE
         out.append(Recommendation(cand.method_id, best, best_prob, decision))
     return out
@@ -223,12 +218,14 @@ def project_examples(
     return build_dataset(units, embeddings, find_movable(units))
 
 
-def score_project(units: list[SourceUnit], bundle: ModelBundle) -> list[Recommendation]:
+def score_project(
+    units: list[SourceUnit], bundle: ModelBundle, threshold: float
+) -> list[Recommendation]:
     """Recommendations for one project; none when nothing is scoreable."""
     bags = corpus_bags(units, bundle.limits)
     embeddings = embed_corpus(bags, bundle.embedder, bundle.vocabs)
     try:
-        return recommend(units, embeddings, bundle)
+        return recommend(units, embeddings, bundle, threshold)
     except NoCandidatesError:
         return []
 
@@ -409,7 +406,6 @@ def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
     hp = bundle.svm_model.hyperparams
     meta = {
         **vocab_meta(bundle.vocabs),
-        "threshold": bundle.threshold,
         "svm": {"c": hp.C, "epochs": hp.epochs, "seed": hp.seed, "bias": bundle.svm_model.bias},
         "platt": {"a": bundle.platt.A, "b": bundle.platt.B, "converged": bundle.platt.converged},
         "rff_gamma": None if bundle.rff is None else bundle.rff.gamma,
@@ -425,8 +421,8 @@ def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
 
 def load_model_bundle(path: str | Path) -> ModelBundle:
     header, arrays = load_bundle(path, expect_kind="model")
-    meta = header["meta"]
     try:
+        meta = header["meta"]
         _check_setting_types(meta)
         embedder, vocabs = unpack_model(meta, arrays, prefix="emb_")
         pca = PcaModel(arrays["pca_mean"], arrays["pca_components"], arrays["pca_evr"])
@@ -451,21 +447,18 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
         limits = ExtractionLimits(
             lm["max_length"], lm["max_width"], lm["max_contexts"], lm["seed"]
         )
-        threshold = float(meta["threshold"])
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold {threshold} outside (0, 1)")
         for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
         _check_widths(embedder, pca, rff, svm_model)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: bad model bundle: {exc}") from exc
-    return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, threshold, limits)
+    return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, limits)
 
 
 # model.pmb settings: section (None: top level) -> key -> config annotation
 _SETTING_TYPES = {
-    None: {"threshold": "float", "rff_gamma": "float | None"},
+    None: {"rff_gamma": "float | None"},
     "svm": {"c": "float", "epochs": "int", "seed": "int", "bias": "float"},
     "platt": {"a": "float", "b": "float", "converged": "bool"},
     "limits": dict.fromkeys(("max_length", "max_width", "max_contexts", "seed"), "int"),
@@ -590,9 +583,7 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
     train_ex, test_ex, validate_ex = split_dataset(examples, config.seed)
 
     pca, rff, svm_model, platt = fit_classifier(train_ex, validate_ex, config)
-    bundle = ModelBundle(
-        params, vocabs, pca, svm_model, platt, rff, config.threshold, limits
-    )
+    bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, limits)
     test_metrics = classifier_metrics(bundle, test_ex)
 
     recs_by_project = {}
@@ -602,7 +593,7 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
         units = load_project(corpus_root, project)
         mutated, entries = inject_feature_envy(units, config.seed, config.max_moves)
         gt_by_project[project] = entries
-        recs_by_project[project] = score_project(mutated, bundle)
+        recs_by_project[project] = score_project(mutated, bundle, config.threshold)
         cands_by_project[project] = find_scoreable(mutated)
 
     report = evaluate(recs_by_project, gt_by_project)

@@ -8,14 +8,18 @@ path.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathmove import cli
+from pathmove import cli, pipeline
 from pathmove.bundle import MAGIC, CorruptFileError, load_bundle, save_bundle
 from pathmove.cli import (
     BAGS_FILE,
@@ -50,6 +54,19 @@ MICRO_CONFIG = {
     "svm": {"epochs": 60},
     "rff": {"enabled": False},
 }
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to a bundle's parsed JSON header and write it back in
+    front of the unchanged array bytes."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 12
+    version, header_len = struct.unpack_from("<IQ", raw, len(MAGIC))
+    header = json.loads(raw[start : start + header_len])
+    edit(header)
+    data = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(raw[: len(MAGIC)] + struct.pack("<IQ", version, len(data)) + data
+                     + raw[start + header_len :])
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -395,15 +412,7 @@ class TestStageChain:
         assert err.startswith("error:") and name in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "section, key, value",
-        [
-            (None, "threshold", 7.0),
-            (None, "threshold", float("nan")),
-            (None, "threshold", -1.0),
-            ("svm", "bias", float("inf")),
-        ],
-    )
+    @pytest.mark.parametrize("section, key, value", [("svm", "bias", float("inf"))])
     def test_out_of_range_model_metadata_fails_at_load(self, tmp_path, monkeypatch,
                                                        capsys, section, key, value):
         base = self.run_stages(tmp_path, monkeypatch)
@@ -413,7 +422,7 @@ class TestStageChain:
         meta = header["meta"]
         (meta[section] if section else meta)[key] = value
         save_bundle(path, "model", meta, arrays)
-        with pytest.raises(CorruptFileError, match="threshold|svm bias"):
+        with pytest.raises(CorruptFileError, match="svm bias"):
             load_model_bundle(path)
         assert main(["recommend", *base, "--corpus", "mutated"]) == 3
         err = capsys.readouterr().err
@@ -451,7 +460,51 @@ class TestStageChain:
         assert err.startswith("error:") and MODEL_FILE in err
         assert "Traceback" not in err
 
-    def test_recommend_threshold_overrides_stored_one(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("name, command", [(MODEL_FILE, ["recommend"]),
+                                               (EMBEDDER_FILE, ["build-dataset"])],
+                             ids=["model", "embedder"])
+    def test_bundle_without_meta_is_data_error(self, tmp_path, monkeypatch, capsys, name,
+                                               command):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        rewrite_header(tmp_path / "work" / name, lambda header: header.pop("meta"))
+        assert main([*command, *base, "--corpus", "corpus"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "meta" in err
+        assert "Traceback" not in err
+
+    def test_build_dataset_reads_extracted_bags(self, tmp_path, monkeypatch, capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        work = tmp_path / "work"
+        datasets = {name: (work / name).read_bytes() for name in DATASET_FILES.values()}
+
+        def no_extraction(*args):
+            raise AssertionError("build-dataset extracted the corpus again")
+
+        monkeypatch.setattr(pipeline, "extract_contexts", no_extraction)
+        assert main(["build-dataset", *base, "--corpus", "corpus"]) == 0
+        for name, payload in datasets.items():
+            assert (work / name).read_bytes() == payload, name
+
+    @pytest.mark.parametrize("damage", ["missing-method", "foreign-project", "no-file"])
+    def test_build_dataset_rejects_bags_of_other_methods(self, tmp_path, monkeypatch, capsys,
+                                                          damage):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / BAGS_FILE
+        lines = path.read_text().splitlines()
+        if damage == "missing-method":
+            path.write_text("\n".join(lines[:-1]) + "\n")
+        elif damage == "foreign-project":
+            path.write_text("\n".join([*lines, "train/proj-99/X.java::X::m/0"]) + "\n")
+        else:
+            path.unlink()
+        assert main(["build-dataset", *base, "--corpus", "corpus"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and BAGS_FILE in err and "'extract'" in err
+        assert "Traceback" not in err
+
+    def test_recommend_threshold_flag_changes_decisions(self, tmp_path, monkeypatch, capsys):
         base = self.run_stages(tmp_path, monkeypatch)
         path = tmp_path / "work" / RECOMMENDATIONS_FILE
 
@@ -462,3 +515,90 @@ class TestStageChain:
         default_moves = moves()
         assert main(["recommend", *base, "--corpus", "mutated", "--threshold", "0.95"]) == 0
         assert moves() < default_moves
+
+
+# ---------------------------------------------------------------------------
+# Corrupted bundles: exit 0 or 3, never 4, never a traceback
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+CORRUPTION_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def finished_chain(tmp_path_factory):
+    """A finished stage chain on the micro corpus: (root, common flags,
+    the two bundles' bytes)."""
+    root = tmp_path_factory.mktemp("chain")
+    config = write_config(root)
+    base = ["--config", config, "--work-dir", str(root / "work")]
+    corpus = str(root / "corpus")
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen-corpus", *base, "--out", corpus, "--projects", "3",
+                     "--eval-projects", "1"]) == 0
+        for command in (["extract", "--corpus", corpus], ["train-embed"],
+                        ["build-dataset", "--corpus", corpus], ["train-clf"]):
+            assert main([*command, *base]) == 0
+        assert main(["inject", *base, "--corpus", corpus, "--out", str(root / "mutated")]) == 0
+    blobs = {name: (root / "work" / name).read_bytes() for name in (MODEL_FILE, EMBEDDER_FILE)}
+    return root, base, blobs
+
+
+# The stage that loads each bundle and runs what is in it.
+LOADING_STAGE = {MODEL_FILE: ["recommend", "--corpus", "mutated"],
+                 EMBEDDER_FILE: ["build-dataset", "--corpus", "corpus"]}
+
+
+def run_on_corrupt(chain, name: str, blob: bytes) -> None:
+    root, base, _ = chain
+    (root / "work" / name).write_bytes(blob)
+    command, flag, corpus = LOADING_STAGE[name]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([command, *base, flag, str(root / corpus)])
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith("error:")
+
+
+@pytest.mark.parametrize("name", [MODEL_FILE, EMBEDDER_FILE])
+class TestCorruptBundles:
+    @CORRUPTION_SETTINGS
+    @given(position=st.integers(min_value=0), mask=st.integers(1, 255))
+    def test_flipped_byte(self, finished_chain, name, position, mask):
+        blob = bytearray(finished_chain[2][name])
+        blob[position % len(blob)] ^= mask
+        run_on_corrupt(finished_chain, name, bytes(blob))
+
+    @CORRUPTION_SETTINGS
+    @given(keep=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncation(self, finished_chain, name, keep):
+        blob = finished_chain[2][name]
+        run_on_corrupt(finished_chain, name, blob[: int(keep * len(blob))])
+
+    @CORRUPTION_SETTINGS
+    @given(data=st.data())
+    def test_header_value_replaced_or_removed(self, finished_chain, name, data):
+        root = finished_chain[0]
+        path = root / "work" / name
+        path.write_bytes(finished_chain[2][name])
+
+        def edit(header):
+            # Walk down from the root, stopping at a random depth.
+            node, key = header, data.draw(st.sampled_from(sorted(header)))
+            while isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+                node = node[key]
+                keys = sorted(node) if isinstance(node, dict) else range(len(node))
+                key = data.draw(st.sampled_from(keys))
+            if data.draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = data.draw(JSON_VALUES)
+
+        rewrite_header(path, edit)
+        run_on_corrupt(finished_chain, name, path.read_bytes())

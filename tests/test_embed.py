@@ -1,4 +1,5 @@
-"""Embedder tests: forward formula, gradients, training, persistence."""
+"""Embedder tests: forward formula, batched forward, gradients, training,
+persistence."""
 
 from __future__ import annotations
 
@@ -8,16 +9,20 @@ import numpy as np
 import pytest
 
 from pathmove.embed import (
+    _CHUNK_BAGS,
     UNK,
     EmbedderParams,
     TrainConfig,
     Vocabularies,
     VocabTooSmallError,
     _Adam,
+    _attend,
     _batch_loss_and_grads,
     _Indexed,
     build_vocabularies,
     embed_bag,
+    embed_corpus,
+    index_bag,
     init_params,
     load_model,
     save_model,
@@ -93,13 +98,80 @@ def test_singleton_bag_returns_transformed_context():
     params = seeded_params(vocabs)
     bag = ContextBag("m", [simple_context("a", "M1", "a")])
     got = embed_bag(bag, params, vocabs).values
+    _, transformed, weights, _ = _attend(params, *index_bag(bag, vocabs))
+    assert weights.tolist() == [1.0]
+    assert np.array_equal(got, transformed[0])
     idx = vocabs.token_index["a"]
-    pidx = 1
-    c = np.hstack(
-        [params.token_matrix[idx], params.path_matrix[pidx], params.token_matrix[idx]]
-    )
+    c = np.hstack([params.token_matrix[idx], params.path_matrix[1], params.token_matrix[idx]])
     expected = np.tanh(c @ params.fc_matrix + params.fc_bias)
-    assert np.array_equal(got, expected)
+    assert np.allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def dense_vector(params: EmbedderParams, starts, paths, ends) -> np.ndarray:
+    """Reference pooled vector of one bag: concatenate each context's
+    three rows, multiply by fc_matrix, softmax and pool."""
+    combined = np.hstack(
+        [params.token_matrix[starts], params.path_matrix[paths], params.token_matrix[ends]]
+    )
+    transformed = np.tanh(combined @ params.fc_matrix + params.fc_bias)
+    scores = transformed @ params.attention_vector
+    exp_scores = np.exp(scores - scores.max())
+    return (exp_scores / exp_scores.sum()) @ transformed
+
+
+def random_bags(rng, n_bags, tokens, markers, names):
+    """(bag, name) samples of 0 to 12 contexts, some tokens and names
+    unknown to the vocabularies; about one bag in six is empty."""
+    samples = []
+    for i in range(n_bags):
+        n = int(rng.integers(0, 13)) if i % 6 else 0
+        contexts = [
+            simple_context(rng.choice(tokens), rng.choice(markers), rng.choice(tokens))
+            for _ in range(n)
+        ]
+        samples.append((ContextBag(f"m{i}", contexts), str(rng.choice(names))))
+    return samples
+
+
+def test_batched_vectors_match_dense_per_bag():
+    vocabs = toy_vocabs([f"t{i}" for i in range(9)], [f"M{i}" for i in range(7)], ["f", "g"])
+    params = seeded_params(vocabs, d_t=16, d_p=12, d=24, seed=5)
+    params.fc_bias[:] = np.random.default_rng(5).normal(scale=0.1, size=24)
+    rng = np.random.default_rng(50)
+    tokens = [f"t{i}" for i in range(11)]  # t9 and t10 map to UNK
+    samples = random_bags(rng, 3 * _CHUNK_BAGS + 7, tokens, ["M1", "M4", "Q"], ["f"])
+    bags = [bag for bag, _ in samples]
+    kept = [bag for bag in bags if bag.contexts]
+    assert len(kept) > 2 * _CHUNK_BAGS and len(kept) < len(bags)
+
+    vectors = embed_corpus(bags, params, vocabs)
+    assert list(vectors) == [bag.method_id for bag in kept]
+    for bag in kept:
+        got = vectors[bag.method_id]
+        assert got.source == bag.method_id
+        ref = dense_vector(params, *index_bag(bag, vocabs))
+        assert np.linalg.norm(got.values - ref) <= 1e-12 * np.linalg.norm(ref), bag.method_id
+        single = embed_bag(bag, params, vocabs).values
+        assert np.linalg.norm(single - ref) <= 1e-12 * np.linalg.norm(ref), bag.method_id
+
+
+def test_training_accuracy_matches_per_bag_count():
+    tokens = [f"t{i}" for i in range(9)]
+    names = ["f", "g", "h", "k"]
+    vocabs = toy_vocabs(tokens, [f"M{i}" for i in range(7)], names[:3])  # "k" is unknown
+    params = seeded_params(vocabs, d_t=8, d_p=8, d=12, seed=8)
+    samples = random_bags(np.random.default_rng(80), 2 * _CHUNK_BAGS + 5, tokens,
+                          ["M0", "M3", "M6"], names)
+    hits = total = 0
+    for bag, name in samples:
+        if bag.contexts:
+            vector = embed_bag(bag, params, vocabs).values
+            predicted = int(np.argmax(vector @ params.output_matrix))
+            hits += predicted == vocabs.name_index.get(name, -1)
+            total += 1
+    assert 0 < hits < total
+    assert training_accuracy(samples, params, vocabs) == hits / total
+    assert training_accuracy([(ContextBag("m", []), "f")], params, vocabs) == 0.0
 
 
 def test_duplicate_contexts_change_nothing():
@@ -420,6 +492,13 @@ def test_vocab_cutoff_and_unk():
     assert vocabs.token_index[UNK] == 0
     assert c1.path in vocabs.path_index
     assert c2.path not in vocabs.path_index
+
+
+def test_literal_unk_token_maps_to_unk():
+    ctx = simple_context(UNK, "M1", "a")
+    samples = [(ContextBag("m1", [ctx, ctx]), "f"), (ContextBag("m2", [ctx]), "g")]
+    vocabs = build_vocabularies(samples, min_count=1)
+    assert vocabs.token_index == {UNK: 0, "a": 1}
 
 
 def test_vocab_too_small():

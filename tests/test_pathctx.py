@@ -268,6 +268,12 @@ def test_structured_load_round_trip():
 GOOD_CELL = "x,Name↑Assignment↓Name,y"
 
 
+def test_load_bags_keeps_each_distinct_string_once():
+    f, g = load_bags(f"T.java::T::f/0\t{GOOD_CELL}\nT.java::T::g/0\t{GOOD_CELL}\n")
+    assert f.contexts == g.contexts
+    assert all(a is b for a, b in zip(f.contexts[0], g.contexts[0]))
+
+
 def test_load_bags_rejects_junk():
     assert load_bags(f"T.java::T::f/0\t{GOOD_CELL}\nT.java::T::g/0\n") == [
         ContextBag("T.java::T::f/0", [PathContext("x", "Name↑Assignment↓Name", "y")]),

@@ -112,7 +112,7 @@ def parse_corpus(*named_sources):
     return [parse_unit(src, path) for path, src in named_sources]
 
 
-def toy_bundle(threshold=0.5):
+def toy_bundle():
     """Probability of (method, class) is exactly sigmoid(class mean).
 
     Embeddings are one-dimensional, the pair is [method, class], the PCA
@@ -133,7 +133,7 @@ def toy_bundle(threshold=0.5):
     svm = SvmModel(np.array([0.0, 1.0]), 0.0, SvmHyperparams())
     platt = PlattParams(A=-1.0, B=0.0)
     limits = ExtractionLimits(8, 2, 200, 0)
-    return ModelBundle(embedder, vocabs, pca, svm, platt, None, threshold, limits)
+    return ModelBundle(embedder, vocabs, pca, svm, platt, None, limits)
 
 
 def embeddings_by_name(units, values):
@@ -172,7 +172,7 @@ class TestRecommendDecisions:
         emb = embeddings_by_name(
             units, {"getOre": -2.0, "lift": 0.0, "getMass": 2.0, "churn": 2.0}
         )
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == MOVE
         assert rec.best_class_id == "Beta"
         assert rec.probability == sigmoid_prob(bundle, 2.0)
@@ -183,7 +183,7 @@ class TestRecommendDecisions:
         emb = embeddings_by_name(
             units, {"getOre": 2.0, "lift": 0.0, "getMass": -2.0, "churn": -2.0}
         )
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == STAY
         assert rec.best_class_id == "Alpha"
         assert rec.probability == sigmoid_prob(bundle, 2.0)
@@ -194,7 +194,7 @@ class TestRecommendDecisions:
         emb = embeddings_by_name(
             units, {"getOre": -1.0, "lift": 0.0, "getMass": -2.0, "churn": -2.0}
         )
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == NO_RECOMMENDATION
         assert rec.best_class_id == "Alpha"
         assert rec.probability == sigmoid_prob(bundle, -1.0)
@@ -202,11 +202,11 @@ class TestRecommendDecisions:
     def test_probability_at_threshold_recommends_nothing(self):
         # sigmoid(0) is exactly 0.5; the rule is strict inequality
         units = self.corpus()
-        bundle = toy_bundle(threshold=0.5)
+        bundle = toy_bundle()
         emb = embeddings_by_name(
             units, {"getOre": -3.0, "lift": 0.0, "getMass": 0.0, "churn": 0.0}
         )
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.probability == 0.5
         assert rec.decision == NO_RECOMMENDATION
 
@@ -217,7 +217,7 @@ class TestRecommendDecisions:
         )
         decisions = []
         for threshold in (0.2, 0.5, 0.88, 0.89, 0.99):
-            rec = only(recommend(units, emb, toy_bundle(threshold)), "lift")
+            rec = only(recommend(units, emb, toy_bundle(), threshold), "lift")
             decisions.append(rec.decision)
         assert decisions == [MOVE, MOVE, MOVE, NO_RECOMMENDATION, NO_RECOMMENDATION]
 
@@ -227,7 +227,7 @@ class TestRecommendDecisions:
         emb = embeddings_by_name(
             units, {"getOre": 2.0, "lift": 0.0, "getMass": 2.0, "churn": 2.0}
         )
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == STAY
         assert rec.best_class_id == "Alpha"
 
@@ -253,7 +253,7 @@ class TestRecommendDecisions:
                 "fade": 2.0,
             },
         )
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == MOVE
         assert rec.best_class_id == "Beta"
 
@@ -263,7 +263,7 @@ class TestRecommendDecisions:
         emb = embeddings_by_name(
             units, {"getOre": 2.0, "getMass": 2.0, "churn": 2.0}
         )
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == NO_RECOMMENDATION
         assert rec.probability == 0.0
         assert rec.best_class_id == "Alpha"
@@ -282,7 +282,7 @@ class Alpha {
         units = parse_corpus(("Alpha.java", lonely), ("Beta.java", BETA_SRC))
         bundle = toy_bundle()
         emb = embeddings_by_name(units, {"lift": 0.0, "getMass": 2.0, "churn": 2.0})
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == MOVE
         assert rec.best_class_id == "Beta"
 
@@ -305,7 +305,7 @@ class Beta {
         units = parse_corpus(("Alpha.java", lonely), ("Beta.java", empty_beta))
         bundle = toy_bundle()
         emb = embeddings_by_name(units, {"lift": 0.0})
-        rec = only(recommend(units, emb, bundle), "lift")
+        rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == NO_RECOMMENDATION
         assert rec.probability == 0.0
 
@@ -321,7 +321,7 @@ class Solo {
 """
         units = parse_corpus(("Solo.java", solo))
         with pytest.raises(NoCandidatesError):
-            recommend(units, {}, toy_bundle())
+            recommend(units, {}, toy_bundle(), 0.5)
 
     def test_recommendation_rejects_unknown_decision(self):
         with pytest.raises(ValueError):
@@ -535,7 +535,7 @@ def fitted_bundle(with_rff):
         {"alpha": 0, "beta": 1},
     )
     limits = ExtractionLimits(7, 2, 150, 2)
-    return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, 0.45, limits)
+    return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, limits)
 
 
 class TestBundlePersistence:
@@ -557,7 +557,6 @@ class TestBundlePersistence:
         assert loaded.svm_model.bias == bundle.svm_model.bias
         assert loaded.svm_model.hyperparams == bundle.svm_model.hyperparams
         assert loaded.platt == bundle.platt
-        assert loaded.threshold == bundle.threshold
         assert loaded.limits == bundle.limits
         if with_rff:
             assert np.array_equal(loaded.rff.omega, bundle.rff.omega)
