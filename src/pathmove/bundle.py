@@ -5,7 +5,9 @@ directory) followed by the raw C-order bytes of each array in directory
 order.  Writes are byte-deterministic: the header is serialized with
 sorted keys and arrays are stored in sorted name order, so saving the
 same data twice produces identical files.  Floats round-trip bit-exactly
-because the payload is the raw IEEE representation.
+because the payload is the raw IEEE representation.  Learned numbers
+live in the arrays, and a reader rejects any float64 array holding a NaN
+or an infinity, naming the array.
 
 A line-delimited artifact (datasets, ground truth, recommendations) is a
 header line such as `{"format": "dataset", "version": 1}` followed by
@@ -71,7 +73,7 @@ def save_bundle(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nd
 
 def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a bundle back as (header, arrays). Validates magic, version,
-    declared sizes and exact end-of-file."""
+    declared sizes, finite floats and exact end-of-file."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -112,6 +114,8 @@ def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict,
         if offset + nbytes > len(raw):
             raise CorruptFileError(f"{path}: truncated array {entry['name']!r}")
         flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+        if dtype == "float64" and not np.isfinite(flat).all():
+            raise CorruptFileError(f"{path}: non-finite values in array {entry['name']!r}")
         arrays[entry["name"]] = flat.reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):

@@ -217,7 +217,7 @@ def cmd_train_clf(args: argparse.Namespace, config: RunConfig) -> None:
     pca, rff, svm_model, platt = fit_classifier(
         splits["train"], splits["validate"], config
     )
-    bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, config.limits())
+    bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, config)
     save_model_bundle(work / MODEL_FILE, bundle)
     metrics = classifier_metrics(bundle, splits["test"])
     calibrated = "calibrated" if platt.converged else "calibration did not converge"

@@ -46,7 +46,7 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            what = mistyped(value, f.type)
+            what = _mistyped(value, f.type)
             if what:
                 raise ConfigError(
                     f"config value {_KEYS.get(f.name, f.name)} must be {what}, got {value!r}"
@@ -147,7 +147,7 @@ _TYPES = {
 }
 
 
-def mistyped(value, annotation: str) -> str | None:
+def _mistyped(value, annotation: str) -> str | None:
     """What a value of `annotation` ("int", "float | None", ...) must be
     when `value` does not have that type; None when it does."""
     kind, _, optional = annotation.partition(" | ")
@@ -183,7 +183,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """Inverse of config_from_dict, handy for recording effective settings."""
+    """Inverse of config_from_dict; `model.pmb` stores part of it."""
     out: dict = {key: getattr(config, key) for key in sorted(_TOP_LEVEL)}
     for section, mapping in _SECTIONS.items():
         out[section] = {sub: getattr(config, attr) for sub, attr in mapping.items()}

@@ -420,8 +420,8 @@ def unpack_model(
 ) -> tuple[EmbedderParams, Vocabularies]:
     """Embedder and vocabularies from a bundle's metadata and its arrays
     named `prefix` + field name.  Raises KeyError, IndexError, TypeError
-    or ValueError when they are missing, malformed, non-finite or of
-    inconsistent dimensions."""
+    or ValueError when they are missing, malformed or of inconsistent
+    dimensions; `load_bundle` has already rejected non-finite arrays."""
     vocabs = Vocabularies(
         {t: i for i, t in enumerate(meta["token_vocab"])},
         {p: i for i, p in enumerate(meta["path_vocab"])},
@@ -430,9 +430,6 @@ def unpack_model(
     params = EmbedderParams(
         **{f.name: arrays[prefix + f.name] for f in fields(EmbedderParams)}
     )
-    for name, arr in params.grouped().items():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite values in {prefix}{name}")
     expected = 2 * params.d_t + params.d_p
     if params.fc_matrix.shape[0] != expected or params.fc_bias.shape != (params.d,):
         raise ValueError("inconsistent embedder dimensions")

@@ -127,6 +127,7 @@ def extract_contexts(method: MethodDecl, limits: ExtractionLimits) -> ContextBag
     Name leaves matching the method's own name are replaced by a
     placeholder so a name-prediction objective cannot see its answer.
     Bodies with fewer than two leaves yield an empty bag, not an error.
+    Tokens and paths repeat across a corpus, so each string is interned.
     """
     leaves = _collect_leaves(method.body)
     tokens = []
@@ -134,14 +135,14 @@ def extract_contexts(method: MethodDecl, limits: ExtractionLimits) -> ContextBag
         text = normalize_token(leaf)
         if leaf.label == "Name" and text == method.name:
             text = METHOD_NAME_PLACEHOLDER
-        tokens.append(text)
+        tokens.append(sys.intern(text))
 
     contexts: list[PathContext] = []
     for i in range(len(leaves)):
         for j in range(i + 1, len(leaves)):
             path = _pair_path(leaves[i][1], leaves[j][1], limits)
             if path is not None:
-                contexts.append(PathContext(tokens[i], path, tokens[j]))
+                contexts.append(PathContext(tokens[i], sys.intern(path), tokens[j]))
 
     if len(contexts) > limits.max_contexts:
         rng = _bag_rng(limits.seed, method.id)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .codegen import list_projects, load_project
-from .config import RunConfig, mistyped
+from .config import RunConfig, config_from_dict, config_to_dict
 from .embed import (
     CodeVector,
     EmbedderParams,
@@ -28,7 +28,7 @@ from .embed import (
     vocab_meta,
 )
 from .bundle import CorruptFileError, load_bundle, read_jsonl, save_bundle, write_jsonl
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .featurize import FeatureVector, PcaModel, apply_pca_matrix, fit_pca
 from .frontend import SourceUnit, split_method_id
 from .injector import (
@@ -46,7 +46,6 @@ from .pathctx import ContextBag, ExtractionLimits, extract_contexts
 from .svm import (
     PlattParams,
     RffMap,
-    SvmHyperparams,
     SvmModel,
     fit_platt,
     fit_rff,
@@ -114,7 +113,7 @@ class ModelBundle:
     svm_model: SvmModel
     platt: PlattParams
     rff: RffMap | None
-    limits: ExtractionLimits
+    config: RunConfig  # the settings the model was trained with
 
     def pair_probabilities(self, raw: np.ndarray) -> np.ndarray:
         """Probability that each raw method-class pair row belongs together."""
@@ -138,8 +137,15 @@ def fit_classifier(
         k=config.pca_k,
     )
 
-    def transform(examples: list[LabeledExample], rff: RffMap | None):
-        matrix = apply_pca_matrix(pca, np.stack([e.feature.values for e in examples]))
+    def reduced(examples: list[LabeledExample]) -> np.ndarray:
+        return apply_pca_matrix(pca, np.stack([e.feature.values for e in examples]))
+
+    train_matrix = reduced(train)
+    rff = None
+    if config.rff_enabled:
+        rff = fit_rff(train_matrix, d_out=config.rff_dim, gamma=config.rff_gamma, seed=config.seed)
+
+    def labeled(examples: list[LabeledExample], matrix: np.ndarray):
         if rff is not None:
             matrix = rff.transform(matrix)
         return [
@@ -147,13 +153,8 @@ def fit_classifier(
             for row, e in zip(matrix, examples)
         ]
 
-    rff = None
-    if config.rff_enabled:
-        reduced = apply_pca_matrix(pca, np.stack([e.feature.values for e in train]))
-        rff = fit_rff(reduced, d_out=config.rff_dim, gamma=config.rff_gamma, seed=config.seed)
-
-    svm_model = train_svm(transform(train, rff), config.svm_hyperparams())
-    platt = fit_platt(svm_model, transform(validate, rff))
+    svm_model = train_svm(labeled(train, train_matrix), config.svm_hyperparams())
+    platt = fit_platt(svm_model, labeled(validate, reduced(validate)))
     return pca, rff, svm_model, platt
 
 
@@ -222,7 +223,7 @@ def score_project(
     units: list[SourceUnit], bundle: ModelBundle, threshold: float
 ) -> list[Recommendation]:
     """Recommendations for one project; none when nothing is scoreable."""
-    bags = corpus_bags(units, bundle.limits)
+    bags = corpus_bags(units, bundle.config.limits())
     embeddings = embed_corpus(bags, bundle.embedder, bundle.vocabs)
     try:
         return recommend(units, embeddings, bundle, threshold)
@@ -393,87 +394,75 @@ def analytic_random_baseline(
 # Bundle persistence
 
 
+# The RunConfig sections a model is trained with.  threshold, work_dir
+# and injection are run-time settings and stay out of model.pmb.
+MODEL_SETTINGS = ("seed", "limits", "embedder", "pca", "svm", "rff")
+
+
+def _model_settings(config: RunConfig) -> dict:
+    stored = config_to_dict(config)
+    return {key: stored[key] for key in MODEL_SETTINGS}
+
+
 def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
     arrays = {f"emb_{k}": v for k, v in bundle.embedder.grouped().items()}
     arrays["pca_mean"] = bundle.pca.mean
     arrays["pca_components"] = bundle.pca.components
     arrays["pca_evr"] = bundle.pca.explained_variance_ratio
     arrays["svm_weights"] = bundle.svm_model.weights
+    arrays["svm_bias"] = np.array([bundle.svm_model.bias])
     arrays["svm_objective"] = np.asarray(bundle.svm_model.objective_history, dtype=np.float64)
+    arrays["platt"] = np.array([bundle.platt.A, bundle.platt.B])
     if bundle.rff is not None:
         arrays["rff_omega"] = bundle.rff.omega
         arrays["rff_phases"] = bundle.rff.phases
-    hp = bundle.svm_model.hyperparams
+        arrays["rff_gamma"] = np.array([bundle.rff.gamma])
     meta = {
         **vocab_meta(bundle.vocabs),
-        "svm": {"c": hp.C, "epochs": hp.epochs, "seed": hp.seed, "bias": bundle.svm_model.bias},
-        "platt": {"a": bundle.platt.A, "b": bundle.platt.B, "converged": bundle.platt.converged},
-        "rff_gamma": None if bundle.rff is None else bundle.rff.gamma,
-        "limits": {
-            "max_length": bundle.limits.max_length,
-            "max_width": bundle.limits.max_width,
-            "max_contexts": bundle.limits.max_contexts,
-            "seed": bundle.limits.seed,
-        },
+        "settings": _model_settings(bundle.config),
+        "platt_converged": bundle.platt.converged,
     }
     save_bundle(path, "model", meta, arrays)
 
 
 def load_model_bundle(path: str | Path) -> ModelBundle:
+    """Read a model bundle, or raise CorruptFileError.  Its `settings`
+    must be exactly the MODEL_SETTINGS sections of a valid RunConfig, so
+    a missing section never falls back to defaults; the returned config
+    keeps the defaults of the run-time settings.  The learned numbers are
+    arrays, which `load_bundle` has checked to be finite; what remains is
+    a bool `platt_converged`, a positive RFF gamma and matching widths
+    from embedder to SVM."""
     header, arrays = load_bundle(path, expect_kind="model")
     try:
         meta = header["meta"]
-        _check_setting_types(meta)
+        config = config_from_dict(meta["settings"])
+        if _model_settings(config) != meta["settings"]:
+            raise ValueError(f"settings must hold exactly the sections {MODEL_SETTINGS}")
         embedder, vocabs = unpack_model(meta, arrays, prefix="emb_")
         pca = PcaModel(arrays["pca_mean"], arrays["pca_components"], arrays["pca_evr"])
-        hp = meta["svm"]
+        (bias,) = arrays["svm_bias"].tolist()
         svm_model = SvmModel(
             arrays["svm_weights"],
-            float(hp["bias"]),
-            SvmHyperparams(C=hp["c"], epochs=hp["epochs"], seed=hp["seed"]),
+            float(bias),
+            config.svm_hyperparams(),
             objective_history=arrays["svm_objective"].tolist(),
         )
-        platt = PlattParams(
-            A=float(meta["platt"]["a"]),
-            B=float(meta["platt"]["b"]),
-            converged=meta["platt"]["converged"],
-        )
+        a, b = arrays["platt"].tolist()
+        converged = meta["platt_converged"]
+        if type(converged) is not bool:
+            raise TypeError(f"platt_converged must be true or false, got {converged!r}")
+        platt = PlattParams(float(a), float(b), converged)
         rff = None
-        if meta["rff_gamma"] is not None:
-            rff = RffMap(arrays["rff_omega"], arrays["rff_phases"], float(meta["rff_gamma"]))
+        if config.rff_enabled:
+            (gamma,) = arrays["rff_gamma"].tolist()
+            rff = RffMap(arrays["rff_omega"], arrays["rff_phases"], float(gamma))
             if rff.gamma <= 0:
                 raise ValueError(f"rff_gamma {rff.gamma} is not positive")
-        lm = meta["limits"]
-        limits = ExtractionLimits(
-            lm["max_length"], lm["max_width"], lm["max_contexts"], lm["seed"]
-        )
-        for name, arr in arrays.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in {name}")
         _check_widths(embedder, pca, rff, svm_model)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: bad model bundle: {exc}") from exc
-    return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, limits)
-
-
-# model.pmb settings: section (None: top level) -> key -> config annotation
-_SETTING_TYPES = {
-    None: {"rff_gamma": "float | None"},
-    "svm": {"c": "float", "epochs": "int", "seed": "int", "bias": "float"},
-    "platt": {"a": "float", "b": "float", "converged": "bool"},
-    "limits": dict.fromkeys(("max_length", "max_width", "max_contexts", "seed"), "int"),
-}
-
-
-def _check_setting_types(meta: dict) -> None:
-    """Raise TypeError unless every stored setting has its config type."""
-    for section, types in _SETTING_TYPES.items():
-        values = meta[section] if section else meta
-        for key, annotation in types.items():
-            what = mistyped(values[key], annotation)
-            if what:
-                name = f"{section} {key}" if section else key
-                raise TypeError(f"{name} must be {what}, got {values[key]!r}")
+    return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, config)
 
 
 def _check_widths(
@@ -583,7 +572,7 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
     train_ex, test_ex, validate_ex = split_dataset(examples, config.seed)
 
     pca, rff, svm_model, platt = fit_classifier(train_ex, validate_ex, config)
-    bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, limits)
+    bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, config)
     test_metrics = classifier_metrics(bundle, test_ex)
 
     recs_by_project = {}

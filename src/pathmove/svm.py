@@ -210,17 +210,12 @@ class RffMap:
     gamma: float
 
     def transform(self, data: np.ndarray) -> np.ndarray:
-        if data.ndim == 1:
-            data = data[None, :]
-            squeeze = True
-        else:
-            squeeze = False
+        """Map the rows of a 2-D matrix."""
         if data.shape[1] != self.omega.shape[0]:
             raise DimMismatchError(
                 f"input width {data.shape[1]} != map input {self.omega.shape[0]}"
             )
-        out = np.sqrt(2.0 / self.omega.shape[1]) * np.cos(data @ self.omega + self.phases)
-        return out[0] if squeeze else out
+        return np.sqrt(2.0 / self.omega.shape[1]) * np.cos(data @ self.omega + self.phases)
 
 
 def fit_rff(

@@ -102,3 +102,12 @@ def test_float32_upcast_and_object_rejected(tmp_path):
     assert loaded["w"].dtype == np.float64
     with pytest.raises(ValueError):
         save_bundle(path, "k", {}, {"w": np.array(["a"], dtype=object)})
+
+
+def test_non_finite_float_array_rejected_by_name(tmp_path):
+    path = tmp_path / "model.pmb"
+    arrays = sample_arrays()
+    arrays["bias"][2] = np.nan
+    save_bundle(path, "k", {}, arrays)
+    with pytest.raises(CorruptFileError, match="non-finite values in array 'bias'"):
+        load_bundle(path)

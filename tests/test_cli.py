@@ -69,6 +69,18 @@ def rewrite_header(path, edit):
                      + raw[start + header_len :])
 
 
+EXACT_SECTIONS = "settings must hold exactly the sections"
+
+
+def add_random_features(meta, arrays, gamma):
+    """Give a bundle trained without random features a feature map as
+    wide as its SVM, with the given gamma."""
+    meta["settings"]["rff"]["enabled"] = True
+    arrays["rff_omega"] = np.ones((len(arrays["pca_evr"]), len(arrays["svm_weights"])))
+    arrays["rff_phases"] = np.zeros(len(arrays["svm_weights"]))
+    arrays["rff_gamma"] = np.array([gamma])
+
+
 def write_config(tmp_path, extra=None, name="config.json"):
     data = dict(MICRO_CONFIG)
     if extra:
@@ -412,17 +424,17 @@ class TestStageChain:
         assert err.startswith("error:") and name in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("section, key, value", [("svm", "bias", float("inf"))])
+    @pytest.mark.parametrize("name, value", [("svm_bias", np.inf), ("platt", np.nan)],
+                             ids=["svm-bias-inf", "platt-nan"])
     def test_out_of_range_model_metadata_fails_at_load(self, tmp_path, monkeypatch,
-                                                       capsys, section, key, value):
+                                                       capsys, name, value):
         base = self.run_stages(tmp_path, monkeypatch)
         capsys.readouterr()
         path = tmp_path / "work" / MODEL_FILE
         header, arrays = load_bundle(path, expect_kind="model")
-        meta = header["meta"]
-        (meta[section] if section else meta)[key] = value
-        save_bundle(path, "model", meta, arrays)
-        with pytest.raises(CorruptFileError, match="svm bias"):
+        arrays[name][0] = value
+        save_bundle(path, "model", header["meta"], arrays)
+        with pytest.raises(CorruptFileError, match=f"non-finite values in array '{name}'"):
             load_model_bundle(path)
         assert main(["recommend", *base, "--corpus", "mutated"]) == 3
         err = capsys.readouterr().err
@@ -430,29 +442,34 @@ class TestStageChain:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "section, key, value, message",
+        "edit, message",
         [
-            ("limits", "max_length", 2.5, "limits max_length must be an integer"),
-            ("limits", "seed", "x", "limits seed must be an integer"),
-            ("svm", "epochs", 2.5, "svm epochs must be an integer"),
-            (None, "rff_gamma", -1.0, "rff_gamma -1.0 is not positive"),
-            ("platt", "converged", "yes", "platt converged must be true or false"),
+            (lambda meta, arrays: meta["settings"]["limits"].update(max_length=2.5),
+             "limits.max_length must be an integer"),
+            (lambda meta, arrays: meta["settings"].update(seed="x"), "seed must be an integer"),
+            (lambda meta, arrays: meta["settings"]["svm"].update(epochs=2.5),
+             "svm.epochs must be an integer"),
+            (lambda meta, arrays: add_random_features(meta, arrays, gamma=-1.0),
+             "rff_gamma -1.0 is not positive"),
+            (lambda meta, arrays: meta.update(platt_converged="yes"),
+             "platt_converged must be true or false"),
+            # settings are exactly the training sections: none missing, none run-time
+            (lambda meta, arrays: meta["settings"].pop("limits"), EXACT_SECTIONS),
+            (lambda meta, arrays: meta["settings"]["limits"].pop("max_width"), EXACT_SECTIONS),
+            (lambda meta, arrays: meta["settings"].update(threshold=0.5), EXACT_SECTIONS),
+            (lambda meta, arrays: meta["settings"].update(work_dir="work"), EXACT_SECTIONS),
         ],
         ids=["max_length-float", "limits-seed-str", "svm-epochs-float", "rff_gamma-negative",
-             "converged-str"],
+             "converged-str", "no-limits", "no-max-width", "threshold", "work_dir"],
     )
     def test_mistyped_model_settings_fail_at_load(self, tmp_path, monkeypatch, capsys,
-                                                  section, key, value, message):
+                                                  edit, message):
         base = self.run_stages(tmp_path, monkeypatch)
         capsys.readouterr()
         path = tmp_path / "work" / MODEL_FILE
         header, arrays = load_bundle(path, expect_kind="model")
-        meta = header["meta"]
-        if key == "rff_gamma":  # the chain's config has no random features
-            arrays["rff_omega"] = np.ones((len(arrays["pca_evr"]), len(arrays["svm_weights"])))
-            arrays["rff_phases"] = np.zeros(len(arrays["svm_weights"]))
-        (meta[section] if section else meta)[key] = value
-        save_bundle(path, "model", meta, arrays)
+        edit(header["meta"], arrays)
+        save_bundle(path, "model", header["meta"], arrays)
         with pytest.raises(CorruptFileError, match=message):
             load_model_bundle(path)
         assert main(["recommend", *base, "--corpus", "mutated"]) == 3

@@ -132,8 +132,7 @@ def toy_bundle():
     pca = PcaModel(np.zeros(2), np.eye(2), np.array([0.6, 0.4]))
     svm = SvmModel(np.array([0.0, 1.0]), 0.0, SvmHyperparams())
     platt = PlattParams(A=-1.0, B=0.0)
-    limits = ExtractionLimits(8, 2, 200, 0)
-    return ModelBundle(embedder, vocabs, pca, svm, platt, None, limits)
+    return ModelBundle(embedder, vocabs, pca, svm, platt, None, RunConfig(rff_enabled=False))
 
 
 def embeddings_by_name(units, values):
@@ -518,7 +517,8 @@ def fitted_bundle(with_rff):
     rng = np.random.default_rng(3)
     train = blob_examples(15, seed=25)
     validate = blob_examples(5, seed=26)
-    config = RunConfig(seed=2, svm_epochs=60, rff_enabled=with_rff, rff_dim=16)
+    config = RunConfig(seed=2, threshold=0.7, max_length=7, max_contexts=150, svm_epochs=60,
+                       rff_enabled=with_rff, rff_dim=16)
     pca, rff, svm_model, platt = fit_classifier(train, validate, config)
     # code vectors of width 1, so that pairs are as wide as the blobs
     embedder = EmbedderParams(
@@ -534,8 +534,7 @@ def fitted_bundle(with_rff):
         {UNK: 0, "Name↑Plus↓Name": 1},
         {"alpha": 0, "beta": 1},
     )
-    limits = ExtractionLimits(7, 2, 150, 2)
-    return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, limits)
+    return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, config)
 
 
 class TestBundlePersistence:
@@ -557,7 +556,8 @@ class TestBundlePersistence:
         assert loaded.svm_model.bias == bundle.svm_model.bias
         assert loaded.svm_model.hyperparams == bundle.svm_model.hyperparams
         assert loaded.platt == bundle.platt
-        assert loaded.limits == bundle.limits
+        # the decision threshold is a run-time setting: not stored, so the default
+        assert loaded.config == replace(bundle.config, threshold=RunConfig().threshold)
         if with_rff:
             assert np.array_equal(loaded.rff.omega, bundle.rff.omega)
             assert np.array_equal(loaded.rff.phases, bundle.rff.phases)
@@ -577,24 +577,28 @@ class TestBundlePersistence:
         assert (tmp_path / "a.pmb").read_bytes() == (tmp_path / "b.pmb").read_bytes()
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, message",
         [
-            lambda b: replace(b, platt=PlattParams(float("nan"), 0.0)),
-            lambda b: replace(b, pca=replace(b.pca, mean=np.full(2, np.inf))),
+            (lambda b: replace(b, platt=PlattParams(float("nan"), 0.0)), "array 'platt'"),
+            (lambda b: replace(b, pca=replace(b.pca, mean=np.full(2, np.inf))),
+             "array 'pca_mean'"),
             # code vectors of width 2 make pairs of width 4, but PCA takes 2
-            lambda b: replace(b, embedder=replace(
+            (lambda b: replace(b, embedder=replace(
                 b.embedder, fc_matrix=np.zeros((6, 2)), fc_bias=np.zeros(2),
                 attention_vector=np.zeros(2), output_matrix=np.zeros((2, 2)))),
-            lambda b: replace(b, rff=replace(b.rff, omega=b.rff.omega[:, :-1])),
-            lambda b: replace(b, rff=replace(b.rff, omega=np.vstack([b.rff.omega] * 2))),
-            lambda b: replace(b, svm_model=replace(b.svm_model, weights=b.svm_model.weights[1:])),
+             "PCA input width"),
+            (lambda b: replace(b, rff=replace(b.rff, omega=b.rff.omega[:, :-1])), "RFF map"),
+            (lambda b: replace(b, rff=replace(b.rff, omega=np.vstack([b.rff.omega] * 2))),
+             "RFF map"),
+            (lambda b: replace(b, svm_model=replace(b.svm_model, weights=b.svm_model.weights[1:])),
+             "SVM weights"),
         ],
         ids=["platt-nan", "pca-inf", "pca-width", "rff-phases", "rff-rows", "svm-width"],
     )
-    def test_rejects_inconsistent_classifier(self, tmp_path, damage):
+    def test_rejects_inconsistent_classifier(self, tmp_path, damage, message):
         path = tmp_path / "model.pmb"
         save_model_bundle(path, damage(fitted_bundle(True)))
-        with pytest.raises(CorruptFileError):
+        with pytest.raises(CorruptFileError, match=message):
             load_model_bundle(path)
 
     def test_rejects_wrong_kind(self, tmp_path):

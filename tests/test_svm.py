@@ -197,7 +197,7 @@ def test_rff_determinism_and_shapes():
     assert np.array_equal(a.omega, b.omega) and np.array_equal(a.phases, b.phases)
     assert a.gamma == b.gamma and a.gamma > 0
     assert a.transform(data).shape == (6, 64)
-    assert a.transform(data[0]).shape == (64,)
+    assert a.transform(data[:1]).shape == (1, 64)
     with pytest.raises(DimMismatchError):
         a.transform(np.zeros((2, 9)))
 
