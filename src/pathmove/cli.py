@@ -22,7 +22,6 @@ from .embed import load_model, save_model, train_embedder, training_accuracy
 from .errors import ConfigError, DataError, MissingArtifactError
 from .frontend import print_unit
 from .injector import (
-    find_scoreable,
     inject_feature_envy,
     read_dataset,
     read_ground_truth,
@@ -110,7 +109,10 @@ def _eval_projects(root: str | Path) -> list[str]:
     return projects
 
 
-def _print_report(report: EvalReport, baseline: float) -> None:
+def _write_report(work: Path, report: EvalReport, baseline: float, **extra) -> None:
+    """Write report.json, with `extra` as more top-level keys, and print its scores."""
+    payload = {"baseline": {"macro_f1": baseline}, "report": report.to_dict(), **extra}
+    (work / REPORT_FILE).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(
         f"{'project':<20} {'gt':>4} {'rec':>4} {'hit':>4} "
         f"{'prec':>7} {'recall':>7} {'f1':>7}"
@@ -264,20 +266,14 @@ def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> None:
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
-    recs_by_project = read_recommendations(
-        _require(work / RECOMMENDATIONS_FILE, "recommend")
-    )
-    entries = read_ground_truth(_require(work / GROUND_TRUTH_FILE, "inject"))
-    gt_by_project = group_ground_truth(entries)
+    recs_by_project = read_recommendations(_require(work / RECOMMENDATIONS_FILE, "recommend"))
+    gt_path = _require(work / GROUND_TRUTH_FILE, "inject")
+    gt_by_project = group_ground_truth(read_ground_truth(gt_path))
+    missing = sorted(set(gt_by_project) - set(_eval_projects(args.corpus)))
+    if missing:
+        raise DataError(f"{gt_path}: project {missing[0]} is not in the corpus {args.corpus}")
     report = evaluate(recs_by_project, gt_by_project)
-    cands_by_project = {
-        project: find_scoreable(load_project(args.corpus, project))
-        for project in _eval_projects(args.corpus)
-    }
-    baseline = analytic_random_baseline(cands_by_project, gt_by_project)
-    payload = {"baseline": {"macro_f1": baseline}, "report": report.to_dict()}
-    (work / REPORT_FILE).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _print_report(report, baseline)
+    _write_report(work, report, analytic_random_baseline(recs_by_project, gt_by_project))
 
 
 def cmd_pipeline(args: argparse.Namespace, config: RunConfig) -> None:
@@ -288,19 +284,13 @@ def cmd_pipeline(args: argparse.Namespace, config: RunConfig) -> None:
     entries = [e for project in sorted(result.ground_truth) for e in result.ground_truth[project]]
     write_ground_truth(work / GROUND_TRUTH_FILE, entries)
     n_train, n_test, n_validate = result.split_sizes
-    payload = {
-        "baseline": {"macro_f1": result.baseline_f1},
-        "classifier": result.test_metrics,
-        "report": result.report.to_dict(),
-        "split": {"train": n_train, "test": n_test, "validate": n_validate},
-    }
-    (work / REPORT_FILE).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(
         f"classifier test accuracy {result.test_metrics['accuracy']:.3f} "
         f"on {result.test_metrics['count']} pairs "
         f"(split {n_train}/{n_test}/{n_validate})"
     )
-    _print_report(result.report, result.baseline_f1)
+    _write_report(work, result.report, result.baseline_f1, classifier=result.test_metrics,
+                  split={"train": n_train, "test": n_test, "validate": n_validate})
 
 
 # ---------------------------------------------------------------------------

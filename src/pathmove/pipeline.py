@@ -32,7 +32,6 @@ from .errors import ConfigError, DataError
 from .featurize import FeatureVector, PcaModel, apply_pca_matrix, fit_pca
 from .frontend import SourceUnit, split_method_id
 from .injector import (
-    CandidateMove,
     GroundTruthEntry,
     LabeledExample,
     build_dataset,
@@ -62,16 +61,13 @@ STAY = "Stay"
 NO_RECOMMENDATION = "NoRecommendation"
 
 
-class NoCandidatesError(DataError):
-    """Corpus holds nothing the recommender could score."""
-
-
 @dataclass
 class Recommendation:
     method_id: str
     best_class_id: str
     probability: float
     decision: str
+    target_class_ids: list[str]  # the candidate's move targets, sorted
 
     def __post_init__(self):
         if not (isinstance(self.method_id, str) and isinstance(self.best_class_id, str)):
@@ -80,6 +76,11 @@ class Recommendation:
             raise ValueError(f"probability {self.probability!r} is not in [0, 1]")
         if self.decision not in (MOVE, STAY, NO_RECOMMENDATION):
             raise ValueError(f"bad decision {self.decision!r}")
+        targets = self.target_class_ids
+        if not (isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets)):
+            raise TypeError(f"target_class_ids must be a non-empty list of strings: {targets!r}")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"target_class_ids names a class more than once: {targets!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +186,11 @@ def recommend(
     threshold recommends nothing; otherwise the argmax class either
     confirms the current home (Stay) or names the move target (Move).
     Ties prefer the current class, then the lexicographically smallest.
+    Every candidate gets one recommendation, naming its targets; a
+    corpus with no candidates gets none.
     """
-    candidates = find_scoreable(units)
-    if not candidates:
-        raise NoCandidatesError("no scoreable methods in corpus")
     out = []
-    for cand, origin, targets in candidate_pairs(units, embeddings, candidates):
+    for cand, origin, targets in candidate_pairs(units, embeddings, find_scoreable(units)):
         pairs = ([origin] if origin is not None else []) + targets
         best, best_prob, decision = cand.origin_class_id, 0.0, NO_RECOMMENDATION
         if pairs:
@@ -200,7 +200,7 @@ def recommend(
             best = cand.origin_class_id if cand.origin_class_id in tied else min(tied)
             if best_prob > threshold:
                 decision = STAY if best == cand.origin_class_id else MOVE
-        out.append(Recommendation(cand.method_id, best, best_prob, decision))
+        out.append(Recommendation(cand.method_id, best, best_prob, decision, cand.target_class_ids))
     return out
 
 
@@ -225,10 +225,7 @@ def score_project(
     """Recommendations for one project; none when nothing is scoreable."""
     bags = corpus_bags(units, bundle.config.limits())
     embeddings = embed_corpus(bags, bundle.embedder, bundle.vocabs)
-    try:
-        return recommend(units, embeddings, bundle, threshold)
-    except NoCandidatesError:
-        return []
+    return recommend(units, embeddings, bundle, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +352,11 @@ def _require_unique(project: str, source: str, method_ids: list[str]) -> None:
 
 
 def analytic_random_baseline(
-    candidates_by_project: dict[str, list[CandidateMove]],
+    recs_by_project: dict[str, list[Recommendation]],
     gt_by_project: dict[str, list[GroundTruthEntry]],
 ) -> float:
-    """Expected macro-F1 of recommending uniformly at random.
+    """Expected macro-F1 of recommending uniformly at random among the
+    candidates the recommendations record (one per scoreable method).
 
     For a ground-truth method with t candidate targets there are t + 1
     equally likely picks (stay or one target), so it is found with
@@ -371,7 +369,7 @@ def analytic_random_baseline(
         entries = gt_by_project[project]
         if not entries:
             raise DataError(f"project {project} has no ground-truth entries")
-        cand_map = {c.method_id: c for c in candidates_by_project.get(project, [])}
+        cand_map = {r.method_id: r for r in recs_by_project.get(project, [])}
         exp_correct = 0.0
         exp_recommended = 0.0
         for entry in entries:
@@ -431,11 +429,13 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
     a missing section never falls back to defaults; the returned config
     keeps the defaults of the run-time settings.  The learned numbers are
     arrays, which `load_bundle` has checked to be finite; what remains is
-    a bool `platt_converged`, a positive RFF gamma and matching widths
-    from embedder to SVM."""
+    a bool `platt_converged`, a positive RFF gamma, matching widths from
+    embedder to SVM, and settings that state those widths."""
     header, arrays = load_bundle(path, expect_kind="model")
     try:
         meta = header["meta"]
+        if "settings" not in meta:
+            raise ValueError("the file predates the settings layout; run 'train-clf' again")
         config = config_from_dict(meta["settings"])
         if _model_settings(config) != meta["settings"]:
             raise ValueError(f"settings must hold exactly the sections {MODEL_SETTINGS}")
@@ -459,17 +459,17 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
             rff = RffMap(arrays["rff_omega"], arrays["rff_phases"], float(gamma))
             if rff.gamma <= 0:
                 raise ValueError(f"rff_gamma {rff.gamma} is not positive")
-        _check_widths(embedder, pca, rff, svm_model)
+        _check_widths(embedder, pca, rff, svm_model, config)
     except (ConfigError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: bad model bundle: {exc}") from exc
     return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, config)
 
 
 def _check_widths(
-    embedder: EmbedderParams, pca: PcaModel, rff: RffMap | None, svm_model: SvmModel
+    embedder: EmbedderParams, pca: PcaModel, rff: RffMap | None, svm: SvmModel, config: RunConfig
 ) -> None:
     """Raise ValueError unless each stage's output width is the next
-    stage's input width."""
+    stage's input width and the settings state the widths the arrays have."""
     if pca.mean.shape != (pca.input_dim,) or pca.input_dim != 2 * embedder.d:
         raise ValueError(f"PCA input width {pca.input_dim} != twice the code width {embedder.d}")
     width = pca.k
@@ -477,14 +477,24 @@ def _check_widths(
         width = rff.phases.size
         if rff.phases.shape != (width,) or rff.omega.shape != (pca.k, width):
             raise ValueError(f"RFF map {rff.omega.shape} does not fit PCA k {pca.k}")
-    if svm_model.weights.shape != (width,):
-        raise ValueError(f"SVM weights {svm_model.weights.shape} != feature width {width}")
+    if svm.weights.shape != (width,):
+        raise ValueError(f"SVM weights {svm.weights.shape} != feature width {width}")
+    stated = [("embedder.token_dim", config.token_dim, embedder.d_t),
+              ("embedder.path_dim", config.path_dim, embedder.d_p),
+              ("embedder.code_dim", config.code_dim, embedder.d)]
+    if config.pca_k is not None:
+        stated.append(("pca.k", config.pca_k, pca.k))
+    if rff is not None:
+        stated.append(("rff.dim", config.rff_dim, width))
+    for key, setting, actual in stated:
+        if setting != actual:
+            raise ValueError(f"settings {key} {setting} != the arrays' {actual}")
 
 
 # ---------------------------------------------------------------------------
 # Recommendation serialization
 
-RECOMMENDATIONS_FORMAT = {"format": "recommendations", "version": 1}
+RECOMMENDATIONS_FORMAT = {"format": "recommendations", "version": 2}
 
 
 def write_recommendations(
@@ -501,9 +511,8 @@ def write_recommendations(
 def _parse_recommendation(row: dict) -> tuple[str, Recommendation]:
     if not isinstance(row["project"], str):
         raise TypeError(f"project {row['project']!r} is not a string")
-    rec = Recommendation(
-        row["method_id"], row["best_class_id"], float(row["probability"]), row["decision"]
-    )
+    rec = Recommendation(row["method_id"], row["best_class_id"], float(row["probability"]),
+                         row["decision"], row["target_class_ids"])
     return row["project"], rec
 
 
@@ -577,16 +586,14 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
 
     recs_by_project = {}
     gt_by_project = {}
-    cands_by_project = {}
     for project in eval_projects:
         units = load_project(corpus_root, project)
         mutated, entries = inject_feature_envy(units, config.seed, config.max_moves)
         gt_by_project[project] = entries
         recs_by_project[project] = score_project(mutated, bundle, config.threshold)
-        cands_by_project[project] = find_scoreable(mutated)
 
     report = evaluate(recs_by_project, gt_by_project)
-    baseline = analytic_random_baseline(cands_by_project, gt_by_project)
+    baseline = analytic_random_baseline(recs_by_project, gt_by_project)
     return PipelineResult(
         report,
         baseline,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import shutil
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -34,7 +35,9 @@ from pathmove.cli import (
     main,
     resolve_config,
 )
-from pathmove.pipeline import load_model_bundle
+from pathmove.codegen import load_project
+from pathmove.injector import find_scoreable, read_ground_truth
+from pathmove.pipeline import f1_score, group_ground_truth, load_model_bundle
 
 
 @pytest.fixture(autouse=True)
@@ -300,6 +303,46 @@ class TestStageChain:
         assert oneshot_report["baseline"] == staged_report["baseline"]
         assert set(oneshot_report) == {"baseline", "classifier", "report", "split"}
 
+    def test_evaluate_reads_no_source(self, tmp_path, monkeypatch, capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        report = (tmp_path / "work" / REPORT_FILE).read_bytes()
+        for path in (tmp_path / "mutated").rglob("*.java"):
+            path.unlink()
+        assert main(["evaluate", *base, "--corpus", "mutated"]) == 0
+        assert (tmp_path / "work" / REPORT_FILE).read_bytes() == report
+
+    def test_baseline_counts_the_corpus_candidates(self, tmp_path, monkeypatch, capsys):
+        """The baseline that evaluate takes from the recommendations'
+        targets equals one taken from the mutated corpus's candidates."""
+        self.run_stages(tmp_path, monkeypatch)
+        truth = group_ground_truth(read_ground_truth(tmp_path / "work" / GROUND_TRUTH_FILE))
+        f1s = []
+        for project, entries in sorted(truth.items()):
+            candidates = {c.method_id: c for c in find_scoreable(load_project("mutated", project))}
+            exp_correct = exp_recommended = 0.0
+            for entry in entries:
+                cand = candidates.get(entry.moved_method_id)
+                if cand is None:
+                    continue
+                options = len(cand.target_class_ids) + 1
+                if entry.original_class_id in cand.target_class_ids:
+                    exp_correct += 1.0 / options
+                exp_recommended += (options - 1.0) / options
+            precision = exp_correct / exp_recommended if exp_recommended else 0.0
+            f1s.append(f1_score(precision, exp_correct / len(entries)))
+        report = json.loads((tmp_path / "work" / REPORT_FILE).read_text())
+        assert report["baseline"]["macro_f1"] == sum(f1s) / len(f1s)
+
+    def test_ground_truth_project_missing_from_corpus(self, tmp_path, monkeypatch, capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        shutil.copytree(tmp_path / "mutated", tmp_path / "other")
+        (tmp_path / "other" / "eval" / "proj-02").rename(tmp_path / "other" / "eval" / "proj-09")
+        assert main(["evaluate", *base, "--corpus", "other"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and GROUND_TRUTH_FILE in err and "eval/proj-02" in err
+        assert "Traceback" not in err
+
     def test_dataset_row_without_feature_is_data_error(self, tmp_path, monkeypatch,
                                                       capsys):
         base = self.run_stages(tmp_path, monkeypatch)
@@ -350,6 +393,13 @@ class TestStageChain:
             (GROUND_TRUTH_FILE, "moved_method_id", 5, ["evaluate", "--corpus", "mutated"]),
             (RECOMMENDATIONS_FILE, "probability", "nan", ["evaluate", "--corpus", "mutated"]),
             (DATASET_FILES["train"], "class_id", None, ["train-clf"]),
+            (RECOMMENDATIONS_FILE, "target_class_ids", "A", ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "target_class_ids", [1], ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "target_class_ids", [], ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "target_class_ids", ["B", "B"],
+             ["evaluate", "--corpus", "mutated"]),
+            # the header: a file written before rows recorded their targets
+            (RECOMMENDATIONS_FILE, "version", 1, ["evaluate", "--corpus", "mutated"]),
         ],
     )
     def test_malformed_row_value_is_data_error(self, tmp_path, monkeypatch, capsys,
@@ -358,13 +408,14 @@ class TestStageChain:
         capsys.readouterr()
         path = tmp_path / "work" / name
         lines = path.read_text().splitlines()
-        row = json.loads(lines[1])
+        i = next(i for i, line in enumerate(lines) if key in json.loads(line))
+        row = json.loads(lines[i])
         row[key] = value
-        lines[1] = json.dumps(row, sort_keys=True)
+        lines[i] = json.dumps(row, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         assert main([*command, *base]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{name}:2:" in err
+        assert err.startswith("error:") and f"{name}:{i + 1}:" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", [RECOMMENDATIONS_FILE, GROUND_TRUTH_FILE])
@@ -458,9 +509,24 @@ class TestStageChain:
             (lambda meta, arrays: meta["settings"]["limits"].pop("max_width"), EXACT_SECTIONS),
             (lambda meta, arrays: meta["settings"].update(threshold=0.5), EXACT_SECTIONS),
             (lambda meta, arrays: meta["settings"].update(work_dir="work"), EXACT_SECTIONS),
+            (lambda meta, arrays: meta.pop("settings"),
+             "predates the settings layout; run 'train-clf' again"),
+            # settings must state the widths the arrays have
+            (lambda meta, arrays: meta["settings"]["embedder"].update(token_dim=7),
+             "settings embedder.token_dim 7"),
+            (lambda meta, arrays: meta["settings"]["embedder"].update(path_dim=7),
+             "settings embedder.path_dim 7"),
+            (lambda meta, arrays: meta["settings"]["embedder"].update(code_dim=7),
+             "settings embedder.code_dim 7"),
+            (lambda meta, arrays: meta["settings"]["pca"].update(k=len(arrays["pca_evr"]) + 1),
+             "settings pca.k"),
+            # the map is as wide as the SVM, not rff.dim's default of 256
+            (lambda meta, arrays: add_random_features(meta, arrays, gamma=1.0),
+             "settings rff.dim 256"),
         ],
         ids=["max_length-float", "limits-seed-str", "svm-epochs-float", "rff_gamma-negative",
-             "converged-str", "no-limits", "no-max-width", "threshold", "work_dir"],
+             "converged-str", "no-limits", "no-max-width", "threshold", "work_dir",
+             "no-settings", "token_dim", "path_dim", "code_dim", "pca-k", "rff-dim"],
     )
     def test_mistyped_model_settings_fail_at_load(self, tmp_path, monkeypatch, capsys,
                                                   edit, message):

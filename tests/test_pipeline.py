@@ -27,7 +27,6 @@ from pathmove.errors import DataError
 from pathmove.featurize import FeatureVector, PcaModel
 from pathmove.frontend import parse_unit
 from pathmove.injector import (
-    CandidateMove,
     GroundTruthEntry,
     LabeledExample,
     read_dataset,
@@ -41,7 +40,6 @@ from pathmove.pipeline import (
     NO_RECOMMENDATION,
     STAY,
     ModelBundle,
-    NoCandidatesError,
     Recommendation,
     analytic_random_baseline,
     classifier_metrics,
@@ -308,7 +306,7 @@ class Beta {
         assert rec.decision == NO_RECOMMENDATION
         assert rec.probability == 0.0
 
-    def test_no_candidates_raises(self):
+    def test_no_candidates_gives_no_recommendations(self):
         solo = """
 class Solo {
     int v;
@@ -319,12 +317,11 @@ class Solo {
 }
 """
         units = parse_corpus(("Solo.java", solo))
-        with pytest.raises(NoCandidatesError):
-            recommend(units, {}, toy_bundle(), 0.5)
+        assert recommend(units, {}, toy_bundle(), 0.5) == []
 
     def test_recommendation_rejects_unknown_decision(self):
         with pytest.raises(ValueError):
-            Recommendation("m", "c", 0.5, "Maybe")
+            Recommendation("m", "c", 0.5, "Maybe", ["d"])
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +356,14 @@ class TestScoring:
         }
         recs = {
             "p1": [
-                Recommendation("p1/A.java~A~m1/1", "A", 0.9, MOVE),
-                Recommendation("p1/B.java~B~m2/1", "C", 0.8, MOVE),
-                Recommendation("p1/C.java~C~m3/1", "A", 0.7, MOVE),
-                Recommendation("p1/C.java~C~m4/1", "C", 0.9, STAY),
+                Recommendation("p1/A.java~A~m1/1", "A", 0.9, MOVE, ["A"]),
+                Recommendation("p1/B.java~B~m2/1", "C", 0.8, MOVE, ["C"]),
+                Recommendation("p1/C.java~C~m3/1", "A", 0.7, MOVE, ["A", "B"]),
+                Recommendation("p1/C.java~C~m4/1", "C", 0.9, STAY, ["A"]),
             ],
             "p2": [
-                Recommendation("p2/D.java~D~m9/1", "D", 0.6, STAY),
-                Recommendation("p2/E.java~E~m8/1", "E", 0.2, NO_RECOMMENDATION),
+                Recommendation("p2/D.java~D~m9/1", "D", 0.6, STAY, ["E"]),
+                Recommendation("p2/E.java~E~m8/1", "E", 0.2, NO_RECOMMENDATION, ["D"]),
             ],
         }
         return recs, gt
@@ -418,38 +415,41 @@ class TestScoring:
         assert d["projects"][0]["correct"] == 1
 
 
+def scored(method_id, targets):
+    """A recommendation that records its candidate targets; the random
+    baseline reads nothing else of it."""
+    return Recommendation(method_id, "Home", 0.2, NO_RECOMMENDATION, targets)
+
+
 class TestRandomBaseline:
     def test_envy_shape_gives_two_sevenths(self):
         # 3 targets plus stay per method, original always reachable:
         # precision 1/3, recall 1/4, F1 = 2/7
-        cands = {}
+        recs = {}
         gt = {}
         for proj in ("p1", "p2"):
-            cands[proj] = [
-                CandidateMove(f"{proj}/m{i}", "Home", ["T1", "T2", "T3"])
-                for i in range(3)
-            ]
+            recs[proj] = [scored(f"{proj}/m{i}", ["T1", "T2", "T3"]) for i in range(3)]
             gt[proj] = [
                 GroundTruthEntry(f"{proj}/m{i}", "T2", "Home") for i in range(3)
             ]
-        assert analytic_random_baseline(cands, gt) == pytest.approx(2 / 7, abs=1e-12)
+        assert analytic_random_baseline(recs, gt) == pytest.approx(2 / 7, abs=1e-12)
 
     def test_mixed_visibility_hand_computed(self):
         # e1: two options with the original reachable, e2: invisible.
         # Expected correct 1/2, recommended 1/2, precision 1, recall 1/4.
-        cands = {"p": [CandidateMove("p/m1", "Home", ["T1"])]}
+        recs = {"p": [scored("p/m1", ["T1"])]}
         gt = {
             "p": [
                 GroundTruthEntry("p/m1", "T1", "Home"),
                 GroundTruthEntry("p/m2", "T9", "Home"),
             ]
         }
-        assert analytic_random_baseline(cands, gt) == pytest.approx(0.4, rel=1e-12)
+        assert analytic_random_baseline(recs, gt) == pytest.approx(0.4, rel=1e-12)
 
     def test_unreachable_original_counts_against_precision(self):
-        cands = {"p": [CandidateMove("p/m1", "Home", ["T1"])]}
+        recs = {"p": [scored("p/m1", ["T1"])]}
         gt = {"p": [GroundTruthEntry("p/m1", "Elsewhere", "Home")]}
-        assert analytic_random_baseline(cands, gt) == 0.0
+        assert analytic_random_baseline(recs, gt) == 0.0
 
     def test_rejects_empty_ground_truth(self):
         with pytest.raises(DataError):
@@ -518,7 +518,7 @@ def fitted_bundle(with_rff):
     train = blob_examples(15, seed=25)
     validate = blob_examples(5, seed=26)
     config = RunConfig(seed=2, threshold=0.7, max_length=7, max_contexts=150, svm_epochs=60,
-                       rff_enabled=with_rff, rff_dim=16)
+                       rff_enabled=with_rff, rff_dim=16, token_dim=2, path_dim=2, code_dim=1)
     pca, rff, svm_model, platt = fit_classifier(train, validate, config)
     # code vectors of width 1, so that pairs are as wide as the blobs
     embedder = EmbedderParams(
@@ -617,11 +617,13 @@ class TestRecommendationIO:
     def sample(self):
         return {
             "eval/proj-04": [
-                Recommendation("eval/proj-04/A.java::A::m/2", "B", 0.75, MOVE),
-                Recommendation("eval/proj-04/B.java::B::n/1", "B", 0.6, STAY),
+                Recommendation("eval/proj-04/A.java::A::m/2", "B", 0.75, MOVE, ["B", "C"]),
+                Recommendation("eval/proj-04/B.java::B::n/1", "B", 0.6, STAY, ["A"]),
             ],
             "eval/proj-05": [
-                Recommendation("eval/proj-05/C.java::C::p/3", "C", 0.2, NO_RECOMMENDATION),
+                Recommendation(
+                    "eval/proj-05/C.java::C::p/3", "C", 0.2, NO_RECOMMENDATION, ["A", "D"]
+                ),
             ],
         }
 
@@ -678,11 +680,11 @@ VALID_GT = [
 ]
 VALID_RECS = {
     "eval/proj-01": [
-        Recommendation("eval/proj-01/A.java::A::m/1", "B", 0.9, MOVE),
-        Recommendation("eval/proj-01/C.java::C::n/1", "C", 0.7, STAY),
+        Recommendation("eval/proj-01/A.java::A::m/1", "B", 0.9, MOVE, ["B", "D"]),
+        Recommendation("eval/proj-01/C.java::C::n/1", "C", 0.7, STAY, ["A"]),
     ],
     "eval/proj-02": [
-        Recommendation("eval/proj-02/D.java::D::p/2", "D", 0.3, NO_RECOMMENDATION),
+        Recommendation("eval/proj-02/D.java::D::p/2", "D", 0.3, NO_RECOMMENDATION, ["E"]),
     ],
 }
 VALID_ROWS = [
