@@ -132,8 +132,8 @@ def write_jsonl(path: str | Path, header: dict, rows: Iterable[dict]) -> None:
 
 def read_jsonl(path: str | Path, header: dict, parse_row: Callable[[dict], object]) -> list:
     """Parse every non-blank row after a header line equal to `header`.
-    A KeyError, TypeError, ValueError or OverflowError from decoding or
-    `parse_row` becomes a DataError naming the file and line."""
+    A KeyError, TypeError, ValueError, OverflowError or DataError from
+    decoding or `parse_row` becomes a DataError naming the file and line."""
     lines = Path(path).read_text().splitlines() or [""]
     try:
         found = json.loads(lines[0])
@@ -147,6 +147,6 @@ def read_jsonl(path: str | Path, header: dict, parse_row: Callable[[dict], objec
             continue
         try:
             rows.append(parse_row(json.loads(line)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
     return rows

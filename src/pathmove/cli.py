@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from .codegen import EVAL_DIR, GenConfig, list_projects, load_project, write_corpus
+from .codegen import EVAL_DIR, GenConfig, list_group, list_projects, load_project, write_corpus
 from .config import RunConfig, load_config
 from .embed import load_model, save_model, train_embedder, training_accuracy
 from .errors import ConfigError, DataError, MissingArtifactError
@@ -99,16 +99,6 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _eval_projects(root: str | Path) -> list[str]:
-    base = Path(root) / EVAL_DIR
-    if not base.is_dir():
-        raise DataError(f"corpus at {root} has no {EVAL_DIR}/ directory")
-    projects = sorted(f"{EVAL_DIR}/{p.name}" for p in base.iterdir() if p.is_dir())
-    if not projects:
-        raise DataError(f"no project directories under {base}")
-    return projects
-
-
 def _write_report(work: Path, report: EvalReport, baseline: float, **extra) -> None:
     """Write report.json, with `extra` as more top-level keys, and print its scores."""
     payload = {"baseline": {"macro_f1": baseline}, "report": report.to_dict(), **extra}
@@ -119,8 +109,8 @@ def _write_report(work: Path, report: EvalReport, baseline: float, **extra) -> N
     )
     for s in report.projects:
         print(
-            f"{s.project:<20} {s.n_ground_truth:>4} {s.n_recommended:>4} "
-            f"{s.n_correct:>4} {s.precision:>7.3f} {s.recall:>7.3f} {s.f1:>7.3f}"
+            f"{s.project:<20} {s.ground_truth:>4} {s.recommended:>4} "
+            f"{s.correct:>4} {s.precision:>7.3f} {s.recall:>7.3f} {s.f1:>7.3f}"
         )
     for average in ("macro", "micro"):
         p, r, f = (getattr(report, f"{average}_{k}") for k in ("precision", "recall", "f1"))
@@ -253,7 +243,7 @@ def cmd_inject(args: argparse.Namespace, config: RunConfig) -> None:
 def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     bundle = load_model_bundle(_require(work / MODEL_FILE, "train-clf"))
-    projects = _eval_projects(args.corpus)
+    projects = list_group(args.corpus, EVAL_DIR)
     results = {
         project: score_project(load_project(args.corpus, project), bundle, config.threshold)
         for project in projects
@@ -269,7 +259,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> None:
     recs_by_project = read_recommendations(_require(work / RECOMMENDATIONS_FILE, "recommend"))
     gt_path = _require(work / GROUND_TRUTH_FILE, "inject")
     gt_by_project = group_ground_truth(read_ground_truth(gt_path))
-    missing = sorted(set(gt_by_project) - set(_eval_projects(args.corpus)))
+    missing = sorted(set(gt_by_project) - set(list_group(args.corpus, EVAL_DIR)))
     if missing:
         raise DataError(f"{gt_path}: project {missing[0]} is not in the corpus {args.corpus}")
     report = evaluate(recs_by_project, gt_by_project)

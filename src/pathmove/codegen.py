@@ -313,20 +313,21 @@ def write_corpus(out_dir: str | Path, config: GenConfig) -> list[str]:
     return sorted(files)
 
 
+def list_group(root: str | Path, group: str) -> list[str]:
+    """One group's project directories as sorted corpus-relative paths;
+    a missing or empty group directory is a DataError."""
+    base = Path(root) / group
+    if not base.is_dir():
+        raise DataError(f"corpus at {root} has no {group}/ directory")
+    projects = sorted(f"{group}/{p.name}" for p in base.iterdir() if p.is_dir())
+    if not projects:
+        raise DataError(f"no project directories under {base}")
+    return projects
+
+
 def list_projects(root: str | Path) -> tuple[list[str], list[str]]:
     """(train, eval) project directories as corpus-relative paths."""
-    root = Path(root)
-    out = []
-    for group in (TRAIN_DIR, EVAL_DIR):
-        base = root / group
-        if not base.is_dir():
-            raise DataError(f"corpus at {root} has no {group}/ directory")
-        out.append(
-            sorted(
-                f"{group}/{p.name}" for p in base.iterdir() if p.is_dir()
-            )
-        )
-    return out[0], out[1]
+    return list_group(root, TRAIN_DIR), list_group(root, EVAL_DIR)
 
 
 def load_project(root: str | Path, project: str) -> list[SourceUnit]:

@@ -61,8 +61,6 @@ UNSUPPORTED_KEYWORDS = frozenset(
     }
 )
 
-BINARY_OPS = ("||", "&&", "==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "%")
-
 
 class ParseError(DataError):
     """Source text outside the supported subset."""

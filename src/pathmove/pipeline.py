@@ -240,14 +240,30 @@ def f1_score(precision: float, recall: float) -> float:
 
 @dataclass
 class ProjectScore:
+    """One row of report.json.  The counts are ints for the model and
+    expected values for the random baseline."""
+
     project: str
-    n_ground_truth: int
-    n_recommended: int
-    n_correct: int
+    ground_truth: int
+    recommended: float
+    correct: float
     precision: float
     recall: float
     f1: float
     precision_undefined: bool
+
+
+def project_score(
+    project: str, ground_truth: int, recommended: float, correct: float
+) -> ProjectScore:
+    """Precision (0.0 when nothing is recommended), recall and F1 of one
+    project's counts."""
+    if not ground_truth:
+        raise DataError(f"project {project} has no ground-truth entries")
+    precision = correct / recommended if recommended else 0.0
+    recall = correct / ground_truth
+    return ProjectScore(project, ground_truth, recommended, correct, precision, recall,
+                        f1_score(precision, recall), not recommended)
 
 
 @dataclass
@@ -261,31 +277,34 @@ class EvalReport:
     micro_f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "projects": [
-                {
-                    "project": p.project,
-                    "ground_truth": p.n_ground_truth,
-                    "recommended": p.n_recommended,
-                    "correct": p.n_correct,
-                    "precision": p.precision,
-                    "recall": p.recall,
-                    "f1": p.f1,
-                    "precision_undefined": p.precision_undefined,
-                }
-                for p in self.projects
-            ],
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "micro": {
-                "precision": self.micro_precision,
-                "recall": self.micro_recall,
-                "f1": self.micro_f1,
-            },
+        averages = {
+            average: {k: getattr(self, f"{average}_{k}") for k in ("precision", "recall", "f1")}
+            for average in ("macro", "micro")
         }
+        return {"projects": [asdict(p) for p in self.projects], **averages}
+
+
+def summarize(scores: list[ProjectScore]) -> EvalReport:
+    """Macro averages are means over the projects; micro averages score
+    the counts summed over them."""
+    if not scores:
+        raise DataError("no projects to evaluate")
+
+    def total(key: str) -> float:
+        return sum(getattr(s, key) for s in scores)
+
+    n = len(scores)
+    pooled = project_score("all projects", total("ground_truth"), total("recommended"),
+                           total("correct"))
+    return EvalReport(
+        scores,
+        macro_precision=total("precision") / n,
+        macro_recall=total("recall") / n,
+        macro_f1=total("f1") / n,
+        micro_precision=pooled.precision,
+        micro_recall=pooled.recall,
+        micro_f1=pooled.f1,
+    )
 
 
 def evaluate(
@@ -302,47 +321,16 @@ def evaluate(
             f"vs ground truth {sorted(gt_by_project)}"
         )
     scores = []
-    total_correct = total_recommended = total_gt = 0
     for project in sorted(gt_by_project):
         entries = gt_by_project[project]
-        if not entries:
-            raise DataError(f"project {project} has no ground-truth entries")
         recs = recs_by_project[project]
         _require_unique(project, "ground truth", [e.moved_method_id for e in entries])
         _require_unique(project, "recommendations", [r.method_id for r in recs])
         home = {e.moved_method_id: e.original_class_id for e in entries}
         moves = [r for r in recs if r.decision == MOVE]
         correct = sum(1 for r in moves if home.get(r.method_id) == r.best_class_id)
-        undefined = not moves
-        precision = correct / len(moves) if moves else 0.0
-        recall = correct / len(entries)
-        scores.append(
-            ProjectScore(
-                project,
-                len(entries),
-                len(moves),
-                correct,
-                precision,
-                recall,
-                f1_score(precision, recall),
-                undefined,
-            )
-        )
-        total_correct += correct
-        total_recommended += len(moves)
-        total_gt += len(entries)
-    n = len(scores)
-    micro_precision = total_correct / total_recommended if total_recommended else 0.0
-    micro_recall = total_correct / total_gt
-    return EvalReport(
-        scores,
-        macro_precision=sum(s.precision for s in scores) / n,
-        macro_recall=sum(s.recall for s in scores) / n,
-        macro_f1=sum(s.f1 for s in scores) / n,
-        micro_precision=micro_precision,
-        micro_recall=micro_recall,
-        micro_f1=f1_score(micro_precision, micro_recall),
-    )
+        scores.append(project_score(project, len(entries), len(moves), correct))
+    return summarize(scores)
 
 
 def _require_unique(project: str, source: str, method_ids: list[str]) -> None:
@@ -364,11 +352,9 @@ def analytic_random_baseline(
     t/(t+1).  Methods the random recommender cannot even see count
     against recall only, exactly as they do for the real one.
     """
-    f1s = []
+    scores = []
     for project in sorted(gt_by_project):
         entries = gt_by_project[project]
-        if not entries:
-            raise DataError(f"project {project} has no ground-truth entries")
         cand_map = {r.method_id: r for r in recs_by_project.get(project, [])}
         exp_correct = 0.0
         exp_recommended = 0.0
@@ -380,12 +366,8 @@ def analytic_random_baseline(
             if entry.original_class_id in cand.target_class_ids:
                 exp_correct += 1.0 / options
             exp_recommended += (options - 1.0) / options
-        precision = exp_correct / exp_recommended if exp_recommended else 0.0
-        recall = exp_correct / len(entries)
-        f1s.append(f1_score(precision, recall))
-    if not f1s:
-        raise DataError("no projects to evaluate")
-    return sum(f1s) / len(f1s)
+        scores.append(project_score(project, len(entries), exp_recommended, exp_correct))
+    return summarize(scores).macro_f1
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +491,13 @@ def write_recommendations(
 
 
 def _parse_recommendation(row: dict) -> tuple[str, Recommendation]:
-    if not isinstance(row["project"], str):
-        raise TypeError(f"project {row['project']!r} is not a string")
-    rec = Recommendation(row["method_id"], row["best_class_id"], float(row["probability"]),
+    probability = row["probability"]
+    if type(probability) not in (int, float):  # a JSON number; a bool is not one
+        raise TypeError(f"probability {probability!r} is not a number")
+    rec = Recommendation(row["method_id"], row["best_class_id"], float(probability),
                          row["decision"], row["target_class_ids"])
+    if row["project"] != method_project(rec.method_id):
+        raise ValueError(f"project {row['project']!r} is not that of method {rec.method_id!r}")
     return row["project"], rec
 
 
@@ -564,8 +549,6 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
     the held-out projects and measure recovery."""
     limits = config.limits()
     train_projects, eval_projects = list_projects(corpus_root)
-    if not train_projects or not eval_projects:
-        raise DataError("corpus needs both train and eval projects")
 
     train_units = {p: load_project(corpus_root, p) for p in train_projects}
     train_bags = {p: corpus_bags(train_units[p], limits) for p in train_projects}

@@ -400,6 +400,10 @@ class TestStageChain:
              ["evaluate", "--corpus", "mutated"]),
             # the header: a file written before rows recorded their targets
             (RECOMMENDATIONS_FILE, "version", 1, ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "probability", "0.5", ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "probability", True, ["evaluate", "--corpus", "mutated"]),
+            # a project that is not the one the method id sits in
+            (RECOMMENDATIONS_FILE, "project", "eval/proj-09", ["evaluate", "--corpus", "mutated"]),
         ],
     )
     def test_malformed_row_value_is_data_error(self, tmp_path, monkeypatch, capsys,
@@ -416,6 +420,17 @@ class TestStageChain:
         assert main([*command, *base]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{name}:{i + 1}:" in err
+        assert "Traceback" not in err
+
+    def test_header_only_artifacts_are_data_error(self, tmp_path, monkeypatch, capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        for name in (RECOMMENDATIONS_FILE, GROUND_TRUTH_FILE):
+            path = tmp_path / "work" / name
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        assert main(["evaluate", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no projects to evaluate" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", [RECOMMENDATIONS_FILE, GROUND_TRUTH_FILE])

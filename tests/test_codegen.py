@@ -184,6 +184,8 @@ def test_missing_layout_rejected(tmp_path):
         list_projects(tmp_path)
     (tmp_path / TRAIN_DIR / "proj-00").mkdir(parents=True)
     (tmp_path / EVAL_DIR).mkdir()
+    with pytest.raises(DataError, match="no project directories"):
+        list_projects(tmp_path)
     with pytest.raises(DataError):
         load_project(tmp_path, f"{TRAIN_DIR}/proj-00")
 

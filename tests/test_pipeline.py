@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,8 @@ from pathmove.pipeline import (
     write_recommendations,
 )
 from pathmove.svm import PlattParams, RffMap, SvmHyperparams, SvmModel, platt_probability
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 ALPHA_SRC = """
 class Alpha {
@@ -373,7 +377,7 @@ class TestScoring:
         report = evaluate(recs, gt)
         p1, p2 = report.projects
         assert (p1.project, p2.project) == ("p1", "p2")
-        assert (p1.n_ground_truth, p1.n_recommended, p1.n_correct) == (2, 3, 1)
+        assert (p1.ground_truth, p1.recommended, p1.correct) == (2, 3, 1)
         assert p1.precision == pytest.approx(1 / 3, rel=1e-12)
         assert p1.recall == pytest.approx(1 / 2, rel=1e-12)
         assert p1.f1 == pytest.approx(0.4, rel=1e-12)
@@ -406,6 +410,10 @@ class TestScoring:
         with pytest.raises(DataError):
             evaluate(recs, gt)
 
+    def test_evaluate_rejects_no_projects(self):
+        with pytest.raises(DataError, match="no projects to evaluate"):
+            evaluate({}, {})
+
     def test_report_to_dict_shape(self):
         recs, gt = self.evaluate_fixture()
         d = evaluate(recs, gt).to_dict()
@@ -413,6 +421,18 @@ class TestScoring:
         assert [p["project"] for p in d["projects"]] == ["p1", "p2"]
         assert set(d["macro"]) == {"precision", "recall", "f1"}
         assert d["projects"][0]["correct"] == 1
+        assert type(d["projects"][0]["recommended"]) is int
+        keys = readme_row_keys()
+        assert len(keys) == 8
+        for row in d["projects"]:
+            assert set(row) == set(keys)
+
+
+def readme_row_keys() -> list[str]:
+    """The report.json row keys that the README's Outputs section lists."""
+    outputs = README.read_text().split("## Outputs", 1)[1]
+    rows = outputs[outputs.index("per-project rows (") :].split(")", 1)[0]
+    return re.findall(r"`(\w+)`", rows)
 
 
 def scored(method_id, targets):
@@ -835,7 +855,7 @@ class TestRunPipeline:
         assert set(result.ground_truth) == {"eval/proj-02"}
         score = result.report.projects[0]
         assert score.project == "eval/proj-02"
-        assert 5 <= score.n_ground_truth <= 10
+        assert 5 <= score.ground_truth <= 10
         # every generated smell keeps the envy shape: 3 targets plus stay
         assert result.baseline_f1 == pytest.approx(2 / 7, abs=1e-12)
         n_train, n_test, n_validate = result.split_sizes
