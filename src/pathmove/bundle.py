@@ -9,8 +9,8 @@ because the payload is the raw IEEE representation.  Learned numbers
 live in the arrays, and a reader rejects any float64 array holding a NaN
 or an infinity, naming the array.
 
-A line-delimited artifact (datasets, ground truth, recommendations) is a
-header line such as `{"format": "dataset", "version": 1}` followed by
+A line-delimited artifact (ground truth, recommendations) is a header
+line such as `{"format": "ground-truth", "version": 1}` followed by
 one sorted-key JSON object per row.  Readers reject a missing or foreign
 header and report a malformed row as a DataError naming its line.
 """

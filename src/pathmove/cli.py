@@ -20,7 +20,7 @@ from .codegen import EVAL_DIR, GenConfig, list_group, list_projects, load_projec
 from .config import RunConfig, load_config
 from .embed import load_model, save_model, train_embedder, training_accuracy
 from .errors import ConfigError, DataError, MissingArtifactError
-from .frontend import print_unit
+from .frontend import method_project, print_unit
 from .injector import (
     inject_feature_envy,
     read_dataset,
@@ -40,7 +40,6 @@ from .pipeline import (
     fit_classifier,
     group_ground_truth,
     load_model_bundle,
-    method_project,
     project_examples,
     read_recommendations,
     run_pipeline,
@@ -58,11 +57,7 @@ from .pipeline import embed_corpus, recommend  # noqa: F401
 BAGS_FILE = "bags-train.tsv"
 EMBEDDER_FILE = "embedder.pmb"
 MODEL_FILE = "model.pmb"
-DATASET_FILES = {
-    "train": "dataset-train.jsonl",
-    "test": "dataset-test.jsonl",
-    "validate": "dataset-validate.jsonl",
-}
+DATASET_FILE = "dataset.pmb"
 GROUND_TRUTH_FILE = "ground-truth.jsonl"
 RECOMMENDATIONS_FILE = "recommendations.jsonl"
 REPORT_FILE = "report.json"
@@ -192,26 +187,20 @@ def cmd_build_dataset(args: argparse.Namespace, config: RunConfig) -> None:
     if by_project:
         raise DataError(f"{work / BAGS_FILE}: {min(by_project)} is not a training project "
                         "of the corpus; run the 'extract' stage again")
-    splits = dict(zip(DATASET_FILES, split_dataset(examples, config.seed)))
-    for name, rows in splits.items():
-        write_dataset(work / DATASET_FILES[name], rows)
-    sizes = ", ".join(f"{name} {len(rows)}" for name, rows in splits.items())
-    print(f"built {len(examples)} labeled pairs: {sizes}")
+    train, test, validate = split_dataset(examples, config.seed)
+    write_dataset(work / DATASET_FILE, (train, test, validate))
+    print(f"built {len(examples)} labeled pairs: "
+          f"train {len(train)}, test {len(test)}, validate {len(validate)}")
 
 
 def cmd_train_clf(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     params, vocabs = load_model(_require(work / EMBEDDER_FILE, "train-embed"))
-    splits = {
-        name: read_dataset(_require(work / file, "build-dataset"))
-        for name, file in DATASET_FILES.items()
-    }
-    pca, rff, svm_model, platt = fit_classifier(
-        splits["train"], splits["validate"], config
-    )
+    train, test, validate = read_dataset(_require(work / DATASET_FILE, "build-dataset"))
+    pca, rff, svm_model, platt = fit_classifier(train, validate, config)
     bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, config)
     save_model_bundle(work / MODEL_FILE, bundle)
-    metrics = classifier_metrics(bundle, splits["test"])
+    metrics = classifier_metrics(bundle, test)
     calibrated = "calibrated" if platt.converged else "calibration did not converge"
     print(
         f"trained classifier (PCA keeps {pca.k} of {pca.mean.shape[0]} dims, "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import DataError
 
@@ -86,17 +87,15 @@ class AstNode:
 
     `token` is set exactly on Name and Literal leaves.  `op` is the
     operator text of a BinaryExpression and is ignored by path extraction
-    (the label alone identifies the node kind there).  `pos` is
-    (line, col) for diagnostics and is excluded from equality.  Parsed
-    trees are never mutated: rewrites build new nodes, so corpora share
-    untouched subtrees.
+    (the label alone identifies the node kind there).  Parsed trees are
+    never mutated: rewrites build new nodes, so corpora share untouched
+    subtrees.
     """
 
     label: str
     children: list["AstNode"] = field(default_factory=list)
     token: str | None = None
     op: str | None = None
-    pos: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.label not in NODE_LABELS:
@@ -128,7 +127,6 @@ class MethodDecl:
     is_static: bool
     body: AstNode
     id: str
-    pos: tuple[int, int] | None = field(default=None, compare=False)
 
     @property
     def arity(self) -> int:
@@ -144,7 +142,6 @@ class ClassDecl:
     name: str
     fields: list[tuple[str, str]]  # (name, type-name) in source order
     methods: list[MethodDecl]
-    pos: tuple[int, int] | None = field(default=None, compare=False)
 
     @property
     def field_names(self) -> set[str]:
@@ -174,6 +171,14 @@ def split_method_id(method_id: str) -> tuple[str, str, str, int]:
         return file_path, class_name, name, int(arity)
     except ValueError as exc:
         raise NotFoundError(f"malformed method id {method_id!r}") from exc
+
+
+def method_project(method_id: str) -> str:
+    """Project directory (group/name) a method id's file path sits in."""
+    parts = Path(method_id.split("::", 1)[0]).parts
+    if len(parts) < 3:
+        raise DataError(f"method id {method_id!r} does not sit inside a project directory")
+    return f"{parts[0]}/{parts[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +294,6 @@ class _Parser:
         return SourceUnit(self.file_path, classes)
 
     def parse_class(self) -> ClassDecl:
-        start = self.peek()
         self.expect("class")
         name = self.expect_ident("class name").text
         self.expect("{")
@@ -297,6 +301,7 @@ class _Parser:
         methods: list[MethodDecl] = []
         signatures: set[tuple[str, int]] = set()
         while not self.at("}"):
+            start = self.peek()
             member = self.parse_member(name)
             if isinstance(member, MethodDecl):
                 sig = (member.name, member.arity)
@@ -304,15 +309,15 @@ class _Parser:
                     raise DuplicateSignatureError(
                         f"duplicate method {member.name}/{member.arity} in class {name}",
                         self.file_path,
-                        member.pos[0],
-                        member.pos[1],
+                        start.line,
+                        start.col,
                     )
                 signatures.add(sig)
                 methods.append(member)
             else:
                 fields.append(member)
         self.expect("}")
-        return ClassDecl(name, fields, methods, pos=(start.line, start.col))
+        return ClassDecl(name, fields, methods)
 
     def parse_member(self, class_name: str):
         start = self.peek()
@@ -326,10 +331,7 @@ class _Parser:
             params = self.parse_params()
             body = self.parse_block()
             method_id = make_method_id(self.file_path, class_name, member_name, len(params))
-            return MethodDecl(
-                member_name, params, type_name, is_static, body, method_id,
-                pos=(start.line, start.col),
-            )
+            return MethodDecl(member_name, params, type_name, is_static, body, method_id)
         if is_static:
             raise self.error("static fields are not supported", start)
         self.expect(";")
@@ -351,12 +353,12 @@ class _Parser:
         return params
 
     def parse_block(self) -> AstNode:
-        start = self.expect("{")
+        self.expect("{")
         stmts: list[AstNode] = []
         while not self.at("}"):
             stmts.append(self.parse_statement())
         self.expect("}")
-        return AstNode("Block", stmts, pos=(start.line, start.col))
+        return AstNode("Block", stmts)
 
     def parse_statement(self) -> AstNode:
         tok = self.peek()
@@ -372,21 +374,21 @@ class _Parser:
             if self.at("else"):
                 self.advance()
                 children.append(self.parse_statement())
-            return AstNode("IfStatement", children, pos=(tok.line, tok.col))
+            return AstNode("IfStatement", children)
         if tok.text == "while":
             self.advance()
             self.expect("(")
             cond = self.parse_expression()
             self.expect(")")
             body = self.parse_statement()
-            return AstNode("WhileStatement", [cond, body], pos=(tok.line, tok.col))
+            return AstNode("WhileStatement", [cond, body])
         if tok.text == "return":
             self.advance()
             children = []
             if not self.at(";"):
                 children.append(self.parse_expression())
             self.expect(";")
-            return AstNode("ReturnStatement", children, pos=(tok.line, tok.col))
+            return AstNode("ReturnStatement", children)
         # Local declaration: two identifiers in a row ("Type name = expr;").
         # The declared type only scopes the name; the statement is modeled as
         # a plain assignment so the node vocabulary stays closed.
@@ -398,8 +400,8 @@ class _Parser:
             self.advance()
             value = self.parse_expression()
             self.expect(";")
-            lhs = AstNode("Name", token=name_tok.text, pos=(name_tok.line, name_tok.col))
-            return AstNode("Assignment", [lhs, value], pos=(tok.line, tok.col))
+            lhs = AstNode("Name", token=name_tok.text)
+            return AstNode("Assignment", [lhs, value])
         expr = self.parse_expression()
         if self.at("="):
             if expr.label not in ("Name", "FieldAccess"):
@@ -407,9 +409,9 @@ class _Parser:
             self.advance()
             value = self.parse_expression()
             self.expect(";")
-            return AstNode("Assignment", [expr, value], pos=(tok.line, tok.col))
+            return AstNode("Assignment", [expr, value])
         self.expect(";")
-        return AstNode("ExpressionStatement", [expr], pos=(tok.line, tok.col))
+        return AstNode("ExpressionStatement", [expr])
 
     # expression grammar, lowest precedence first
 
@@ -419,13 +421,11 @@ class _Parser:
     def parse_ternary(self) -> AstNode:
         cond = self.parse_binary(0)
         if self.at("?"):
-            tok = self.advance()
+            self.advance()
             then = self.parse_ternary()
             self.expect(":")
             other = self.parse_ternary()
-            return AstNode(
-                "ConditionalExpression", [cond, then, other], pos=(tok.line, tok.col)
-            )
+            return AstNode("ConditionalExpression", [cond, then, other])
         return cond
 
     _PRECEDENCE = (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"), ("*", "/", "%"))
@@ -437,10 +437,7 @@ class _Parser:
         while self.peek().text in self._PRECEDENCE[level]:
             op_tok = self.advance()
             right = self.parse_binary(level + 1)
-            node = AstNode(
-                "BinaryExpression", [node, right], op=op_tok.text,
-                pos=(op_tok.line, op_tok.col),
-            )
+            node = AstNode("BinaryExpression", [node, right], op=op_tok.text)
         return node
 
     def parse_postfix(self) -> AstNode:
@@ -448,11 +445,11 @@ class _Parser:
         while self.at("."):
             self.advance()
             name_tok = self.expect_ident("member name")
-            member = AstNode("Name", token=name_tok.text, pos=(name_tok.line, name_tok.col))
-            access = AstNode("FieldAccess", [node, member], pos=(name_tok.line, name_tok.col))
+            member = AstNode("Name", token=name_tok.text)
+            access = AstNode("FieldAccess", [node, member])
             if self.at("("):
                 args = self.parse_args()
-                node = AstNode("MethodCall", [access] + args, pos=(name_tok.line, name_tok.col))
+                node = AstNode("MethodCall", [access] + args)
             else:
                 node = access
         return node
@@ -461,25 +458,25 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return AstNode("Literal", token=tok.text, pos=(tok.line, tok.col))
+            return AstNode("Literal", token=tok.text)
         if tok.kind == "string":
             self.advance()
-            return AstNode("Literal", token=tok.text, pos=(tok.line, tok.col))
+            return AstNode("Literal", token=tok.text)
         if tok.text in ("true", "false"):
             self.advance()
-            return AstNode("Literal", token=tok.text, pos=(tok.line, tok.col))
+            return AstNode("Literal", token=tok.text)
         if tok.kind == "ident":
             self.advance()
-            name = AstNode("Name", token=tok.text, pos=(tok.line, tok.col))
+            name = AstNode("Name", token=tok.text)
             if self.at("("):
                 args = self.parse_args()
-                return AstNode("MethodCall", [name] + args, pos=(tok.line, tok.col))
+                return AstNode("MethodCall", [name] + args)
             return name
         if tok.text == "(":
             self.advance()
             inner = self.parse_expression()
             self.expect(")")
-            return AstNode("EnclosedExpression", [inner], pos=(tok.line, tok.col))
+            return AstNode("EnclosedExpression", [inner])
         got = tok.text or "end of file"
         raise self.error(f"expected an expression, got {got!r}")
 

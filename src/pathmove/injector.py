@@ -11,7 +11,8 @@ finds member references for both the state check and the rewrites, and
 rewrites share every subtree they leave unchanged.
 
 Datasets pair each candidate with its origin (label 1, duplicated) and
-each target (label 0), keeping the two label counts exactly equal.
+each target (label 0), keeping the two label counts exactly equal.  The
+split dataset is saved as one bundle of features and labels.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bundle import read_jsonl, write_jsonl
+from .bundle import CorruptFileError, load_bundle, read_jsonl, save_bundle, write_jsonl
 from .embed import CodeVector
 from .errors import DataError
 from .featurize import FeatureVector, NoMethodsError, class_embedding, make_pair_vector
@@ -34,6 +35,7 @@ from .frontend import (
     SourceUnit,
     find_enclosing,
     make_method_id,
+    method_project,
 )
 
 
@@ -172,13 +174,13 @@ def _map_members(node: AstNode, bare, qualified) -> AstNode:
             receiver, member = node.children
             mapped = visit(receiver)
             if mapped is not receiver:
-                node = AstNode("FieldAccess", [mapped, member], pos=node.pos)
+                node = AstNode("FieldAccess", [mapped, member])
             return qualified(node, is_call)
         calls = node.label == "MethodCall"
         children = [visit(c, calls and i == 0) for i, c in enumerate(node.children)]
         if all(new is old for new, old in zip(children, node.children)):
             return node
-        return AstNode(node.label, children, op=node.op, pos=node.pos)
+        return AstNode(node.label, children, op=node.op)
 
     return visit(node)
 
@@ -328,7 +330,7 @@ def perform_move(
                 f"{method_id}: {qualifier}.{member.token}{what} of {target_cls.name}"
             )
         introduced.add(member.token)
-        return AstNode("Name", token=member.token, pos=access.pos)
+        return AstNode("Name", token=member.token)
 
     body = _map_members(method.body, _keep, unqualify)
 
@@ -354,8 +356,7 @@ def perform_move(
             return name
         if carrier is None:  # resolved lazily: state-free methods need none
             carrier = _unique_param_of_type(method, origin_cls.name, "to requalify origin members")
-        holder = AstNode("Name", token=carrier, pos=name.pos)
-        return AstNode("FieldAccess", [holder, name], pos=name.pos)
+        return AstNode("FieldAccess", [AstNode("Name", token=carrier), name])
 
     body = _map_members(body, requalify, _keep)
 
@@ -486,10 +487,9 @@ def split_dataset(
 
     Groups are canonically sorted before the seeded shuffle, so input
     order cannot change the outcome.  Test and validation greedily fill
-    floor(n/5) rows each; everything else trains.
+    floor(n/5) rows each; everything else trains.  Raises TooFewError
+    when test or validation would stay empty.
     """
-    if len(examples) < 5:
-        raise TooFewError(f"need at least 5 examples to split, got {len(examples)}")
     groups: dict[str, list[LabeledExample]] = {}
     for example in examples:
         groups.setdefault(example.feature.method_id, []).append(example)
@@ -510,48 +510,62 @@ def split_dataset(
             validate.extend(rows)
         else:
             train.extend(rows)
+    if not (test and validate):
+        raise TooFewError(f"{len(examples)} examples in {len(keys)} methods leave "
+                          f"the test or validation split empty")
     return train, test, validate
 
 
 # ---------------------------------------------------------------------------
-# Line-delimited artifacts
+# Artifacts
 
-DATASET_FORMAT = {"format": "dataset", "version": 1}
+DATASET_SPLITS = ("train", "test", "validate")
 GROUND_TRUTH_FORMAT = {"format": "ground-truth", "version": 1}
 
 
-def write_dataset(path: str | Path, examples: list[LabeledExample]) -> None:
-    rows = (
-        {
-            "method_id": e.feature.method_id,
-            "class_id": e.feature.class_id,
-            "label": e.label,
-            "feature": e.feature.values.tolist(),
-        }
-        for e in examples
-    )
-    write_jsonl(path, DATASET_FORMAT, rows)
+def write_dataset(path: str | Path, splits: tuple[list[LabeledExample], ...]) -> None:
+    """One bundle: `features` and int64 `labels` hold the rows of every
+    split in DATASET_SPLITS order; the metadata holds each split's
+    [method_id, class_id] per row."""
+    rows = [e for split in splits for e in split]
+    meta = {name: [[e.feature.method_id, e.feature.class_id] for e in split]
+            for name, split in zip(DATASET_SPLITS, splits)}
+    arrays = {"features": np.stack([e.feature.values for e in rows]),
+              "labels": np.array([e.label for e in rows], dtype=np.int64)}
+    save_bundle(path, "dataset", meta, arrays)
 
 
-def read_dataset(path: str | Path) -> list[LabeledExample]:
-    """Every feature must be a list of finite numbers as wide as the
-    first row's."""
-    shapes: set[tuple[int, ...]] = set()
-
-    def parse(row: dict) -> LabeledExample:
-        values = np.array(row["feature"], dtype=np.float64)
-        shapes.add(values.shape)
-        if values.ndim != 1 or len(shapes) > 1 or not np.isfinite(values).all():
-            raise ValueError("feature is not a finite list of the first row's width")
-        feature = FeatureVector(values, row["method_id"], row["class_id"], "raw")
-        return LabeledExample(feature, row["label"])
-
-    return read_jsonl(path, DATASET_FORMAT, parse)
+def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
+    """The splits `write_dataset` saved.  Raises CorruptFileError unless
+    each split is a non-empty list of [method_id, class_id] string pairs,
+    each label is 0 or 1, and the ids, rows and labels agree in number."""
+    header, arrays = load_bundle(path, expect_kind="dataset")
+    try:
+        ids = [header["meta"][name] for name in DATASET_SPLITS]
+        features, labels = arrays["features"], arrays["labels"]
+        n = sum(map(len, ids))
+        if not all(type(split) is list and split for split in ids) or any(
+            type(pair) is not list or len(pair) != 2 for split in ids for pair in split
+        ):
+            raise ValueError("each split must be a non-empty list of [method_id, class_id]")
+        if features.ndim != 2 or len(features) != n or labels.shape != (n,):
+            raise ValueError(f"{n} ids, features {features.shape}, labels {labels.shape}")
+        rows = iter(zip(features, labels.tolist()))
+        return tuple([LabeledExample(FeatureVector(values, *pair, "raw"), label)
+                      for pair, (values, label) in zip(split, rows)] for split in ids)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFileError(f"{path}: bad dataset bundle: {exc}") from exc
 
 
 def write_ground_truth(path: str | Path, entries: list[GroundTruthEntry]) -> None:
     write_jsonl(path, GROUND_TRUTH_FORMAT, map(asdict, entries))
 
 
+def _parse_ground_truth(row: dict) -> GroundTruthEntry:
+    entry = GroundTruthEntry(**row)
+    method_project(entry.moved_method_id)
+    return entry
+
+
 def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
-    return read_jsonl(path, GROUND_TRUTH_FORMAT, lambda row: GroundTruthEntry(**row))
+    return read_jsonl(path, GROUND_TRUTH_FORMAT, _parse_ground_truth)

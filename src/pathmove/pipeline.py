@@ -30,7 +30,7 @@ from .embed import (
 from .bundle import CorruptFileError, load_bundle, read_jsonl, save_bundle, write_jsonl
 from .errors import ConfigError, DataError
 from .featurize import FeatureVector, PcaModel, apply_pca_matrix, fit_pca
-from .frontend import SourceUnit, split_method_id
+from .frontend import SourceUnit, method_project, split_method_id
 from .injector import (
     GroundTruthEntry,
     LabeledExample,
@@ -506,17 +506,6 @@ def read_recommendations(path: str | Path) -> dict[str, list[Recommendation]]:
     for project, rec in read_jsonl(path, RECOMMENDATIONS_FORMAT, _parse_recommendation):
         out.setdefault(project, []).append(rec)
     return out
-
-
-def method_project(method_id: str) -> str:
-    """Project directory (group/name) a method id's file path sits in."""
-    file_path = method_id.split("::", 1)[0]
-    parts = Path(file_path).parts
-    if len(parts) < 3:
-        raise DataError(
-            f"method id {method_id!r} does not sit inside a project directory"
-        )
-    return f"{parts[0]}/{parts[1]}"
 
 
 def group_ground_truth(

@@ -25,7 +25,7 @@ from pathmove.bundle import MAGIC, CorruptFileError, load_bundle, save_bundle
 from pathmove.cli import (
     BAGS_FILE,
     CONFIG_ENV,
-    DATASET_FILES,
+    DATASET_FILE,
     EMBEDDER_FILE,
     GROUND_TRUTH_FILE,
     MODEL_FILE,
@@ -216,6 +216,22 @@ class TestExitCodes:
         assert err.startswith("error:") and f"{BAGS_FILE}:2:" in err
         assert "Traceback" not in err
 
+    def test_split_without_test_rows_is_data_error(self, tmp_path, monkeypatch, capsys):
+        """One small training project whose methods each hold more rows
+        than the test quota: no test or validation split can be filled."""
+        monkeypatch.chdir(tmp_path)
+        base = ["--config", write_config(tmp_path), "--seed", "1"]
+        assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "2",
+                     "--eval-projects", "1", "--min-classes", "4", "--max-classes", "4"]) == 0
+        assert main(["extract", *base, "--corpus", "corpus"]) == 0
+        assert main(["train-embed", *base]) == 0
+        capsys.readouterr()
+        for command in ("build-dataset", "pipeline"):
+            assert main([command, *base, "--corpus", "corpus"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "test or validation split empty" in err
+            assert "Traceback" not in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for data in ({"sedd": 1}, {"jobs": 1}):
@@ -273,7 +289,7 @@ class TestStageChain:
         base = self.run_stages(tmp_path, monkeypatch)
         work = tmp_path / "work"
         expected = {BAGS_FILE, EMBEDDER_FILE, MODEL_FILE, GROUND_TRUTH_FILE,
-                    RECOMMENDATIONS_FILE, REPORT_FILE, *DATASET_FILES.values()}
+                    RECOMMENDATIONS_FILE, REPORT_FILE, DATASET_FILE}
         assert {p.name for p in work.iterdir()} == expected
 
         report = json.loads((work / REPORT_FILE).read_text())
@@ -345,33 +361,73 @@ class TestStageChain:
 
     def test_dataset_row_without_feature_is_data_error(self, tmp_path, monkeypatch,
                                                       capsys):
+        """A dataset bundle without its `features` array."""
         base = self.run_stages(tmp_path, monkeypatch)
         capsys.readouterr()
-        path = tmp_path / "work" / DATASET_FILES["train"]
-        lines = path.read_text().splitlines()
-        row = json.loads(lines[1])
-        del row["feature"]
-        lines[1] = json.dumps(row)
-        path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "work" / DATASET_FILE
+        header, arrays = load_bundle(path, expect_kind="dataset")
+        del arrays["features"]
+        save_bundle(path, "dataset", header["meta"], arrays)
         assert main(["train-clf", *base]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "feature" in err
+        assert err.startswith("error:") and DATASET_FILE in err and "features" in err
         assert "Traceback" not in err
 
     def test_dataset_row_of_other_width_is_data_error(self, tmp_path, monkeypatch,
                                                       capsys):
+        """Rows of unequal width do not make a matrix: cutting three values
+        off the first row leaves a flat array."""
         base = self.run_stages(tmp_path, monkeypatch)
         capsys.readouterr()
-        path = tmp_path / "work" / DATASET_FILES["train"]
-        lines = path.read_text().splitlines()
-        row = json.loads(lines[1])
-        row["feature"] = row["feature"][:-3]
-        lines[1] = json.dumps(row, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "work" / DATASET_FILE
+        header, arrays = load_bundle(path, expect_kind="dataset")
+        arrays["features"] = arrays["features"].ravel()[3:]
+        save_bundle(path, "dataset", header["meta"], arrays)
         assert main(["train-clf", *base]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{DATASET_FILES['train']}:3:" in err
+        assert err.startswith("error:") and f"{DATASET_FILE}: bad dataset bundle" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta, arrays: meta["test"][0].__setitem__(0, 7), "ids must be strings"),
+            (lambda meta, arrays: meta["validate"].__setitem__(0, ["m", "c", "x"]),
+             "list of \\[method_id, class_id\\]"),
+            (lambda meta, arrays: arrays["labels"].__setitem__(0, 2), "label must be 0 or 1"),
+            (lambda meta, arrays: meta["train"].pop(), "ids, features"),
+            (lambda meta, arrays: meta.update(test=[]), "non-empty list"),
+        ],
+        ids=["id-int", "id-triple", "label-2", "fewer-ids", "empty-split"],
+    )
+    def test_malformed_dataset_is_data_error(self, tmp_path, monkeypatch, capsys, edit,
+                                             message):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / DATASET_FILE
+        header, arrays = load_bundle(path, expect_kind="dataset")
+        edit(header["meta"], arrays)
+        save_bundle(path, "dataset", header["meta"], arrays)
+        assert main(["train-clf", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and DATASET_FILE in err
+        assert re.search(message, err), err
+        assert "Traceback" not in err
+
+    def test_ground_truth_id_outside_a_project_is_data_error(self, tmp_path, monkeypatch,
+                                                            capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / GROUND_TRUTH_FILE
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        row["moved_method_id"] = "A.java::A::m/1"
+        lines[1] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{GROUND_TRUTH_FILE}:2:" in err
+        assert "project directory" in err and "Traceback" not in err
 
     def test_non_json_ground_truth_line_is_data_error(self, tmp_path, monkeypatch,
                                                       capsys):
@@ -392,7 +448,6 @@ class TestStageChain:
             (RECOMMENDATIONS_FILE, "method_id", [1], ["evaluate", "--corpus", "mutated"]),
             (GROUND_TRUTH_FILE, "moved_method_id", 5, ["evaluate", "--corpus", "mutated"]),
             (RECOMMENDATIONS_FILE, "probability", "nan", ["evaluate", "--corpus", "mutated"]),
-            (DATASET_FILES["train"], "class_id", None, ["train-clf"]),
             (RECOMMENDATIONS_FILE, "target_class_ids", "A", ["evaluate", "--corpus", "mutated"]),
             (RECOMMENDATIONS_FILE, "target_class_ids", [1], ["evaluate", "--corpus", "mutated"]),
             (RECOMMENDATIONS_FILE, "target_class_ids", [], ["evaluate", "--corpus", "mutated"]),
@@ -574,15 +629,14 @@ class TestStageChain:
     def test_build_dataset_reads_extracted_bags(self, tmp_path, monkeypatch, capsys):
         base = self.run_stages(tmp_path, monkeypatch)
         work = tmp_path / "work"
-        datasets = {name: (work / name).read_bytes() for name in DATASET_FILES.values()}
+        dataset = (work / DATASET_FILE).read_bytes()
 
         def no_extraction(*args):
             raise AssertionError("build-dataset extracted the corpus again")
 
         monkeypatch.setattr(pipeline, "extract_contexts", no_extraction)
         assert main(["build-dataset", *base, "--corpus", "corpus"]) == 0
-        for name, payload in datasets.items():
-            assert (work / name).read_bytes() == payload, name
+        assert (work / DATASET_FILE).read_bytes() == dataset
 
     @pytest.mark.parametrize("damage", ["missing-method", "foreign-project", "no-file"])
     def test_build_dataset_rejects_bags_of_other_methods(self, tmp_path, monkeypatch, capsys,
@@ -630,7 +684,7 @@ CORRUPTION_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 @pytest.fixture(scope="module")
 def finished_chain(tmp_path_factory):
     """A finished stage chain on the micro corpus: (root, common flags,
-    the two bundles' bytes)."""
+    the three bundles' bytes)."""
     root = tmp_path_factory.mktemp("chain")
     config = write_config(root)
     base = ["--config", config, "--work-dir", str(root / "work")]
@@ -642,29 +696,37 @@ def finished_chain(tmp_path_factory):
                         ["build-dataset", "--corpus", corpus], ["train-clf"]):
             assert main([*command, *base]) == 0
         assert main(["inject", *base, "--corpus", corpus, "--out", str(root / "mutated")]) == 0
-    blobs = {name: (root / "work" / name).read_bytes() for name in (MODEL_FILE, EMBEDDER_FILE)}
+    blobs = {name: (root / "work" / name).read_bytes()
+             for name in (MODEL_FILE, EMBEDDER_FILE, DATASET_FILE)}
     return root, base, blobs
 
 
-# The stage that loads each bundle and runs what is in it.
-LOADING_STAGE = {MODEL_FILE: ["recommend", "--corpus", "mutated"],
-                 EMBEDDER_FILE: ["build-dataset", "--corpus", "corpus"]}
+# The stage that loads each bundle and runs what is in it, and the corpus
+# directory it reads, if any.
+LOADING_STAGE = {MODEL_FILE: ("recommend", "mutated"),
+                 EMBEDDER_FILE: ("build-dataset", "corpus"),
+                 DATASET_FILE: ("train-clf", None)}
 
 
 def run_on_corrupt(chain, name: str, blob: bytes) -> None:
-    root, base, _ = chain
+    """Run the loading stage with `blob` as `name` and every other bundle
+    as the chain wrote it (a stage may have overwritten one)."""
+    root, base, blobs = chain
+    for other, payload in blobs.items():
+        (root / "work" / other).write_bytes(payload)
     (root / "work" / name).write_bytes(blob)
-    command, flag, corpus = LOADING_STAGE[name]
+    command, corpus = LOADING_STAGE[name]
+    corpus_flag = ["--corpus", str(root / corpus)] if corpus else []
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = main([command, *base, flag, str(root / corpus)])
+        code = main([command, *base, *corpus_flag])
     assert code in (0, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 3:
         assert err.getvalue().startswith("error:")
 
 
-@pytest.mark.parametrize("name", [MODEL_FILE, EMBEDDER_FILE])
+@pytest.mark.parametrize("name", [MODEL_FILE, EMBEDDER_FILE, DATASET_FILE])
 class TestCorruptBundles:
     @CORRUPTION_SETTINGS
     @given(position=st.integers(min_value=0), mask=st.integers(1, 255))

@@ -176,8 +176,15 @@ def test_parse_error_carries_position():
 
 def test_duplicate_signature_rejected():
     src = "class A { int f(int a) { return a; } int f(int b) { return b; } }"
-    with pytest.raises(DuplicateSignatureError):
+    with pytest.raises(DuplicateSignatureError) as caught:
         parse_unit(src, "A.java")
+    # the second declaration's first token
+    assert (caught.value.line, caught.value.col) == (1, 38)
+    assert str(caught.value).startswith("A.java:1:38: duplicate method f/1")
+    src = "class A {\n    int f(int a) { return a; }\n    static int f(int b) { return b; }\n}"
+    with pytest.raises(DuplicateSignatureError) as caught:
+        parse_unit(src, "A.java")
+    assert (caught.value.line, caught.value.col) == (3, 5)
     # Same name, different arity is allowed.
     ok = "class A { int f(int a) { return a; } int f(int a, int b) { return a; } }"
     assert len(parse_unit(ok, "A.java").classes[0].methods) == 2

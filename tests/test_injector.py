@@ -8,12 +8,12 @@ so the enumeration tests assert complete sets rather than spot checks.
 from __future__ import annotations
 
 import copy
-import json
 import random
 
 import numpy as np
 import pytest
 
+from pathmove.bundle import CorruptFileError, load_bundle, save_bundle
 from pathmove.embed import CodeVector
 from pathmove.errors import DataError
 from pathmove.frontend import find_enclosing, parse_unit, print_unit
@@ -987,17 +987,30 @@ def test_split_too_few():
         split_dataset(singleton_examples(4), seed=0)
 
 
+def test_split_leaves_no_split_empty():
+    """Four methods of six rows each: no method fits the four-row test
+    quota, so the split would leave test and validation empty."""
+    examples = [e for _ in range(3) for e in grouped_examples(4)]
+    with pytest.raises(TooFewError, match="test or validation split empty"):
+        split_dataset(examples, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
 
+def dataset_splits():
+    return split_dataset(grouped_examples(10), seed=1)
+
+
 def test_dataset_round_trip(tmp_path):
-    examples = grouped_examples(4)
-    path = tmp_path / "dataset.jsonl"
-    write_dataset(path, examples)
+    splits = dataset_splits()
+    path = tmp_path / "dataset.pmb"
+    write_dataset(path, splits)
     loaded = read_dataset(path)
-    assert len(loaded) == len(examples)
-    for orig, back in zip(examples, loaded):
+    assert [len(split) for split in loaded] == [len(split) for split in splits] == [12, 4, 4]
+    for orig, back in zip((e for split in splits for e in split),
+                          (e for split in loaded for e in split)):
         assert back.label == orig.label
         assert back.feature.method_id == orig.feature.method_id
         assert back.feature.class_id == orig.feature.class_id
@@ -1005,16 +1018,15 @@ def test_dataset_round_trip(tmp_path):
 
 
 def test_dataset_write_is_deterministic(tmp_path):
-    examples = grouped_examples(3)
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_dataset(a, examples)
-    write_dataset(b, examples)
+    a, b = tmp_path / "a.pmb", tmp_path / "b.pmb"
+    write_dataset(a, dataset_splits())
+    write_dataset(b, dataset_splits())
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_dataset_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"format": "dataset", "version": 2}\n')
+    path = tmp_path / "bad.pmb"
+    save_bundle(path, "model", {}, {})
     with pytest.raises(DataError):
         read_dataset(path)
     path.write_text("")
@@ -1025,6 +1037,12 @@ def test_dataset_rejects_bad_header(tmp_path):
         read_dataset(path)
 
 
+def rewrite_dataset(path, edit):
+    header, arrays = load_bundle(path, expect_kind="dataset")
+    edit(header["meta"], arrays)
+    save_bundle(path, "dataset", header["meta"], arrays)
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -1032,25 +1050,50 @@ def test_dataset_rejects_bad_header(tmp_path):
         ("method_id", 7),
         ("class_id", None),
         ("label", 0.9),
-        ("label", "1"),
+        ("label", 2),
     ],
 )
 def test_dataset_rejects_malformed_row_values(tmp_path, key, value):
-    path = tmp_path / "dataset.jsonl"
-    write_dataset(path, grouped_examples(2))
-    lines = path.read_text().splitlines()
-    row = json.loads(lines[2])
-    row[key] = value
-    lines[2] = json.dumps(row)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match=":3: "):
+    """The second training row gets a bad feature, id or label."""
+
+    def edit(meta, arrays):
+        if key == "feature":
+            arrays["features"][1] = value
+        elif key == "label":
+            arrays["labels"] = arrays["labels"].astype(type(value))
+            arrays["labels"][1] = value
+        else:
+            meta["train"][1][("method_id", "class_id").index(key)] = value
+
+    path = tmp_path / "dataset.pmb"
+    write_dataset(path, dataset_splits())
+    rewrite_dataset(path, edit)
+    with pytest.raises(CorruptFileError, match="dataset.pmb: "):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta, arrays: meta["validate"].pop(),
+        lambda meta, arrays: arrays.update(features=arrays["features"][:-1]),
+        lambda meta, arrays: arrays.update(labels=arrays["labels"][:-1]),
+        lambda meta, arrays: meta["test"].append(meta["test"][0]),
+    ],
+    ids=["fewer-ids", "fewer-rows", "fewer-labels", "more-ids"],
+)
+def test_dataset_rejects_counts_that_disagree(tmp_path, edit):
+    path = tmp_path / "dataset.pmb"
+    write_dataset(path, dataset_splits())
+    rewrite_dataset(path, edit)
+    with pytest.raises(CorruptFileError, match="ids, features"):
         read_dataset(path)
 
 
 def test_ground_truth_round_trip(tmp_path):
     entries = [
-        GroundTruthEntry("b.java::B::m/2", "A", "B"),
-        GroundTruthEntry("c.java::C::n/1", "A", "C"),
+        GroundTruthEntry("eval/proj-01/b.java::B::m/2", "A", "B"),
+        GroundTruthEntry("eval/proj-01/c.java::C::n/1", "A", "C"),
     ]
     path = tmp_path / "gt.jsonl"
     write_ground_truth(path, entries)
@@ -1059,6 +1102,17 @@ def test_ground_truth_round_trip(tmp_path):
 
 def test_ground_truth_rejects_wrong_kind(tmp_path):
     path = tmp_path / "gt.jsonl"
-    write_dataset(path, grouped_examples(2))
+    path.write_text('{"format": "recommendations", "version": 2}\n')
     with pytest.raises(DataError):
+        read_ground_truth(path)
+
+
+def test_ground_truth_rejects_id_outside_a_project(tmp_path):
+    entries = [
+        GroundTruthEntry("eval/proj-01/b.java::B::m/2", "A", "B"),
+        GroundTruthEntry("b.java::B::n/1", "A", "B"),
+    ]
+    path = tmp_path / "gt.jsonl"
+    write_ground_truth(path, entries)
+    with pytest.raises(DataError, match="gt.jsonl:3: .*project directory"):
         read_ground_truth(path)

@@ -27,13 +27,11 @@ from pathmove.config import RunConfig
 from pathmove.embed import UNK, CodeVector, EmbedderParams, Vocabularies, save_model
 from pathmove.errors import DataError
 from pathmove.featurize import FeatureVector, PcaModel
-from pathmove.frontend import parse_unit
+from pathmove.frontend import method_project, parse_unit
 from pathmove.injector import (
     GroundTruthEntry,
     LabeledExample,
-    read_dataset,
     read_ground_truth,
-    write_dataset,
     write_ground_truth,
 )
 from pathmove.pathctx import ExtractionLimits
@@ -52,7 +50,6 @@ from pathmove.pipeline import (
     fit_classifier,
     group_ground_truth,
     load_model_bundle,
-    method_project,
     read_recommendations,
     recommend,
     run_pipeline,
@@ -707,20 +704,7 @@ VALID_RECS = {
         Recommendation("eval/proj-02/D.java::D::p/2", "D", 0.3, NO_RECOMMENDATION, ["E"]),
     ],
 }
-VALID_ROWS = [
-    LabeledExample(FeatureVector(np.array([0.5, -1.0, 2.0]), e.moved_method_id, c, "raw"), y)
-    for e, c, y in zip(VALID_GT, ("A", "B", "D"), (1, 0, 1))
-]
-
-
-def _stack_features(path):
-    examples = read_dataset(path)
-    if examples:  # a split may legitimately be empty
-        np.stack([e.feature.values for e in examples])
-
-
 LINE_ARTIFACTS = {
-    "dataset": (lambda path: write_dataset(path, VALID_ROWS), _stack_features),
     "ground-truth": (
         lambda path: write_ground_truth(path, VALID_GT),
         lambda path: evaluate(VALID_RECS, group_ground_truth(read_ground_truth(path))),
