@@ -36,8 +36,8 @@ _ALLOWED_DTYPES = ("float64", "int64")
 class VersionMismatchError(DataError):
     """Bundle written by an incompatible format version."""
 
-    def __init__(self, found: int, expected: int):
-        super().__init__(f"bundle version {found}, expected {expected}")
+    def __init__(self, path: str | Path, found: int, expected: int):
+        super().__init__(f"{path}: bundle version {found}, expected {expected}")
         self.found = found
         self.expected = expected
 
@@ -82,7 +82,7 @@ def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict,
         raise CorruptFileError(f"{path}: not a bundle file")
     version, header_len = struct.unpack_from("<IQ", raw, len(MAGIC))
     if version != VERSION:
-        raise VersionMismatchError(version, VERSION)
+        raise VersionMismatchError(path, version, VERSION)
     offset = len(MAGIC) + 12
     if offset + header_len > len(raw):
         raise CorruptFileError(f"{path}: truncated header")
@@ -123,6 +123,14 @@ def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict,
     return header, arrays
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a DataError naming the file when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: {exc}") from exc
+
+
 def write_jsonl(path: str | Path, header: dict, rows: Iterable[dict]) -> None:
     """Write the header line, then one sorted-key JSON object per row."""
     lines = [json.dumps(header, sort_keys=True)]
@@ -134,7 +142,7 @@ def read_jsonl(path: str | Path, header: dict, parse_row: Callable[[dict], objec
     """Parse every non-blank row after a header line equal to `header`.
     A KeyError, TypeError, ValueError, OverflowError or DataError from
     decoding or `parse_row` becomes a DataError naming the file and line."""
-    lines = Path(path).read_text().splitlines() or [""]
+    lines = read_utf8(path).splitlines() or [""]
     try:
         found = json.loads(lines[0])
     except json.JSONDecodeError:

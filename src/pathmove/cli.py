@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+from .bundle import read_utf8
 from .codegen import EVAL_DIR, GenConfig, list_group, list_projects, load_project, write_corpus
 from .config import RunConfig, load_config
 from .embed import load_model, save_model, train_embedder, training_accuracy
@@ -150,8 +151,9 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> None:
 
 def _read_bags(work: Path) -> list[ContextBag]:
     path = _require(work / BAGS_FILE, "extract")
+    text = read_utf8(path)
     try:
-        return load_bags(path.read_text())
+        return load_bags(text)
     except DataError as exc:
         raise DataError(f"{path}:{exc}") from exc
 

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bundle import read_utf8
 from .errors import ConfigError, DataError
 from .frontend import SourceUnit, parse_unit
 
@@ -343,5 +344,5 @@ def load_project(root: str | Path, project: str) -> list[SourceUnit]:
     units = []
     for path in paths:
         rel = f"{project}/{path.name}"
-        units.append(parse_unit(path.read_text(), rel))
+        units.append(parse_unit(read_utf8(path), rel))
     return units

@@ -32,7 +32,7 @@ class RunConfig:
     code_dim: int = 384
     learning_rate: float = 1e-3
     batch_size: int = 32
-    epochs: int = 20
+    epochs: int = 2
     min_count: int = 2
     pca_variance_threshold: float = 0.95
     pca_k: int | None = None

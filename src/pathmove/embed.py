@@ -93,7 +93,7 @@ class TrainConfig:
     d: int = 384
     learning_rate: float = 1e-3
     batch_size: int = 32
-    epochs: int = 20
+    epochs: int = 2
     seed: int = 0
     min_count: int = 2  # tokens and paths seen fewer times collapse to UNK
 

@@ -81,6 +81,7 @@ def test_version_mismatch(tmp_path):
     with pytest.raises(VersionMismatchError) as exc_info:
         load_bundle(path)
     assert exc_info.value.found == VERSION + 1
+    assert str(path) in str(exc_info.value)
 
 
 def test_kind_checked(tmp_path):

@@ -195,7 +195,7 @@ class TestExitCodes:
         path.write_bytes(data[: lead + 1])  # ends inside a multi-byte character
         assert main(["train-embed", *base]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "decode" in err
+        assert err.startswith("error:") and "decode" in err and BAGS_FILE in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("path", ["Name", "Name↓X↑Y", "Name↑X↑Y"])
@@ -488,6 +488,27 @@ class TestStageChain:
         assert err.startswith("error:") and "no projects to evaluate" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "target, command",
+        [
+            ("corpus/train/proj-00", ["extract", "--corpus", "corpus"]),
+            (f"work/{GROUND_TRUTH_FILE}", ["evaluate", "--corpus", "mutated"]),
+        ],
+        ids=["java", "jsonl"],
+    )
+    def test_non_utf8_input_names_the_file(self, tmp_path, monkeypatch, capsys,
+                                           target, command):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / target
+        if path.is_dir():
+            path = min(path.glob("*.java"))
+        path.write_bytes(path.read_bytes() + b"\xc0\xc1")
+        assert main([*command, *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path.name in err and "UTF-8" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name", [RECOMMENDATIONS_FILE, GROUND_TRUTH_FILE])
     def test_duplicated_rows_are_data_error(self, tmp_path, monkeypatch, capsys, name):
         base = self.run_stages(tmp_path, monkeypatch)
@@ -708,9 +729,10 @@ LOADING_STAGE = {MODEL_FILE: ("recommend", "mutated"),
                  DATASET_FILE: ("train-clf", None)}
 
 
-def run_on_corrupt(chain, name: str, blob: bytes) -> None:
+def run_on_corrupt(chain, name: str, blob: bytes) -> str:
     """Run the loading stage with `blob` as `name` and every other bundle
-    as the chain wrote it (a stage may have overwritten one)."""
+    as the chain wrote it (a stage may have overwritten one); its
+    standard error."""
     root, base, blobs = chain
     for other, payload in blobs.items():
         (root / "work" / other).write_bytes(payload)
@@ -724,6 +746,14 @@ def run_on_corrupt(chain, name: str, blob: bytes) -> None:
     assert "Traceback" not in err.getvalue()
     if code == 3:
         assert err.getvalue().startswith("error:")
+    return err.getvalue()
+
+
+def test_damaged_bundle_version_names_the_file(finished_chain):
+    blob = bytearray(finished_chain[2][MODEL_FILE])
+    blob[len(MAGIC)] ^= 0x02  # the low byte of the format version
+    err = run_on_corrupt(finished_chain, MODEL_FILE, bytes(blob))
+    assert err.startswith("error:") and "bundle version 3" in err and MODEL_FILE in err
 
 
 @pytest.mark.parametrize("name", [MODEL_FILE, EMBEDDER_FILE, DATASET_FILE])

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from pathmove.config import RunConfig, config_from_dict, config_to_dict, load_config
+from pathmove.embed import TrainConfig
 from pathmove.errors import ConfigError
+from pathmove.svm import SvmHyperparams
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestRunConfig:
@@ -16,9 +22,19 @@ class TestRunConfig:
         assert config.threshold == 0.5
         assert config.code_dim == 384
         assert config.pca_variance_threshold == 0.95
+        assert config.epochs == 2
         # kernel approximation is on by default; a plain linear model
         # scores every candidate class of a method identically
         assert config.rff_enabled is True
+
+    def test_defaults_agree_with_components_and_readme(self):
+        # each default is written three times: RunConfig, the component
+        # dataclasses and the README's config block
+        assert RunConfig().train_config() == TrainConfig()
+        assert RunConfig().svm_hyperparams() == SvmHyperparams()
+        section = README.read_text().split("\n## Configuration\n", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert json.loads(block) == config_to_dict(RunConfig())
 
     def test_one_seed_drives_every_component(self):
         config = RunConfig(seed=9)
