@@ -135,7 +135,7 @@ def write_jsonl(path: str | Path, header: dict, rows: Iterable[dict]) -> None:
     """Write the header line, then one sorted-key JSON object per row."""
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(row, sort_keys=True) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_jsonl(path: str | Path, header: dict, parse_row: Callable[[dict], object]) -> list:

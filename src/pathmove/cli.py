@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -63,30 +62,30 @@ GROUND_TRUTH_FILE = "ground-truth.jsonl"
 RECOMMENDATIONS_FILE = "recommendations.jsonl"
 REPORT_FILE = "report.json"
 
-CONFIG_ENV = "PATHMOVE_CONFIG"
-
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """File config (flag, then environment), then flag overrides."""
-    path = args.config or os.environ.get(CONFIG_ENV)
-    config = load_config(path) if path else RunConfig()
+    """The --config file, or the defaults, then flag overrides."""
+    config = load_config(args.config) if args.config else RunConfig()
     overrides = {
         key: value
         for key in ("seed", "threshold", "work_dir")
         if (value := getattr(args, key)) is not None
     }
-    if overrides:
-        try:
-            config = replace(config, **overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return config
+    return replace(config, **overrides)
 
 
 def _work_dir(config: RunConfig) -> Path:
     work = Path(config.work_dir)
     work.mkdir(parents=True, exist_ok=True)
     return work
+
+
+def _fresh_out(out: str) -> Path:
+    """An --out directory that is absent or empty, so no earlier tree mixes into it."""
+    path = Path(out)
+    if path.is_dir() and any(path.iterdir()):
+        raise DataError(f"--out {path} exists and is not empty; choose a new directory")
+    return path
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -98,7 +97,8 @@ def _require(path: Path, producer: str) -> Path:
 def _write_report(work: Path, report: EvalReport, baseline: float, **extra) -> None:
     """Write report.json, with `extra` as more top-level keys, and print its scores."""
     payload = {"baseline": {"macro_f1": baseline}, "report": report.to_dict(), **extra}
-    (work / REPORT_FILE).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    (work / REPORT_FILE).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                                    encoding="utf-8")
     print(
         f"{'project':<20} {'gt':>4} {'rec':>4} {'hit':>4} "
         f"{'prec':>7} {'recall':>7} {'f1':>7}"
@@ -126,7 +126,7 @@ def cmd_gen_corpus(args: argparse.Namespace, config: RunConfig) -> None:
         max_classes=args.max_classes,
         seed=config.seed,
     )
-    files = write_corpus(args.out, gen)
+    files = write_corpus(_fresh_out(args.out), gen)
     print(
         f"wrote {len(files)} files for {gen.n_projects} projects "
         f"({gen.eval_projects} held out) under {args.out}"
@@ -141,7 +141,7 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> None:
         units = load_project(args.corpus, project)
         bags.extend(corpus_bags(units, limits))
     work = _work_dir(config)
-    (work / BAGS_FILE).write_text(dump_bags(bags))
+    (work / BAGS_FILE).write_text(dump_bags(bags), encoding="utf-8")
     n_contexts = sum(len(bag.contexts) for bag in bags)
     print(
         f"extracted {n_contexts} contexts from {len(bags)} methods "
@@ -212,8 +212,8 @@ def cmd_train_clf(args: argparse.Namespace, config: RunConfig) -> None:
 
 
 def cmd_inject(args: argparse.Namespace, config: RunConfig) -> None:
+    out_root = _fresh_out(args.out)
     _, eval_projects = list_projects(args.corpus)
-    out_root = Path(args.out)
     all_entries = []
     for project in eval_projects:
         units = load_project(args.corpus, project)
@@ -221,7 +221,7 @@ def cmd_inject(args: argparse.Namespace, config: RunConfig) -> None:
         for unit in mutated:
             path = out_root / unit.file_path
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(print_unit(unit))
+            path.write_text(print_unit(unit), encoding="utf-8")
         all_entries.extend(entries)
     work = _work_dir(config)
     write_ground_truth(work / GROUND_TRUTH_FILE, all_entries)

@@ -310,7 +310,7 @@ def write_corpus(out_dir: str | Path, config: GenConfig) -> list[str]:
     for rel, text in files.items():
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     return sorted(files)
 
 

@@ -51,8 +51,13 @@ class RunConfig:
                 raise ConfigError(
                     f"config value {_KEYS.get(f.name, f.name)} must be {what}, got {value!r}"
                 )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if not self.rff_enabled:
+            raise ConfigError("rff.enabled must be true: without the feature map, "
+                              "every method ranks its candidate classes alike")
         if self.rff_dim < 1:
             raise ConfigError("rff dim must be positive")
         if self.rff_gamma is not None and self.rff_gamma <= 0:
@@ -64,38 +69,30 @@ class RunConfig:
         if not 0.0 < self.pca_variance_threshold <= 1.0:
             raise ConfigError("pca variance threshold must lie in (0, 1]")
         # component configs validate their own numeric ranges eagerly
-        self.limits()
-        self.train_config()
-        self.svm_hyperparams()
+        try:
+            self.limits()
+            self.train_config()
+            self.svm_hyperparams()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def limits(self) -> ExtractionLimits:
-        try:
-            return ExtractionLimits(
-                self.max_length, self.max_width, self.max_contexts, self.seed
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ExtractionLimits(self.max_length, self.max_width, self.max_contexts, self.seed)
 
     def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(
-                d_t=self.token_dim,
-                d_p=self.path_dim,
-                d=self.code_dim,
-                learning_rate=self.learning_rate,
-                batch_size=self.batch_size,
-                epochs=self.epochs,
-                seed=self.seed,
-                min_count=self.min_count,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return TrainConfig(
+            d_t=self.token_dim,
+            d_p=self.path_dim,
+            d=self.code_dim,
+            learning_rate=self.learning_rate,
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            seed=self.seed,
+            min_count=self.min_count,
+        )
 
     def svm_hyperparams(self) -> SvmHyperparams:
-        try:
-            return SvmHyperparams(C=self.svm_c, epochs=self.svm_epochs, seed=self.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SvmHyperparams(C=self.svm_c, epochs=self.svm_epochs, seed=self.seed)
 
 
 _SECTIONS: dict[str, dict[str, str]] = {
@@ -192,7 +189,7 @@ def config_to_dict(config: RunConfig) -> dict:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:

@@ -113,13 +113,12 @@ class ModelBundle:
     pca: PcaModel
     svm_model: SvmModel
     platt: PlattParams
-    rff: RffMap | None
+    rff: RffMap
     config: RunConfig  # the settings the model was trained with
 
     def pair_probabilities(self, raw: np.ndarray) -> np.ndarray:
         """Probability that each raw method-class pair row belongs together."""
-        reduced = apply_pca_matrix(self.pca, raw)
-        mapped = self.rff.transform(reduced) if self.rff is not None else reduced
+        mapped = self.rff.transform(apply_pca_matrix(self.pca, raw))
         scores = self.svm_model.decision_matrix(mapped)
         return np.array([platt_probability(self.platt, float(s)) for s in scores])
 
@@ -128,7 +127,7 @@ def fit_classifier(
     train: list[LabeledExample],
     validate: list[LabeledExample],
     config: RunConfig,
-) -> tuple[PcaModel, RffMap | None, SvmModel, PlattParams]:
+) -> tuple[PcaModel, RffMap, SvmModel, PlattParams]:
     """Reduction and decision stages: PCA and the feature map come from
     the training split alone; the probability calibration is fit on the
     validation split so it never sees the decision boundary's own data."""
@@ -142,16 +141,12 @@ def fit_classifier(
         return apply_pca_matrix(pca, np.stack([e.feature.values for e in examples]))
 
     train_matrix = reduced(train)
-    rff = None
-    if config.rff_enabled:
-        rff = fit_rff(train_matrix, d_out=config.rff_dim, gamma=config.rff_gamma, seed=config.seed)
+    rff = fit_rff(train_matrix, d_out=config.rff_dim, gamma=config.rff_gamma, seed=config.seed)
 
     def labeled(examples: list[LabeledExample], matrix: np.ndarray):
-        if rff is not None:
-            matrix = rff.transform(matrix)
         return [
             (FeatureVector(row, e.feature.method_id, e.feature.class_id, "reduced"), e.label)
-            for row, e in zip(matrix, examples)
+            for row, e in zip(rff.transform(matrix), examples)
         ]
 
     svm_model = train_svm(labeled(train, train_matrix), config.svm_hyperparams())
@@ -393,10 +388,9 @@ def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
     arrays["svm_bias"] = np.array([bundle.svm_model.bias])
     arrays["svm_objective"] = np.asarray(bundle.svm_model.objective_history, dtype=np.float64)
     arrays["platt"] = np.array([bundle.platt.A, bundle.platt.B])
-    if bundle.rff is not None:
-        arrays["rff_omega"] = bundle.rff.omega
-        arrays["rff_phases"] = bundle.rff.phases
-        arrays["rff_gamma"] = np.array([bundle.rff.gamma])
+    arrays["rff_omega"] = bundle.rff.omega
+    arrays["rff_phases"] = bundle.rff.phases
+    arrays["rff_gamma"] = np.array([bundle.rff.gamma])
     meta = {
         **vocab_meta(bundle.vocabs),
         "settings": _model_settings(bundle.config),
@@ -435,12 +429,10 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
         if type(converged) is not bool:
             raise TypeError(f"platt_converged must be true or false, got {converged!r}")
         platt = PlattParams(float(a), float(b), converged)
-        rff = None
-        if config.rff_enabled:
-            (gamma,) = arrays["rff_gamma"].tolist()
-            rff = RffMap(arrays["rff_omega"], arrays["rff_phases"], float(gamma))
-            if rff.gamma <= 0:
-                raise ValueError(f"rff_gamma {rff.gamma} is not positive")
+        (gamma,) = arrays["rff_gamma"].tolist()
+        rff = RffMap(arrays["rff_omega"], arrays["rff_phases"], float(gamma))
+        if rff.gamma <= 0:
+            raise ValueError(f"rff_gamma {rff.gamma} is not positive")
         _check_widths(embedder, pca, rff, svm_model, config)
     except (ConfigError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: bad model bundle: {exc}") from exc
@@ -448,26 +440,23 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
 
 
 def _check_widths(
-    embedder: EmbedderParams, pca: PcaModel, rff: RffMap | None, svm: SvmModel, config: RunConfig
+    embedder: EmbedderParams, pca: PcaModel, rff: RffMap, svm: SvmModel, config: RunConfig
 ) -> None:
     """Raise ValueError unless each stage's output width is the next
     stage's input width and the settings state the widths the arrays have."""
     if pca.mean.shape != (pca.input_dim,) or pca.input_dim != 2 * embedder.d:
         raise ValueError(f"PCA input width {pca.input_dim} != twice the code width {embedder.d}")
-    width = pca.k
-    if rff is not None:
-        width = rff.phases.size
-        if rff.phases.shape != (width,) or rff.omega.shape != (pca.k, width):
-            raise ValueError(f"RFF map {rff.omega.shape} does not fit PCA k {pca.k}")
+    width = rff.phases.size
+    if rff.phases.shape != (width,) or rff.omega.shape != (pca.k, width):
+        raise ValueError(f"RFF map {rff.omega.shape} does not fit PCA k {pca.k}")
     if svm.weights.shape != (width,):
         raise ValueError(f"SVM weights {svm.weights.shape} != feature width {width}")
     stated = [("embedder.token_dim", config.token_dim, embedder.d_t),
               ("embedder.path_dim", config.path_dim, embedder.d_p),
-              ("embedder.code_dim", config.code_dim, embedder.d)]
+              ("embedder.code_dim", config.code_dim, embedder.d),
+              ("rff.dim", config.rff_dim, width)]
     if config.pca_k is not None:
         stated.append(("pca.k", config.pca_k, pca.k))
-    if rff is not None:
-        stated.append(("rff.dim", config.rff_dim, width))
     for key, setting, actual in stated:
         if setting != actual:
             raise ValueError(f"settings {key} {setting} != the arrays' {actual}")

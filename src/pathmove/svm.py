@@ -2,9 +2,9 @@
 
 The classifier is a linear SVM trained by stochastic subgradient descent
 on the regularized hinge objective, followed by Platt scaling fitted with
-damped Newton iterations on held-out scores.  An optional random Fourier
-feature map approximates an RBF kernel while keeping the trainer linear;
-the pipeline applies it ahead of the SVM when configured.
+damped Newton iterations on held-out scores.  A random Fourier feature
+map approximates an RBF kernel while keeping the trainer linear; the
+pipeline always applies it ahead of the SVM.
 """
 
 from __future__ import annotations

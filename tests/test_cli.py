@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,6 @@ from pathmove import cli, pipeline
 from pathmove.bundle import MAGIC, CorruptFileError, load_bundle, save_bundle
 from pathmove.cli import (
     BAGS_FILE,
-    CONFIG_ENV,
     DATASET_FILE,
     EMBEDDER_FILE,
     GROUND_TRUTH_FILE,
@@ -40,11 +43,6 @@ from pathmove.injector import find_scoreable, read_ground_truth
 from pathmove.pipeline import f1_score, group_ground_truth, load_model_bundle
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV, raising=False)
-
-
 MICRO_CONFIG = {
     "seed": 3,
     "embedder": {
@@ -55,7 +53,7 @@ MICRO_CONFIG = {
         "batch_size": 16,
     },
     "svm": {"epochs": 60},
-    "rff": {"enabled": False},
+    "rff": {"dim": 32},
 }
 
 
@@ -75,13 +73,9 @@ def rewrite_header(path, edit):
 EXACT_SECTIONS = "settings must hold exactly the sections"
 
 
-def add_random_features(meta, arrays, gamma):
-    """Give a bundle trained without random features a feature map as
-    wide as its SVM, with the given gamma."""
-    meta["settings"]["rff"]["enabled"] = True
-    arrays["rff_omega"] = np.ones((len(arrays["pca_evr"]), len(arrays["svm_weights"])))
-    arrays["rff_phases"] = np.zeros(len(arrays["svm_weights"]))
-    arrays["rff_gamma"] = np.array([gamma])
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -107,18 +101,6 @@ class TestConfigResolution:
         config = resolve_config(self.parse(["train-embed", "--config", path]))
         assert config.seed == 3
         assert config.code_dim == 16
-
-    def test_environment_config_file(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path)
-        monkeypatch.setenv(CONFIG_ENV, path)
-        config = resolve_config(self.parse(["train-embed"]))
-        assert config.seed == 3
-
-    def test_flag_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CONFIG_ENV, write_config(tmp_path, {"seed": 5}))
-        flag = write_config(tmp_path, {"seed": 8}, name="other.json")
-        config = resolve_config(self.parse(["train-embed", "--config", flag]))
-        assert config.seed == 8
 
     def test_cli_overrides_beat_file(self, tmp_path):
         path = write_config(tmp_path)
@@ -232,6 +214,41 @@ class TestExitCodes:
             assert err.startswith("error:") and "test or validation split empty" in err
             assert "Traceback" not in err
 
+    def test_negative_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        base = ["--config", write_config(tmp_path)]
+        assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "3",
+                     "--eval-projects", "1"]) == 0
+        capsys.readouterr()
+        assert main(["extract", *base, "--corpus", "corpus", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert not (tmp_path / "work" / BAGS_FILE).exists()
+
+    def test_gen_corpus_refuses_a_non_empty_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        shape = ["--out", "mix", "--projects", "6", "--eval-projects", "2"]
+        assert main(["gen-corpus", *shape, "--seed", "1"]) == 0
+        before = tree_bytes(tmp_path / "mix")
+        capsys.readouterr()
+        assert main(["gen-corpus", *shape, "--seed", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mix" in err
+        assert tree_bytes(tmp_path / "mix") == before
+
+    def test_inject_refuses_a_non_empty_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-corpus", "--out", "corpus", "--projects", "3",
+                     "--eval-projects", "1"]) == 0
+        (tmp_path / "mutated").mkdir()
+        (tmp_path / "mutated" / "stale.java").write_text("class Stale {}\n")
+        capsys.readouterr()
+        assert main(["inject", "--corpus", "corpus", "--out", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mutated" in err
+        assert tree_bytes(tmp_path / "mutated") == {"stale.java": b"class Stale {}\n"}
+        assert not (tmp_path / "work").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for data in ({"sedd": 1}, {"jobs": 1}):
@@ -266,6 +283,27 @@ class TestExitCodes:
         assert "train-clf" in capsys.readouterr().err
         assert main(["evaluate", "--corpus", "anywhere"]) == 3
         assert "recommend" in capsys.readouterr().err
+
+
+def test_text_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """extract writes path arrows and inject copies a non-ASCII string
+    literal, in a process whose locale prefers ASCII."""
+    assert main(["gen-corpus", "--out", str(tmp_path / "corpus"), "--projects", "3",
+                 "--eval-projects", "1"]) == 0
+    source = min((tmp_path / "corpus" / "eval").rglob("*.java"))
+    text = source.read_text(encoding="utf-8").rstrip()
+    source.write_text(text[:-1] + '    String motto() {\n        return "café ↑";\n    }\n}\n',
+                      encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv in (["extract", "--corpus", "corpus"],
+                 ["inject", "--corpus", "corpus", "--out", "mutated"]):
+        proc = subprocess.run([sys.executable, "-m", "pathmove.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert "↑" in (tmp_path / "work" / BAGS_FILE).read_text(encoding="utf-8")
+    mutated = tmp_path / "mutated" / source.relative_to(tmp_path / "corpus")
+    assert '"café ↑"' in mutated.read_text(encoding="utf-8")
 
 
 class TestStageChain:
@@ -591,8 +629,11 @@ class TestStageChain:
             (lambda meta, arrays: meta["settings"].update(seed="x"), "seed must be an integer"),
             (lambda meta, arrays: meta["settings"]["svm"].update(epochs=2.5),
              "svm.epochs must be an integer"),
-            (lambda meta, arrays: add_random_features(meta, arrays, gamma=-1.0),
+            (lambda meta, arrays: arrays["rff_gamma"].__setitem__(0, -1.0),
              "rff_gamma -1.0 is not positive"),
+            # a model of the removed linear path, written by an earlier version
+            (lambda meta, arrays: meta["settings"]["rff"].update(enabled=False),
+             "rff.enabled must be true"),
             (lambda meta, arrays: meta.update(platt_converged="yes"),
              "platt_converged must be true or false"),
             # settings are exactly the training sections: none missing, none run-time
@@ -611,13 +652,13 @@ class TestStageChain:
              "settings embedder.code_dim 7"),
             (lambda meta, arrays: meta["settings"]["pca"].update(k=len(arrays["pca_evr"]) + 1),
              "settings pca.k"),
-            # the map is as wide as the SVM, not rff.dim's default of 256
-            (lambda meta, arrays: add_random_features(meta, arrays, gamma=1.0),
+            # the map is rff.dim 32 wide
+            (lambda meta, arrays: meta["settings"]["rff"].update(dim=256),
              "settings rff.dim 256"),
         ],
         ids=["max_length-float", "limits-seed-str", "svm-epochs-float", "rff_gamma-negative",
-             "converged-str", "no-limits", "no-max-width", "threshold", "work_dir",
-             "no-settings", "token_dim", "path_dim", "code_dim", "pca-k", "rff-dim"],
+             "rff-disabled", "converged-str", "no-limits", "no-max-width", "threshold",
+             "work_dir", "no-settings", "token_dim", "path_dim", "code_dim", "pca-k", "rff-dim"],
     )
     def test_mistyped_model_settings_fail_at_load(self, tmp_path, monkeypatch, capsys,
                                                   edit, message):

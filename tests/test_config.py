@@ -23,8 +23,7 @@ class TestRunConfig:
         assert config.code_dim == 384
         assert config.pca_variance_threshold == 0.95
         assert config.epochs == 2
-        # kernel approximation is on by default; a plain linear model
-        # scores every candidate class of a method identically
+        # the kernel approximation is the only classifier path
         assert config.rff_enabled is True
 
     def test_defaults_agree_with_components_and_readme(self):
@@ -63,6 +62,8 @@ class TestRunConfig:
             {"epochs": 0},
             {"max_length": 0},
             {"svm_epochs": 0},
+            {"seed": -1},
+            {"rff_enabled": False},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

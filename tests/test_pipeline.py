@@ -1,14 +1,15 @@
 """Recommendation decisions, evaluation math, and the end-to-end run.
 
-Decision tests steer the model analytically: an identity reduction, an
-SVM that reads out only the class half of the pair, and a plain sigmoid
-calibration make every probability a known function of the hand-picked
-method embeddings.
+Decision tests steer the model analytically: an identity reduction, a
+one-column feature map and SVM that read out only the class half of the
+pair, and a plain sigmoid calibration make every probability an
+increasing function of the hand-picked class embeddings.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -57,7 +58,7 @@ from pathmove.pipeline import (
     training_samples,
     write_recommendations,
 )
-from pathmove.svm import PlattParams, RffMap, SvmHyperparams, SvmModel, platt_probability
+from pathmove.svm import PlattParams, RffMap, SvmHyperparams, SvmModel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -111,13 +112,20 @@ def parse_corpus(*named_sources):
     return [parse_unit(src, path) for path, src in named_sources]
 
 
-def toy_bundle():
-    """Probability of (method, class) is exactly sigmoid(class mean).
+TOY_EPS = 1e-3
 
-    Embeddings are one-dimensional, the pair is [method, class], the PCA
-    is the identity, the SVM weight vector is [0, 1], and Platt (A=-1,
-    B=0) is the logistic sigmoid.  The embedder inside is never used by
-    scoring; it only has to be structurally valid.
+
+def toy_bundle():
+    """Probability of (method, class) is sigmoid(sin(eps * c) / eps) for
+    the class mean c: within 1e-5 of sigmoid(c) for |c| <= 3, and
+    increasing in c.
+
+    Embeddings are one-dimensional, the pair is [method, class], and the
+    PCA is the identity.  The feature map has one column, omega [0, eps]
+    and phase -pi/2, so it yields sqrt(2) sin(eps * c); the SVM weight
+    1/(sqrt(2) eps) undoes the scale, and Platt (A=-1, B=0) is the
+    logistic sigmoid.  The embedder inside is never used by scoring; it
+    only has to be structurally valid.
     """
     embedder = EmbedderParams(
         token_matrix=np.zeros((2, 2)),
@@ -129,9 +137,10 @@ def toy_bundle():
     )
     vocabs = Vocabularies({UNK: 0, "x": 1}, {UNK: 0, "P": 1}, {"m": 0})
     pca = PcaModel(np.zeros(2), np.eye(2), np.array([0.6, 0.4]))
-    svm = SvmModel(np.array([0.0, 1.0]), 0.0, SvmHyperparams())
+    rff = RffMap(np.array([[0.0], [TOY_EPS]]), np.array([-math.pi / 2]), gamma=1.0)
+    svm = SvmModel(np.array([1.0 / (math.sqrt(2.0) * TOY_EPS)]), 0.0, SvmHyperparams())
     platt = PlattParams(A=-1.0, B=0.0)
-    return ModelBundle(embedder, vocabs, pca, svm, platt, None, RunConfig(rff_enabled=False))
+    return ModelBundle(embedder, vocabs, pca, svm, platt, rff, RunConfig(rff_dim=1))
 
 
 def embeddings_by_name(units, values):
@@ -146,8 +155,9 @@ def embeddings_by_name(units, values):
     return out
 
 
-def sigmoid_prob(bundle, score):
-    return platt_probability(bundle.platt, score)
+def class_prob(bundle, class_mean):
+    """The bundle's probability for a pair whose class half is `class_mean`."""
+    return float(bundle.pair_probabilities(np.array([[0.0, class_mean]]))[0])
 
 
 def only(recs, name):
@@ -173,7 +183,8 @@ class TestRecommendDecisions:
         rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == MOVE
         assert rec.best_class_id == "Beta"
-        assert rec.probability == sigmoid_prob(bundle, 2.0)
+        assert rec.probability == class_prob(bundle, 2.0)
+        assert rec.probability == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-5)
 
     def test_stay_when_origin_wins(self):
         units = self.corpus()
@@ -184,7 +195,7 @@ class TestRecommendDecisions:
         rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == STAY
         assert rec.best_class_id == "Alpha"
-        assert rec.probability == sigmoid_prob(bundle, 2.0)
+        assert rec.probability == class_prob(bundle, 2.0)
 
     def test_no_recommendation_below_threshold(self):
         units = self.corpus()
@@ -195,17 +206,18 @@ class TestRecommendDecisions:
         rec = only(recommend(units, emb, bundle, 0.5), "lift")
         assert rec.decision == NO_RECOMMENDATION
         assert rec.best_class_id == "Alpha"
-        assert rec.probability == sigmoid_prob(bundle, -1.0)
+        assert rec.probability == class_prob(bundle, -1.0)
 
     def test_probability_at_threshold_recommends_nothing(self):
-        # sigmoid(0) is exactly 0.5; the rule is strict inequality
+        # the rule is strict inequality
         units = self.corpus()
         bundle = toy_bundle()
         emb = embeddings_by_name(
             units, {"getOre": -3.0, "lift": 0.0, "getMass": 0.0, "churn": 0.0}
         )
-        rec = only(recommend(units, emb, bundle, 0.5), "lift")
-        assert rec.probability == 0.5
+        threshold = class_prob(bundle, 0.0)
+        rec = only(recommend(units, emb, bundle, threshold), "lift")
+        assert rec.probability == threshold
         assert rec.decision == NO_RECOMMENDATION
 
     def test_threshold_monotonicity(self):
@@ -493,27 +505,12 @@ def blob_examples(n_per_side, seed, offset=3.0, scale=0.3):
 
 
 class TestFitClassifier:
-    def test_linear_separable_blobs(self):
-        train = blob_examples(20, seed=5)
-        validate = blob_examples(6, seed=6)
-        test = blob_examples(10, seed=7)
-        config = RunConfig(seed=0, svm_c=10.0, svm_epochs=100, rff_enabled=False)
-        pca, rff, svm_model, platt = fit_classifier(train, validate, config)
-        assert rff is None
-        bundle = toy_bundle()
-        bundle.pca, bundle.svm_model, bundle.platt = pca, svm_model, platt
-        metrics = classifier_metrics(bundle, test)
-        assert metrics["accuracy"] == 1.0
-        assert metrics["nll"] < 0.69
-        assert metrics["count"] == len(test)
-
     def test_rff_separable_blobs(self):
         train = blob_examples(20, seed=15)
         validate = blob_examples(6, seed=16)
         test = blob_examples(10, seed=17)
-        config = RunConfig(seed=0, svm_c=10.0, svm_epochs=100, rff_enabled=True, rff_dim=64)
+        config = RunConfig(seed=0, svm_c=10.0, svm_epochs=100, rff_dim=64)
         pca, rff, svm_model, platt = fit_classifier(train, validate, config)
-        assert rff is not None
         assert svm_model.weights.shape == (64,)
         bundle = toy_bundle()
         bundle.pca, bundle.rff = pca, rff
@@ -530,12 +527,12 @@ class TestFitClassifier:
 # Bundle persistence
 
 
-def fitted_bundle(with_rff):
+def fitted_bundle():
     rng = np.random.default_rng(3)
     train = blob_examples(15, seed=25)
     validate = blob_examples(5, seed=26)
     config = RunConfig(seed=2, threshold=0.7, max_length=7, max_contexts=150, svm_epochs=60,
-                       rff_enabled=with_rff, rff_dim=16, token_dim=2, path_dim=2, code_dim=1)
+                       rff_dim=16, token_dim=2, path_dim=2, code_dim=1)
     pca, rff, svm_model, platt = fit_classifier(train, validate, config)
     # code vectors of width 1, so that pairs are as wide as the blobs
     embedder = EmbedderParams(
@@ -555,9 +552,8 @@ def fitted_bundle(with_rff):
 
 
 class TestBundlePersistence:
-    @pytest.mark.parametrize("with_rff", [False, True])
-    def test_round_trip(self, tmp_path, with_rff):
-        bundle = fitted_bundle(with_rff)
+    def test_round_trip(self, tmp_path):
+        bundle = fitted_bundle()
         path = tmp_path / "model.pmb"
         save_model_bundle(path, bundle)
         loaded = load_model_bundle(path)
@@ -575,12 +571,9 @@ class TestBundlePersistence:
         assert loaded.platt == bundle.platt
         # the decision threshold is a run-time setting: not stored, so the default
         assert loaded.config == replace(bundle.config, threshold=RunConfig().threshold)
-        if with_rff:
-            assert np.array_equal(loaded.rff.omega, bundle.rff.omega)
-            assert np.array_equal(loaded.rff.phases, bundle.rff.phases)
-            assert loaded.rff.gamma == bundle.rff.gamma
-        else:
-            assert loaded.rff is None
+        assert np.array_equal(loaded.rff.omega, bundle.rff.omega)
+        assert np.array_equal(loaded.rff.phases, bundle.rff.phases)
+        assert loaded.rff.gamma == bundle.rff.gamma
 
         raw = np.random.default_rng(9).standard_normal((8, 2))
         assert np.array_equal(
@@ -588,7 +581,7 @@ class TestBundlePersistence:
         )
 
     def test_save_is_deterministic(self, tmp_path):
-        bundle = fitted_bundle(True)
+        bundle = fitted_bundle()
         save_model_bundle(tmp_path / "a.pmb", bundle)
         save_model_bundle(tmp_path / "b.pmb", bundle)
         assert (tmp_path / "a.pmb").read_bytes() == (tmp_path / "b.pmb").read_bytes()
@@ -614,12 +607,12 @@ class TestBundlePersistence:
     )
     def test_rejects_inconsistent_classifier(self, tmp_path, damage, message):
         path = tmp_path / "model.pmb"
-        save_model_bundle(path, damage(fitted_bundle(True)))
+        save_model_bundle(path, damage(fitted_bundle()))
         with pytest.raises(CorruptFileError, match=message):
             load_model_bundle(path)
 
     def test_rejects_wrong_kind(self, tmp_path):
-        bundle = fitted_bundle(False)
+        bundle = fitted_bundle()
         path = tmp_path / "embedder.pmb"
         save_model(bundle.embedder, bundle.vocabs, path)
         with pytest.raises(DataError):
@@ -825,7 +818,7 @@ class TestRunPipeline:
             batch_size=16,
             min_count=2,
             svm_epochs=60,
-            rff_enabled=False,
+            rff_dim=32,
         )
 
     def test_micro_run_shape_and_baseline(self, tmp_path):
