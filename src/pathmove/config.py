@@ -9,7 +9,7 @@ its field's annotated type (a bool is not an int, floats are finite).
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -35,12 +35,10 @@ class RunConfig:
     epochs: int = 2
     min_count: int = 2
     pca_variance_threshold: float = 0.95
-    pca_k: int | None = None
     svm_c: float = 1.0
     svm_epochs: int = 200
     rff_enabled: bool = True
     rff_dim: int = 256
-    rff_gamma: float | None = None
     max_moves: int | None = None
 
     def __post_init__(self):
@@ -58,23 +56,13 @@ class RunConfig:
         if not self.rff_enabled:
             raise ConfigError("rff.enabled must be true: without the feature map, "
                               "every method ranks its candidate classes alike")
-        if self.rff_dim < 1:
-            raise ConfigError("rff dim must be positive")
-        if self.rff_gamma is not None and self.rff_gamma <= 0:
-            raise ConfigError("rff gamma must be positive when set")
-        if self.max_moves is not None and self.max_moves < 1:
-            raise ConfigError("injection max_moves must be positive when set")
-        if self.pca_k is not None and self.pca_k < 1:
-            raise ConfigError("pca k must be positive when set")
+        for name in _POSITIVE:
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{_KEYS[name]} must be positive, got {value}")
         if not 0.0 < self.pca_variance_threshold <= 1.0:
-            raise ConfigError("pca variance threshold must lie in (0, 1]")
-        # component configs validate their own numeric ranges eagerly
-        try:
-            self.limits()
-            self.train_config()
-            self.svm_hyperparams()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError("pca.variance_threshold must lie in (0, 1], "
+                              f"got {self.pca_variance_threshold}")
 
     def limits(self) -> ExtractionLimits:
         return ExtractionLimits(self.max_length, self.max_width, self.max_contexts, self.seed)
@@ -112,7 +100,6 @@ _SECTIONS: dict[str, dict[str, str]] = {
     },
     "pca": {
         "variance_threshold": "pca_variance_threshold",
-        "k": "pca_k",
     },
     "svm": {
         "c": "svm_c",
@@ -121,7 +108,6 @@ _SECTIONS: dict[str, dict[str, str]] = {
     "rff": {
         "enabled": "rff_enabled",
         "dim": "rff_dim",
-        "gamma": "rff_gamma",
     },
     "injection": {
         "max_moves": "max_moves",
@@ -132,12 +118,18 @@ _TOP_LEVEL = {"seed", "threshold", "work_dir"}
 
 _KEYS = {attr: f"{section}.{sub}" for section, m in _SECTIONS.items() for sub, attr in m.items()}
 
+# the keys that must be above zero (when set)
+_POSITIVE = ("max_length", "max_width", "max_contexts", "token_dim", "path_dim", "code_dim",
+             "learning_rate", "batch_size", "epochs", "min_count", "svm_c", "svm_epochs",
+             "rff_dim", "max_moves")
+
 # annotation -> (description, check); a bool is neither an int nor a float
 _TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
+    # an int beyond the float range would overflow where the value is used
     "float": (
         "a finite number",
-        lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     ),
     "bool": ("true or false", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
@@ -171,12 +163,7 @@ def config_from_dict(data: dict) -> RunConfig:
                 kwargs[mapping[sub]] = sub_value
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    return RunConfig(**kwargs)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -194,6 +181,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

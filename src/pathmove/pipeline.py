@@ -131,17 +131,13 @@ def fit_classifier(
     """Reduction and decision stages: PCA and the feature map come from
     the training split alone; the probability calibration is fit on the
     validation split so it never sees the decision boundary's own data."""
-    pca = fit_pca(
-        [e.feature for e in train],
-        variance_threshold=config.pca_variance_threshold,
-        k=config.pca_k,
-    )
+    pca = fit_pca([e.feature for e in train], variance_threshold=config.pca_variance_threshold)
 
     def reduced(examples: list[LabeledExample]) -> np.ndarray:
         return apply_pca_matrix(pca, np.stack([e.feature.values for e in examples]))
 
     train_matrix = reduced(train)
-    rff = fit_rff(train_matrix, d_out=config.rff_dim, gamma=config.rff_gamma, seed=config.seed)
+    rff = fit_rff(train_matrix, d_out=config.rff_dim, seed=config.seed)
 
     def labeled(examples: list[LabeledExample], matrix: np.ndarray):
         return [
@@ -390,7 +386,6 @@ def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
     arrays["platt"] = np.array([bundle.platt.A, bundle.platt.B])
     arrays["rff_omega"] = bundle.rff.omega
     arrays["rff_phases"] = bundle.rff.phases
-    arrays["rff_gamma"] = np.array([bundle.rff.gamma])
     meta = {
         **vocab_meta(bundle.vocabs),
         "settings": _model_settings(bundle.config),
@@ -405,8 +400,8 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
     a missing section never falls back to defaults; the returned config
     keeps the defaults of the run-time settings.  The learned numbers are
     arrays, which `load_bundle` has checked to be finite; what remains is
-    a bool `platt_converged`, a positive RFF gamma, matching widths from
-    embedder to SVM, and settings that state those widths."""
+    a bool `platt_converged`, matching widths from embedder to SVM, and
+    settings that state those widths."""
     header, arrays = load_bundle(path, expect_kind="model")
     try:
         meta = header["meta"]
@@ -419,20 +414,14 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
         pca = PcaModel(arrays["pca_mean"], arrays["pca_components"], arrays["pca_evr"])
         (bias,) = arrays["svm_bias"].tolist()
         svm_model = SvmModel(
-            arrays["svm_weights"],
-            float(bias),
-            config.svm_hyperparams(),
-            objective_history=arrays["svm_objective"].tolist(),
+            arrays["svm_weights"], float(bias), objective_history=arrays["svm_objective"].tolist()
         )
         a, b = arrays["platt"].tolist()
         converged = meta["platt_converged"]
         if type(converged) is not bool:
             raise TypeError(f"platt_converged must be true or false, got {converged!r}")
         platt = PlattParams(float(a), float(b), converged)
-        (gamma,) = arrays["rff_gamma"].tolist()
-        rff = RffMap(arrays["rff_omega"], arrays["rff_phases"], float(gamma))
-        if rff.gamma <= 0:
-            raise ValueError(f"rff_gamma {rff.gamma} is not positive")
+        rff = RffMap(arrays["rff_omega"], arrays["rff_phases"])
         _check_widths(embedder, pca, rff, svm_model, config)
     except (ConfigError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: bad model bundle: {exc}") from exc
@@ -455,8 +444,6 @@ def _check_widths(
               ("embedder.path_dim", config.path_dim, embedder.d_p),
               ("embedder.code_dim", config.code_dim, embedder.d),
               ("rff.dim", config.rff_dim, width)]
-    if config.pca_k is not None:
-        stated.append(("pca.k", config.pca_k, pca.k))
     for key, setting, actual in stated:
         if setting != actual:
             raise ValueError(f"settings {key} {setting} != the arrays' {actual}")

@@ -37,7 +37,6 @@ class SvmHyperparams:
 class SvmModel:
     weights: np.ndarray
     bias: float
-    hyperparams: SvmHyperparams
     objective_history: list[float] = field(default_factory=list, compare=False)
 
     def decision(self, x: np.ndarray) -> float:
@@ -118,7 +117,7 @@ def train_svm(
         if best is None or objective < best[0]:
             best = (objective, weights.copy(), bias)
     assert best is not None
-    return SvmModel(best[1], best[2], hp, objective_history=history)
+    return SvmModel(best[1], best[2], objective_history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,6 @@ def platt_probability(platt: PlattParams, score: float) -> float:
 class RffMap:
     omega: np.ndarray  # (in_dim, d_out)
     phases: np.ndarray  # (d_out,)
-    gamma: float
 
     def transform(self, data: np.ndarray) -> np.ndarray:
         """Map the rows of a 2-D matrix."""
@@ -218,23 +216,19 @@ class RffMap:
         return np.sqrt(2.0 / self.omega.shape[1]) * np.cos(data @ self.omega + self.phases)
 
 
-def fit_rff(
-    data: np.ndarray, d_out: int = 256, gamma: float | None = None, seed: int = 0
-) -> RffMap:
+def fit_rff(data: np.ndarray, d_out: int = 256, seed: int = 0) -> RffMap:
     """Draw the random projection for z(x)·z(y) ≈ exp(-gamma ||x-y||²).
 
-    gamma defaults to 1/(dim · var(data)), matching the common 'scale'
-    heuristic.  Deterministic for a fixed seed.
+    gamma is 1/(dim · var(data)), the common 'scale' heuristic, or 1.0
+    when every entry of `data` is the same.  Deterministic for a fixed
+    seed.
     """
     if data.ndim != 2 or data.shape[0] < 1:
         raise DataError("feature map needs a non-empty 2-D sample matrix")
     dim = data.shape[1]
-    if gamma is None:
-        var = float(data.var())
-        gamma = 1.0 / (dim * var) if var > 0 else 1.0
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    var = float(data.var())
+    gamma = 1.0 / (dim * var) if var > 0 else 1.0
     rng = np.random.default_rng(seed)
     omega = rng.normal(0.0, math.sqrt(2.0 * gamma), size=(dim, d_out))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=d_out)
-    return RffMap(omega, phases, gamma)
+    return RffMap(omega, phases)

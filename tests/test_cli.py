@@ -256,6 +256,26 @@ class TestExitCodes:
             assert main(["train-embed", "--config", str(path)]) == 2
             assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"embedder": {"learning_rate": 1%s}}' % ("0" * 400), "embedder.learning_rate"),
+            ('{"svm": {"c": 1%s}}' % ("0" * 400), "svm.c"),
+            # beyond the digit limit of Python's int parser
+            ('{"seed": 1%s}' % ("0" * 5000), "not valid JSON"),
+        ],
+        ids=["learning-rate", "svm-c", "too-many-digits"],
+    )
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                        text, message):
+        # no bags-train.tsv: the config must fail before train-embed looks for one
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text(text)
+        assert main(["train-embed", "--config", "big.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
     def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
         def boom(args, config):
             raise RuntimeError("stage exploded")
@@ -629,11 +649,14 @@ class TestStageChain:
             (lambda meta, arrays: meta["settings"].update(seed="x"), "seed must be an integer"),
             (lambda meta, arrays: meta["settings"]["svm"].update(epochs=2.5),
              "svm.epochs must be an integer"),
-            (lambda meta, arrays: arrays["rff_gamma"].__setitem__(0, -1.0),
-             "rff_gamma -1.0 is not positive"),
-            # a model of the removed linear path, written by an earlier version
+            # models written by earlier versions: the linear path, and the
+            # width overrides now always derived from the training split
+            (lambda meta, arrays: meta["settings"]["rff"].update(gamma=None),
+             "unknown config key rff.gamma"),
             (lambda meta, arrays: meta["settings"]["rff"].update(enabled=False),
              "rff.enabled must be true"),
+            (lambda meta, arrays: meta["settings"]["pca"].update(k=None),
+             "unknown config key pca.k"),
             (lambda meta, arrays: meta.update(platt_converged="yes"),
              "platt_converged must be true or false"),
             # settings are exactly the training sections: none missing, none run-time
@@ -650,15 +673,13 @@ class TestStageChain:
              "settings embedder.path_dim 7"),
             (lambda meta, arrays: meta["settings"]["embedder"].update(code_dim=7),
              "settings embedder.code_dim 7"),
-            (lambda meta, arrays: meta["settings"]["pca"].update(k=len(arrays["pca_evr"]) + 1),
-             "settings pca.k"),
             # the map is rff.dim 32 wide
             (lambda meta, arrays: meta["settings"]["rff"].update(dim=256),
              "settings rff.dim 256"),
         ],
-        ids=["max_length-float", "limits-seed-str", "svm-epochs-float", "rff_gamma-negative",
-             "rff-disabled", "converged-str", "no-limits", "no-max-width", "threshold",
-             "work_dir", "no-settings", "token_dim", "path_dim", "code_dim", "pca-k", "rff-dim"],
+        ids=["max_length-float", "limits-seed-str", "svm-epochs-float", "rff-gamma",
+             "rff-disabled", "pca-k", "converged-str", "no-limits", "no-max-width", "threshold",
+             "work_dir", "no-settings", "token_dim", "path_dim", "code_dim", "rff-dim"],
     )
     def test_mistyped_model_settings_fail_at_load(self, tmp_path, monkeypatch, capsys,
                                                   edit, message):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pathmove.config import RunConfig, config_from_dict, config_to_dict, load_config
+from pathmove.config import _KEYS, RunConfig, config_from_dict, config_to_dict, load_config
 from pathmove.embed import TrainConfig
 from pathmove.errors import ConfigError
 from pathmove.svm import SvmHyperparams
@@ -54,9 +54,9 @@ class TestRunConfig:
             {"threshold": 1.0},
             {"svm_c": 0.0},
             {"rff_dim": 0},
-            {"rff_gamma": -1.0},
+            {"batch_size": 0},
             {"max_moves": 0},
-            {"pca_k": 0},
+            {"max_width": 0},
             {"pca_variance_threshold": 0.0},
             {"pca_variance_threshold": 1.5},
             {"epochs": 0},
@@ -64,10 +64,15 @@ class TestRunConfig:
             {"svm_epochs": 0},
             {"seed": -1},
             {"rff_enabled": False},
+            {"learning_rate": 0.0},
+            {"max_contexts": -3},
+            {"min_count": 0},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ConfigError):
+        # the message names the key as the config file spells it
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=re.escape(_KEYS.get(name, name))):
             RunConfig(**kwargs)
 
 
@@ -80,9 +85,8 @@ class TestDictMapping:
             seed=4,
             threshold=0.6,
             token_dim=64,
-            pca_k=10,
-            rff_enabled=True,
-            rff_gamma=0.5,
+            pca_variance_threshold=0.9,
+            rff_dim=32,
             max_moves=7,
         )
         assert config_from_dict(config_to_dict(config)) == config
@@ -116,6 +120,14 @@ class TestDictMapping:
         with pytest.raises(ConfigError, match="embedder.codedim"):
             config_from_dict({"embedder": {"codedim": 64}})
 
+    @pytest.mark.parametrize("data", [{"pca": {"k": 3}}, {"rff": {"gamma": 0.5}}],
+                             ids=["pca-k", "rff-gamma"])
+    def test_rejects_removed_width_overrides(self, data):
+        # both widths always come from the training split
+        section, value = next(iter(data.items()))
+        with pytest.raises(ConfigError, match=f"unknown config key {section}.{next(iter(value))}"):
+            config_from_dict(data)
+
     def test_rejects_non_object_section(self):
         with pytest.raises(ConfigError):
             config_from_dict({"embedder": 64})
@@ -138,11 +150,12 @@ class TestDictMapping:
             '{"seed": 1.5}',
             '{"svm": {"epochs": 2.5}}',
             '{"rff": {"dim": 3.5}}',
-            '{"pca": {"k": 2.5}}',
             '{"embedder": {"learning_rate": NaN}}',
             '{"embedder": {"learning_rate": Infinity}}',
-            '{"rff": {"gamma": NaN}}',
             '{"svm": {"c": Infinity}}',
+            # integers beyond the float range
+            pytest.param('{"embedder": {"learning_rate": 1%s}}' % ("0" * 400), id="huge-rate"),
+            pytest.param('{"svm": {"c": -1%s}}' % ("0" * 400), id="huge-c"),
             '{"rff": {"enabled": "no"}}',
             '{"injection": {"max_moves": 1.5}}',
             '{"embedder": {"epochs": true}}',

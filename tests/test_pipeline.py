@@ -58,7 +58,7 @@ from pathmove.pipeline import (
     training_samples,
     write_recommendations,
 )
-from pathmove.svm import PlattParams, RffMap, SvmHyperparams, SvmModel
+from pathmove.svm import PlattParams, RffMap, SvmModel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -137,8 +137,8 @@ def toy_bundle():
     )
     vocabs = Vocabularies({UNK: 0, "x": 1}, {UNK: 0, "P": 1}, {"m": 0})
     pca = PcaModel(np.zeros(2), np.eye(2), np.array([0.6, 0.4]))
-    rff = RffMap(np.array([[0.0], [TOY_EPS]]), np.array([-math.pi / 2]), gamma=1.0)
-    svm = SvmModel(np.array([1.0 / (math.sqrt(2.0) * TOY_EPS)]), 0.0, SvmHyperparams())
+    rff = RffMap(np.array([[0.0], [TOY_EPS]]), np.array([-math.pi / 2]))
+    svm = SvmModel(np.array([1.0 / (math.sqrt(2.0) * TOY_EPS)]), 0.0)
     platt = PlattParams(A=-1.0, B=0.0)
     return ModelBundle(embedder, vocabs, pca, svm, platt, rff, RunConfig(rff_dim=1))
 
@@ -567,13 +567,11 @@ class TestBundlePersistence:
         assert np.array_equal(loaded.pca.components, bundle.pca.components)
         assert np.array_equal(loaded.svm_model.weights, bundle.svm_model.weights)
         assert loaded.svm_model.bias == bundle.svm_model.bias
-        assert loaded.svm_model.hyperparams == bundle.svm_model.hyperparams
         assert loaded.platt == bundle.platt
         # the decision threshold is a run-time setting: not stored, so the default
         assert loaded.config == replace(bundle.config, threshold=RunConfig().threshold)
         assert np.array_equal(loaded.rff.omega, bundle.rff.omega)
         assert np.array_equal(loaded.rff.phases, bundle.rff.phases)
-        assert loaded.rff.gamma == bundle.rff.gamma
 
         raw = np.random.default_rng(9).standard_normal((8, 2))
         assert np.array_equal(

@@ -111,14 +111,14 @@ def test_single_class_rejected():
     data = np.ones((4, 2))
     with pytest.raises(SingleClassError):
         train_svm(as_pairs(data, np.ones(4, dtype=int)))
-    model = SvmModel(np.ones(2), 0.0, SvmHyperparams())
+    model = SvmModel(np.ones(2), 0.0)
     with pytest.raises(SingleClassError):
         fit_platt(model, as_pairs(data, np.zeros(4, dtype=int)))
 
 
 def score_model():
     # identity model over 1-D features: decision value == feature value
-    return SvmModel(np.array([1.0]), 0.0, SvmHyperparams())
+    return SvmModel(np.array([1.0]), 0.0)
 
 
 def test_platt_orientation_on_separated_scores():
@@ -179,8 +179,8 @@ def test_predict_proba_end_to_end():
 def test_rff_approximates_rbf_kernel():
     rng = np.random.default_rng(41)
     data = rng.normal(size=(12, 5))
-    gamma = 0.3
-    feature_map = fit_rff(data, d_out=4096, gamma=gamma, seed=7)
+    gamma = 1.0 / (5 * float(data.var()))  # the width fit_rff derives
+    feature_map = fit_rff(data, d_out=4096, seed=7)
     transformed = feature_map.transform(data)
     for i in range(0, 12, 3):
         for j in range(i + 1, 12, 3):
@@ -195,11 +195,14 @@ def test_rff_determinism_and_shapes():
     a = fit_rff(data, d_out=64, seed=5)
     b = fit_rff(data, d_out=64, seed=5)
     assert np.array_equal(a.omega, b.omega) and np.array_equal(a.phases, b.phases)
-    assert a.gamma == b.gamma and a.gamma > 0
     assert a.transform(data).shape == (6, 64)
     assert a.transform(data[:1]).shape == (1, 64)
     with pytest.raises(DimMismatchError):
         a.transform(np.zeros((2, 9)))
+    # data without variance falls back to gamma 1, omega ~ N(0, 2)
+    flat = fit_rff(np.ones((3, 2)), d_out=8, seed=5)
+    expected = np.random.default_rng(5).normal(0.0, math.sqrt(2.0), size=(2, 8))
+    assert np.array_equal(flat.omega, expected)
 
 
 def test_rff_enables_nonlinear_separation():
@@ -217,7 +220,7 @@ def test_rff_enables_nonlinear_separation():
     linear = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=100, seed=3))
     linear_acc = np.mean((linear.decision_matrix(data) > 0).astype(int) == labels)
 
-    feature_map = fit_rff(data, d_out=512, gamma=1.0, seed=3)
+    feature_map = fit_rff(data, d_out=512, seed=3)
     lifted = feature_map.transform(data)
     mapped = train_svm(as_pairs(lifted, labels), SvmHyperparams(epochs=100, seed=3))
     mapped_acc = np.mean((mapped.decision_matrix(lifted) > 0).astype(int) == labels)
@@ -232,5 +235,3 @@ def test_hyperparam_validation():
         SvmHyperparams(C=0.0)
     with pytest.raises(ValueError):
         SvmHyperparams(epochs=-1)
-    with pytest.raises(ValueError):
-        fit_rff(np.ones((3, 2)), gamma=-0.5)
