@@ -88,7 +88,7 @@ def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict,
         raise CorruptFileError(f"{path}: truncated header")
     try:
         header = json.loads(raw[offset : offset + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also bad UTF-8, bad JSON, an int of too many digits
         raise CorruptFileError(f"{path}: unreadable header") from exc
     offset += header_len
     if not isinstance(header, dict) or "arrays" not in header or "kind" not in header:
@@ -145,7 +145,7 @@ def read_jsonl(path: str | Path, header: dict, parse_row: Callable[[dict], objec
     lines = read_utf8(path).splitlines() or [""]
     try:
         found = json.loads(lines[0])
-    except json.JSONDecodeError:
+    except ValueError:  # also an int of more digits than Python parses
         found = None
     if found != header:
         raise DataError(f"{path}:1: expected header {header!r}, found {lines[0][:80]!r}")

@@ -35,7 +35,7 @@ class RunConfig:
     epochs: int = 2
     min_count: int = 2
     pca_variance_threshold: float = 0.95
-    svm_c: float = 1.0
+    svm_c: float = 10.0
     svm_epochs: int = 200
     rff_enabled: bool = True
     rff_dim: int = 256
@@ -80,7 +80,7 @@ class RunConfig:
         )
 
     def svm_hyperparams(self) -> SvmHyperparams:
-        return SvmHyperparams(C=self.svm_c, epochs=self.svm_epochs, seed=self.seed)
+        return SvmHyperparams(C=self.svm_c, epochs=self.svm_epochs)
 
 
 _SECTIONS: dict[str, dict[str, str]] = {

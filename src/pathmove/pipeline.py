@@ -382,7 +382,6 @@ def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
     arrays["pca_evr"] = bundle.pca.explained_variance_ratio
     arrays["svm_weights"] = bundle.svm_model.weights
     arrays["svm_bias"] = np.array([bundle.svm_model.bias])
-    arrays["svm_objective"] = np.asarray(bundle.svm_model.objective_history, dtype=np.float64)
     arrays["platt"] = np.array([bundle.platt.A, bundle.platt.B])
     arrays["rff_omega"] = bundle.rff.omega
     arrays["rff_phases"] = bundle.rff.phases
@@ -413,9 +412,7 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
         embedder, vocabs = unpack_model(meta, arrays, prefix="emb_")
         pca = PcaModel(arrays["pca_mean"], arrays["pca_components"], arrays["pca_evr"])
         (bias,) = arrays["svm_bias"].tolist()
-        svm_model = SvmModel(
-            arrays["svm_weights"], float(bias), objective_history=arrays["svm_objective"].tolist()
-        )
+        svm_model = SvmModel(arrays["svm_weights"], float(bias))
         a, b = arrays["platt"].tolist()
         converged = meta["platt_converged"]
         if type(converged) is not bool:

@@ -57,15 +57,15 @@ MICRO_CONFIG = {
 }
 
 
-def rewrite_header(path, edit):
-    """Apply `edit` to a bundle's parsed JSON header and write it back in
-    front of the unchanged array bytes."""
+def rewrite_header(path, edit, retext=lambda text: text):
+    """Apply `edit` to a bundle's parsed JSON header, then `retext` to its
+    JSON text, and write it back in front of the unchanged array bytes."""
     raw = path.read_bytes()
     start = len(MAGIC) + 12
     version, header_len = struct.unpack_from("<IQ", raw, len(MAGIC))
     header = json.loads(raw[start : start + header_len])
     edit(header)
-    data = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    data = retext(json.dumps(header, sort_keys=True, separators=(",", ":"))).encode()
     path.write_bytes(raw[: len(MAGIC)] + struct.pack("<IQ", version, len(data)) + data
                      + raw[start + header_len :])
 
@@ -533,6 +533,33 @@ class TestStageChain:
         assert main([*command, *base]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{name}:{i + 1}:" in err
+        assert "Traceback" not in err
+
+    # integers of more digits than Python's int parser takes (4,300)
+    def test_oversized_integer_in_jsonl_header_is_data_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / RECOMMENDATIONS_FILE
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        lines[0] = json.dumps({**header, "version": 7777}).replace("7777", "1" + "0" * 5000)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{RECOMMENDATIONS_FILE}:1:" in err
+        assert "Traceback" not in err
+
+    def test_oversized_integer_in_bundle_header_is_data_error(self, tmp_path, monkeypatch,
+                                                              capsys):
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        rewrite_header(tmp_path / "work" / MODEL_FILE,
+                       lambda header: header["meta"]["settings"].update(seed=7777),
+                       lambda text: text.replace('"seed":7777', '"seed":1' + "0" * 5000))
+        assert main(["recommend", *base, "--corpus", "mutated"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{MODEL_FILE}: unreadable header" in err
         assert "Traceback" not in err
 
     def test_header_only_artifacts_are_data_error(self, tmp_path, monkeypatch, capsys):

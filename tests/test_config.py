@@ -39,7 +39,6 @@ class TestRunConfig:
         config = RunConfig(seed=9)
         assert config.limits().seed == 9
         assert config.train_config().seed == 9
-        assert config.svm_hyperparams().seed == 9
 
     def test_component_views_mirror_fields(self):
         config = RunConfig(max_length=6, token_dim=32, svm_c=4.0)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathmove import pipeline
-from pathmove.bundle import CorruptFileError
+from pathmove.bundle import CorruptFileError, load_bundle, save_bundle
 from pathmove.codegen import GenConfig, write_corpus
 from pathmove.config import RunConfig
 from pathmove.embed import UNK, CodeVector, EmbedderParams, Vocabularies, save_model
@@ -577,6 +577,17 @@ class TestBundlePersistence:
         assert np.array_equal(
             loaded.pair_probabilities(raw), bundle.pair_probabilities(raw)
         )
+
+    def test_loads_model_with_removed_objective_array(self, tmp_path):
+        # older models also stored the SVM's per-epoch objective
+        bundle = fitted_bundle()
+        path = tmp_path / "model.pmb"
+        save_model_bundle(path, bundle)
+        header, arrays = load_bundle(path, expect_kind="model")
+        save_bundle(path, "model", header["meta"], {**arrays, "svm_objective": np.ones(200)})
+        loaded = load_model_bundle(path)
+        assert np.array_equal(loaded.svm_model.weights, bundle.svm_model.weights)
+        assert loaded.svm_model.bias == bundle.svm_model.bias
 
     def test_save_is_deterministic(self, tmp_path):
         bundle = fitted_bundle()

@@ -16,7 +16,6 @@ from pathmove.svm import (
     SvmModel,
     fit_platt,
     fit_rff,
-    hinge_objective,
     platt_probability,
     train_svm,
 )
@@ -38,6 +37,28 @@ def blob_set(n_per_side=40, seed=0, spread=0.4):
     return data, labels
 
 
+def xor_set(seed=47):
+    # XOR layout: no linear margin separates it
+    rng = np.random.default_rng(seed)
+    centers = np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]], dtype=float)
+    labels_by_center = [1, 1, 0, 0]
+    data, labels = [], []
+    for center, label in zip(centers, labels_by_center):
+        data.append(center + rng.normal(scale=0.2, size=(30, 2)))
+        labels += [label] * 30
+    return np.vstack(data), np.array(labels)
+
+
+def squared_hinge(weights, bias, data, labels, lam):
+    """lam/2 ||w||^2 + mean max(0, 1 - y f(x))^2, and its gradient in (w, b)."""
+    signs = 2 * labels - 1
+    slack = np.maximum(0.0, 1.0 - signs * (data @ weights + bias))
+    value = 0.5 * lam * weights @ weights + np.mean(slack**2)
+    grad_w = lam * weights - 2.0 * (signs * slack) @ data / len(data)
+    grad_b = -2.0 * np.sum(signs * slack) / len(data)
+    return float(value), np.append(grad_w, grad_b)
+
+
 def test_separable_blobs_fully_learned():
     data, labels = blob_set()
     model = train_svm(as_pairs(data, labels))
@@ -51,7 +72,7 @@ def test_separable_blobs_fully_learned():
 
 def test_label_flip_negates_model_exactly():
     data, labels = blob_set(seed=3)
-    hp = SvmHyperparams(C=1.0, epochs=50, seed=9)
+    hp = SvmHyperparams(C=1.0, epochs=50)
     model = train_svm(as_pairs(data, labels), hp)
     flipped = train_svm(as_pairs(data, 1 - labels), hp)
     assert np.array_equal(flipped.weights, -model.weights)
@@ -72,39 +93,47 @@ def test_objective_close_to_grid_search_optimum():
     w1 = np.arange(-3.0, 3.0001, 0.05)[:, None, None]
     w2 = np.arange(-3.0, 3.0001, 0.05)[None, :, None]
     b = np.arange(-2.0, 2.0001, 0.05)[None, None, :]
-    hinge_sum = np.zeros((w1.shape[0], w2.shape[1], b.shape[2]))
+    slack_sq = np.zeros((w1.shape[0], w2.shape[1], b.shape[2]))
     for point, sign in zip(data, signs):
         margin = sign * (w1 * point[0] + w2 * point[1] + b)
-        hinge_sum += np.maximum(0.0, 1.0 - margin)
-    grid_objective = 0.5 * lam * (w1**2 + w2**2) + hinge_sum / len(data)
+        slack_sq += np.maximum(0.0, 1.0 - margin) ** 2
+    grid_objective = 0.5 * lam * (w1**2 + w2**2) + slack_sq / len(data)
     grid_best = float(grid_objective.min())
 
-    model = train_svm(as_pairs(data, labels), SvmHyperparams(C=1.0, epochs=400, seed=1))
-    trained = hinge_objective(model.weights, model.bias, data, signs, lam)
+    model = train_svm(as_pairs(data, labels), SvmHyperparams(C=1.0, epochs=400))
+    trained, _ = squared_hinge(model.weights, model.bias, data, labels, lam)
     assert abs(trained - grid_best) <= 0.02 * grid_best
 
 
-def test_returned_model_is_best_epoch_snapshot():
+@pytest.mark.parametrize("lifted", [False, True], ids=["blobs", "xor-lifted"])
+def test_fit_is_stationary(lifted):
     data, labels = blob_set(seed=5)
-    model = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=60, seed=2))
-    signs = 2 * labels - 1
-    lam = 1.0 / len(data)
-    final = hinge_objective(model.weights, model.bias, data, signs, lam)
-    history = model.objective_history
-    assert len(history) == 60
-    assert final == min(history)
-    # optimization made progress on the epoch averages
-    assert np.mean(history[-6:]) <= np.mean(history[:6])
+    if lifted:
+        xor_data, labels = xor_set()
+        data = fit_rff(xor_data, d_out=512, seed=3).transform(xor_data)
+    hp = SvmHyperparams()
+    model = train_svm(as_pairs(data, labels), hp)
+    _, grad = squared_hinge(model.weights, model.bias, data, labels, 1.0 / (hp.C * len(data)))
+    assert np.abs(grad).max() < 1e-6
+
+
+def test_epochs_cap_the_newton_iterations():
+    data, labels = xor_set()
+    data = fit_rff(data, d_out=512, seed=3).transform(data)
+    lam = 1.0 / (SvmHyperparams().C * len(data))
+    one = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=1))
+    full = train_svm(as_pairs(data, labels), SvmHyperparams())
+    capped, _ = squared_hinge(one.weights, one.bias, data, labels, lam)
+    converged, _ = squared_hinge(full.weights, full.bias, data, labels, lam)
+    assert capped > converged
 
 
 def test_training_determinism():
     data, labels = blob_set(seed=8)
-    hp = SvmHyperparams(epochs=30, seed=4)
+    hp = SvmHyperparams(epochs=30)
     a = train_svm(as_pairs(data, labels), hp)
     b = train_svm(as_pairs(data, labels), hp)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-    c = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=30, seed=5))
-    assert not np.array_equal(a.weights, c.weights)
 
 
 def test_single_class_rejected():
@@ -167,7 +196,7 @@ def test_probability_bounds_and_monotonicity():
 
 def test_predict_proba_end_to_end():
     data, labels = blob_set(seed=12)
-    model = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=80, seed=0))
+    model = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=80))
     platt = fit_platt(model, as_pairs(data, labels))
     hot = platt_probability(platt, model.decision(np.array([1.2, 1.1])))
     cold = platt_probability(platt, model.decision(np.array([-1.2, -1.1])))
@@ -207,22 +236,14 @@ def test_rff_determinism_and_shapes():
 
 def test_rff_enables_nonlinear_separation():
     # XOR layout defeats a linear margin; the feature map recovers it.
-    rng = np.random.default_rng(47)
-    centers = np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]], dtype=float)
-    labels_by_center = [1, 1, 0, 0]
-    data, labels = [], []
-    for center, label in zip(centers, labels_by_center):
-        data.append(center + rng.normal(scale=0.2, size=(30, 2)))
-        labels += [label] * 30
-    data = np.vstack(data)
-    labels = np.array(labels)
+    data, labels = xor_set()
 
-    linear = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=100, seed=3))
+    linear = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=100))
     linear_acc = np.mean((linear.decision_matrix(data) > 0).astype(int) == labels)
 
     feature_map = fit_rff(data, d_out=512, seed=3)
     lifted = feature_map.transform(data)
-    mapped = train_svm(as_pairs(lifted, labels), SvmHyperparams(epochs=100, seed=3))
+    mapped = train_svm(as_pairs(lifted, labels), SvmHyperparams(epochs=100))
     mapped_acc = np.mean((mapped.decision_matrix(lifted) > 0).astype(int) == labels)
 
     assert linear_acc < 0.7  # genuinely not linearly separable
