@@ -34,7 +34,6 @@ from .pipeline import (
     EvalReport,
     ModelBundle,
     analytic_random_baseline,
-    classifier_metrics,
     corpus_bags,
     evaluate,
     fit_classifier,
@@ -94,9 +93,9 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _write_report(work: Path, report: EvalReport, baseline: float, **extra) -> None:
-    """Write report.json, with `extra` as more top-level keys, and print its scores."""
-    payload = {"baseline": {"macro_f1": baseline}, "report": report.to_dict(), **extra}
+def _write_report(work: Path, report: EvalReport, baseline: float) -> None:
+    """Write report.json and print its scores."""
+    payload = {"baseline": {"macro_f1": baseline}, "report": report.to_dict()}
     (work / REPORT_FILE).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                                     encoding="utf-8")
     print(
@@ -189,26 +188,21 @@ def cmd_build_dataset(args: argparse.Namespace, config: RunConfig) -> None:
     if by_project:
         raise DataError(f"{work / BAGS_FILE}: {min(by_project)} is not a training project "
                         "of the corpus; run the 'extract' stage again")
-    train, test, validate = split_dataset(examples, config.seed)
-    write_dataset(work / DATASET_FILE, (train, test, validate))
-    print(f"built {len(examples)} labeled pairs: "
-          f"train {len(train)}, test {len(test)}, validate {len(validate)}")
+    train, _, validate = split_dataset(examples, config.seed)
+    write_dataset(work / DATASET_FILE, (train, validate))
+    print(f"stored train {len(train)} and validate {len(validate)} "
+          f"of {len(examples)} labeled pairs")
 
 
 def cmd_train_clf(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     params, vocabs = load_model(_require(work / EMBEDDER_FILE, "train-embed"))
-    train, test, validate = read_dataset(_require(work / DATASET_FILE, "build-dataset"))
+    train, validate = read_dataset(_require(work / DATASET_FILE, "build-dataset"))
     pca, rff, svm_model, platt = fit_classifier(train, validate, config)
     bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, config)
     save_model_bundle(work / MODEL_FILE, bundle)
-    metrics = classifier_metrics(bundle, test)
     calibrated = "calibrated" if platt.converged else "calibration did not converge"
-    print(
-        f"trained classifier (PCA keeps {pca.k} of {pca.mean.shape[0]} dims, "
-        f"{calibrated}); test accuracy {metrics['accuracy']:.3f}, "
-        f"nll {metrics['nll']:.3f} on {metrics['count']} pairs"
-    )
+    print(f"trained classifier (PCA keeps {pca.k} of {pca.mean.shape[0]} dims, {calibrated})")
 
 
 def cmd_inject(args: argparse.Namespace, config: RunConfig) -> None:
@@ -264,14 +258,7 @@ def cmd_pipeline(args: argparse.Namespace, config: RunConfig) -> None:
     write_recommendations(work / RECOMMENDATIONS_FILE, result.recommendations)
     entries = [e for project in sorted(result.ground_truth) for e in result.ground_truth[project]]
     write_ground_truth(work / GROUND_TRUTH_FILE, entries)
-    n_train, n_test, n_validate = result.split_sizes
-    print(
-        f"classifier test accuracy {result.test_metrics['accuracy']:.3f} "
-        f"on {result.test_metrics['count']} pairs "
-        f"(split {n_train}/{n_test}/{n_validate})"
-    )
-    _write_report(work, result.report, result.baseline_f1, classifier=result.test_metrics,
-                  split={"train": n_train, "test": n_test, "validate": n_validate})
+    _write_report(work, result.report, result.baseline_f1)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .frontend import (
     find_enclosing,
     make_method_id,
     method_project,
+    split_method_id,
 )
 
 
@@ -519,7 +520,7 @@ def split_dataset(
 # ---------------------------------------------------------------------------
 # Artifacts
 
-DATASET_SPLITS = ("train", "test", "validate")
+DATASET_SPLITS = ("train", "validate")
 GROUND_TRUTH_FORMAT = {"format": "ground-truth", "version": 1}
 
 
@@ -529,7 +530,7 @@ def write_dataset(path: str | Path, splits: tuple[list[LabeledExample], ...]) ->
     [method_id, class_id] per row."""
     rows = [e for split in splits for e in split]
     meta = {name: [[e.feature.method_id, e.feature.class_id] for e in split]
-            for name, split in zip(DATASET_SPLITS, splits)}
+            for name, split in zip(DATASET_SPLITS, splits, strict=True)}
     arrays = {"features": np.stack([e.feature.values for e in rows]),
               "labels": np.array([e.label for e in rows], dtype=np.int64)}
     save_bundle(path, "dataset", meta, arrays)
@@ -537,11 +538,17 @@ def write_dataset(path: str | Path, splits: tuple[list[LabeledExample], ...]) ->
 
 def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
     """The splits `write_dataset` saved.  Raises CorruptFileError unless
-    each split is a non-empty list of [method_id, class_id] string pairs,
-    each label is 0 or 1, and the ids, rows and labels agree in number."""
+    the metadata holds exactly the DATASET_SPLITS, each a non-empty list
+    of [method_id, class_id] string pairs, each label is 0 or 1, and the
+    ids, rows and labels agree in number."""
     header, arrays = load_bundle(path, expect_kind="dataset")
     try:
-        ids = [header["meta"][name] for name in DATASET_SPLITS]
+        meta = header["meta"]
+        ids = [meta[name] for name in DATASET_SPLITS]
+        stale = sorted(set(meta) - set(DATASET_SPLITS))
+        if stale:
+            raise ValueError(f"split {stale[0]!r} is not one of {DATASET_SPLITS}; "
+                             "run 'build-dataset' again")
         features, labels = arrays["features"], arrays["labels"]
         n = sum(map(len, ids))
         if not all(type(split) is list and split for split in ids) or any(
@@ -564,6 +571,12 @@ def write_ground_truth(path: str | Path, entries: list[GroundTruthEntry]) -> Non
 def _parse_ground_truth(row: dict) -> GroundTruthEntry:
     entry = GroundTruthEntry(**row)
     method_project(entry.moved_method_id)
+    home = split_method_id(entry.moved_method_id)[1]
+    if entry.injected_class_id != home:
+        raise ValueError(f"injected_class_id {entry.injected_class_id!r} is not the class "
+                         f"{home!r} of the moved method")
+    if entry.original_class_id == home:
+        raise ValueError(f"original_class_id equals injected_class_id {home!r}")
     return entry
 
 

@@ -150,18 +150,6 @@ def fit_classifier(
     return pca, rff, svm_model, platt
 
 
-def classifier_metrics(bundle: ModelBundle, examples: list[LabeledExample]) -> dict:
-    """Held-out accuracy and mean negative log-likelihood."""
-    if not examples:
-        raise DataError("cannot score an empty example list")
-    raw = np.stack([e.feature.values for e in examples])
-    labels = np.array([e.label for e in examples])
-    probs = bundle.pair_probabilities(raw)
-    accuracy = float(np.mean((probs > 0.5).astype(int) == labels))
-    nll = float(-np.mean(labels * np.log(probs) + (1 - labels) * np.log(1 - probs)))
-    return {"accuracy": accuracy, "nll": nll, "count": len(examples)}
-
-
 # ---------------------------------------------------------------------------
 # Recommendation
 
@@ -471,6 +459,16 @@ def _parse_recommendation(row: dict) -> tuple[str, Recommendation]:
                          row["decision"], row["target_class_ids"])
     if row["project"] != method_project(rec.method_id):
         raise ValueError(f"project {row['project']!r} is not that of method {rec.method_id!r}")
+    home = split_method_id(rec.method_id)[1]
+    if home in rec.target_class_ids:
+        raise ValueError(f"target_class_ids include the method's own class {home!r}")
+    if rec.best_class_id != home and rec.best_class_id not in rec.target_class_ids:
+        raise ValueError(f"best_class_id {rec.best_class_id!r} is neither the method's class "
+                         f"{home!r} nor a target")
+    if rec.decision == MOVE and rec.best_class_id == home:
+        raise ValueError(f"a Move names the method's own class {home!r}")
+    if rec.decision == STAY and rec.best_class_id != home:
+        raise ValueError(f"a Stay names {rec.best_class_id!r}, not the method's class {home!r}")
     return row["project"], rec
 
 
@@ -501,9 +499,6 @@ class PipelineResult:
     model: ModelBundle
     recommendations: dict[str, list[Recommendation]]
     ground_truth: dict[str, list[GroundTruthEntry]]
-    loss_history: list[float]
-    test_metrics: dict
-    split_sizes: tuple[int, int, int]
 
 
 def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
@@ -516,18 +511,17 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
     train_bags = {p: corpus_bags(train_units[p], limits) for p in train_projects}
 
     samples = training_samples([b for p in train_projects for b in train_bags[p]])
-    vocabs, params, losses = train_embedder(samples, config.train_config())
+    vocabs, params, _ = train_embedder(samples, config.train_config())
 
     examples: list[LabeledExample] = []
     for project in train_projects:
         examples.extend(
             project_examples(train_units[project], train_bags[project], params, vocabs)
         )
-    train_ex, test_ex, validate_ex = split_dataset(examples, config.seed)
+    train_ex, _, validate_ex = split_dataset(examples, config.seed)
 
     pca, rff, svm_model, platt = fit_classifier(train_ex, validate_ex, config)
     bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, config)
-    test_metrics = classifier_metrics(bundle, test_ex)
 
     recs_by_project = {}
     gt_by_project = {}
@@ -539,13 +533,4 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
 
     report = evaluate(recs_by_project, gt_by_project)
     baseline = analytic_random_baseline(recs_by_project, gt_by_project)
-    return PipelineResult(
-        report,
-        baseline,
-        bundle,
-        recs_by_project,
-        gt_by_project,
-        losses,
-        test_metrics,
-        (len(train_ex), len(test_ex), len(validate_ex)),
-    )
+    return PipelineResult(report, baseline, bundle, recs_by_project, gt_by_project)

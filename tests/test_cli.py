@@ -39,8 +39,14 @@ from pathmove.cli import (
     resolve_config,
 )
 from pathmove.codegen import load_project
+from pathmove.frontend import split_method_id
 from pathmove.injector import find_scoreable, read_ground_truth
 from pathmove.pipeline import f1_score, group_ground_truth, load_model_bundle
+
+
+def home(row: dict) -> str:
+    """The class that an artifact row's method id names."""
+    return split_method_id(row.get("method_id") or row["moved_method_id"])[1]
 
 
 MICRO_CONFIG = {
@@ -366,16 +372,10 @@ class TestStageChain:
         base = self.run_stages(tmp_path, monkeypatch)
         assert main(["pipeline", *base, "--work-dir", "work2",
                      "--corpus", "corpus"]) == 0
-        for name in (MODEL_FILE, GROUND_TRUTH_FILE, RECOMMENDATIONS_FILE):
+        for name in (MODEL_FILE, GROUND_TRUTH_FILE, RECOMMENDATIONS_FILE, REPORT_FILE):
             staged = (tmp_path / "work" / name).read_bytes()
             oneshot = (tmp_path / "work2" / name).read_bytes()
             assert staged == oneshot, name
-
-        staged_report = json.loads((tmp_path / "work" / REPORT_FILE).read_text())
-        oneshot_report = json.loads((tmp_path / "work2" / REPORT_FILE).read_text())
-        assert oneshot_report["report"] == staged_report["report"]
-        assert oneshot_report["baseline"] == staged_report["baseline"]
-        assert set(oneshot_report) == {"baseline", "classifier", "report", "split"}
 
     def test_evaluate_reads_no_source(self, tmp_path, monkeypatch, capsys):
         base = self.run_stages(tmp_path, monkeypatch)
@@ -449,12 +449,12 @@ class TestStageChain:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda meta, arrays: meta["test"][0].__setitem__(0, 7), "ids must be strings"),
+            (lambda meta, arrays: meta["validate"][0].__setitem__(0, 7), "ids must be strings"),
             (lambda meta, arrays: meta["validate"].__setitem__(0, ["m", "c", "x"]),
              "list of \\[method_id, class_id\\]"),
             (lambda meta, arrays: arrays["labels"].__setitem__(0, 2), "label must be 0 or 1"),
             (lambda meta, arrays: meta["train"].pop(), "ids, features"),
-            (lambda meta, arrays: meta.update(test=[]), "non-empty list"),
+            (lambda meta, arrays: meta.update(validate=[]), "non-empty list"),
         ],
         ids=["id-int", "id-triple", "label-2", "fewer-ids", "empty-split"],
     )
@@ -471,6 +471,24 @@ class TestStageChain:
         assert err.startswith("error:") and DATASET_FILE in err
         assert re.search(message, err), err
         assert "Traceback" not in err
+
+    def test_three_split_dataset_asks_for_build_dataset(self, tmp_path, monkeypatch, capsys):
+        """A dataset.pmb from a version that also stored a test split,
+        with its rows in train, test, validate order."""
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / DATASET_FILE
+        header, arrays = load_bundle(path, expect_kind="dataset")
+        meta = header["meta"]
+        meta["test"] = meta["validate"]
+        n_validate = len(meta["validate"])
+        for name in ("features", "labels"):
+            arrays[name] = np.concatenate([arrays[name], arrays[name][-n_validate:]])
+        save_bundle(path, "dataset", meta, arrays)
+        assert main(["train-clf", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and DATASET_FILE in err and "'test'" in err
+        assert "run 'build-dataset' again" in err and "Traceback" not in err
 
     def test_ground_truth_id_outside_a_project_is_data_error(self, tmp_path, monkeypatch,
                                                             capsys):
@@ -517,6 +535,25 @@ class TestStageChain:
             (RECOMMENDATIONS_FILE, "probability", True, ["evaluate", "--corpus", "mutated"]),
             # a project that is not the one the method id sits in
             (RECOMMENDATIONS_FILE, "project", "eval/proj-09", ["evaluate", "--corpus", "mutated"]),
+            # rows that disagree with the class their own method id names;
+            # a callable value gives the keys to update from the row
+            (RECOMMENDATIONS_FILE, "best_class_id", "Nowhere",
+             ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "target_class_ids",
+             lambda row: {"target_class_ids": sorted(row["target_class_ids"] + [home(row)])},
+             ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "decision",
+             lambda row: {"decision": "Move", "best_class_id": home(row)},
+             ["evaluate", "--corpus", "mutated"]),
+            (RECOMMENDATIONS_FILE, "decision",
+             lambda row: {"decision": "Stay", "best_class_id": row["target_class_ids"][0]},
+             ["evaluate", "--corpus", "mutated"]),
+            (GROUND_TRUTH_FILE, "injected_class_id",
+             lambda row: {"injected_class_id": row["original_class_id"]},
+             ["evaluate", "--corpus", "mutated"]),
+            (GROUND_TRUTH_FILE, "original_class_id",
+             lambda row: {"original_class_id": row["injected_class_id"]},
+             ["evaluate", "--corpus", "mutated"]),
         ],
     )
     def test_malformed_row_value_is_data_error(self, tmp_path, monkeypatch, capsys,
@@ -527,7 +564,10 @@ class TestStageChain:
         lines = path.read_text().splitlines()
         i = next(i for i, line in enumerate(lines) if key in json.loads(line))
         row = json.loads(lines[i])
-        row[key] = value
+        if callable(value):
+            row.update(value(row))
+        else:
+            row[key] = value
         lines[i] = json.dumps(row, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         assert main([*command, *base]) == 3

@@ -1000,7 +1000,9 @@ def test_split_leaves_no_split_empty():
 
 
 def dataset_splits():
-    return split_dataset(grouped_examples(10), seed=1)
+    """The train and validation splits, the two that a dataset stores."""
+    train, _, validate = split_dataset(grouped_examples(10), seed=1)
+    return train, validate
 
 
 def test_dataset_round_trip(tmp_path):
@@ -1008,7 +1010,7 @@ def test_dataset_round_trip(tmp_path):
     path = tmp_path / "dataset.pmb"
     write_dataset(path, splits)
     loaded = read_dataset(path)
-    assert [len(split) for split in loaded] == [len(split) for split in splits] == [12, 4, 4]
+    assert [len(split) for split in loaded] == [len(split) for split in splits] == [12, 4]
     for orig, back in zip((e for split in splits for e in split),
                           (e for split in loaded for e in split)):
         assert back.label == orig.label
@@ -1078,7 +1080,7 @@ def test_dataset_rejects_malformed_row_values(tmp_path, key, value):
         lambda meta, arrays: meta["validate"].pop(),
         lambda meta, arrays: arrays.update(features=arrays["features"][:-1]),
         lambda meta, arrays: arrays.update(labels=arrays["labels"][:-1]),
-        lambda meta, arrays: meta["test"].append(meta["test"][0]),
+        lambda meta, arrays: meta["validate"].append(meta["validate"][0]),
     ],
     ids=["fewer-ids", "fewer-rows", "fewer-labels", "more-ids"],
 )

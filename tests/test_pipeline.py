@@ -43,7 +43,6 @@ from pathmove.pipeline import (
     ModelBundle,
     Recommendation,
     analytic_random_baseline,
-    classifier_metrics,
     corpus_bags,
     embed_corpus,
     evaluate,
@@ -486,7 +485,7 @@ class TestRandomBaseline:
 
 
 # ---------------------------------------------------------------------------
-# Classifier fitting and metrics
+# Classifier fitting
 
 
 def blob_examples(n_per_side, seed, offset=3.0, scale=0.3):
@@ -515,12 +514,8 @@ class TestFitClassifier:
         bundle = toy_bundle()
         bundle.pca, bundle.rff = pca, rff
         bundle.svm_model, bundle.platt = svm_model, platt
-        metrics = classifier_metrics(bundle, test)
-        assert metrics["accuracy"] == 1.0
-
-    def test_metrics_reject_empty(self):
-        with pytest.raises(DataError):
-            classifier_metrics(toy_bundle(), [])
+        probs = bundle.pair_probabilities(np.stack([e.feature.values for e in test]))
+        assert np.array_equal(probs > 0.5, np.array([e.label for e in test]) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -844,11 +839,6 @@ class TestRunPipeline:
         assert 5 <= score.ground_truth <= 10
         # every generated smell keeps the envy shape: 3 targets plus stay
         assert result.baseline_f1 == pytest.approx(2 / 7, abs=1e-12)
-        n_train, n_test, n_validate = result.split_sizes
-        assert min(n_train, n_test, n_validate) > 0
-        assert len(result.loss_history) == 2
-        assert 0.0 <= result.test_metrics["accuracy"] <= 1.0
-        assert result.test_metrics["count"] == n_test
 
     def test_micro_run_is_deterministic(self, tmp_path):
         write_corpus(
