@@ -71,9 +71,9 @@ def save_bundle(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nd
             fh.write(blob)
 
 
-def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a bundle back as (header, arrays). Validates magic, version,
-    declared sizes, finite floats and exact end-of-file."""
+def load_bundle(path: str | Path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a bundle of `expect_kind` as (header, arrays). Validates magic,
+    version, kind, declared sizes, finite floats and exact end-of-file."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -93,7 +93,7 @@ def load_bundle(path: str | Path, expect_kind: str | None = None) -> tuple[dict,
     offset += header_len
     if not isinstance(header, dict) or "arrays" not in header or "kind" not in header:
         raise CorruptFileError(f"{path}: header missing required keys")
-    if expect_kind is not None and header["kind"] != expect_kind:
+    if header["kind"] != expect_kind:
         raise CorruptFileError(
             f"{path}: bundle kind {header['kind']!r}, expected {expect_kind!r}"
         )

@@ -211,7 +211,7 @@ def cmd_inject(args: argparse.Namespace, config: RunConfig) -> None:
     all_entries = []
     for project in eval_projects:
         units = load_project(args.corpus, project)
-        mutated, entries = inject_feature_envy(units, config.seed, config.max_moves)
+        mutated, entries = inject_feature_envy(units, config.seed)
         for unit in mutated:
             path = out_root / unit.file_path
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -24,28 +24,21 @@ class RunConfig:
     seed: int = 0
     threshold: float = 0.5
     work_dir: str = "work"
-    max_length: int = 8
-    max_width: int = 2
-    max_contexts: int = 200
     token_dim: int = 128
     path_dim: int = 128
     code_dim: int = 384
-    learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 2
     min_count: int = 2
-    pca_variance_threshold: float = 0.95
-    svm_c: float = 10.0
     svm_epochs: int = 200
     rff_enabled: bool = True
     rff_dim: int = 256
-    max_moves: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            what = _mistyped(value, f.type)
-            if what:
+            what, check = _TYPES[f.type]
+            if not check(value):
                 raise ConfigError(
                     f"config value {_KEYS.get(f.name, f.name)} must be {what}, got {value!r}"
                 )
@@ -58,21 +51,17 @@ class RunConfig:
                               "every method ranks its candidate classes alike")
         for name in _POSITIVE:
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value <= 0:
                 raise ConfigError(f"{_KEYS[name]} must be positive, got {value}")
-        if not 0.0 < self.pca_variance_threshold <= 1.0:
-            raise ConfigError("pca.variance_threshold must lie in (0, 1], "
-                              f"got {self.pca_variance_threshold}")
 
     def limits(self) -> ExtractionLimits:
-        return ExtractionLimits(self.max_length, self.max_width, self.max_contexts, self.seed)
+        return ExtractionLimits(seed=self.seed)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             d_t=self.token_dim,
             d_p=self.path_dim,
             d=self.code_dim,
-            learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             epochs=self.epochs,
             seed=self.seed,
@@ -80,37 +69,24 @@ class RunConfig:
         )
 
     def svm_hyperparams(self) -> SvmHyperparams:
-        return SvmHyperparams(C=self.svm_c, epochs=self.svm_epochs)
+        return SvmHyperparams(epochs=self.svm_epochs)
 
 
 _SECTIONS: dict[str, dict[str, str]] = {
-    "limits": {
-        "max_length": "max_length",
-        "max_width": "max_width",
-        "max_contexts": "max_contexts",
-    },
     "embedder": {
         "token_dim": "token_dim",
         "path_dim": "path_dim",
         "code_dim": "code_dim",
-        "learning_rate": "learning_rate",
         "batch_size": "batch_size",
         "epochs": "epochs",
         "min_count": "min_count",
     },
-    "pca": {
-        "variance_threshold": "pca_variance_threshold",
-    },
     "svm": {
-        "c": "svm_c",
         "epochs": "svm_epochs",
     },
     "rff": {
         "enabled": "rff_enabled",
         "dim": "rff_dim",
-    },
-    "injection": {
-        "max_moves": "max_moves",
     },
 }
 
@@ -118,10 +94,9 @@ _TOP_LEVEL = {"seed", "threshold", "work_dir"}
 
 _KEYS = {attr: f"{section}.{sub}" for section, m in _SECTIONS.items() for sub, attr in m.items()}
 
-# the keys that must be above zero (when set)
-_POSITIVE = ("max_length", "max_width", "max_contexts", "token_dim", "path_dim", "code_dim",
-             "learning_rate", "batch_size", "epochs", "min_count", "svm_c", "svm_epochs",
-             "rff_dim", "max_moves")
+# the keys that must be above zero
+_POSITIVE = ("token_dim", "path_dim", "code_dim", "batch_size", "epochs", "min_count",
+             "svm_epochs", "rff_dim")
 
 # annotation -> (description, check); a bool is neither an int nor a float
 _TYPES = {
@@ -134,16 +109,6 @@ _TYPES = {
     "bool": ("true or false", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
 }
-
-
-def _mistyped(value, annotation: str) -> str | None:
-    """What a value of `annotation` ("int", "float | None", ...) must be
-    when `value` does not have that type; None when it does."""
-    kind, _, optional = annotation.partition(" | ")
-    what, check = _TYPES[kind]
-    if optional and value is None or check(value):
-        return None
-    return what + (" or null" if optional else "")
 
 
 def config_from_dict(data: dict) -> RunConfig:

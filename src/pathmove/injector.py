@@ -5,10 +5,13 @@ A method is a move candidate when it survives the structural filters
 setter), does not touch its own class's instance state, and has at least
 one parameter whose declared type resolves to a corpus class.  Injection
 relocates such methods into one of their parameter-type classes,
-rewriting member qualifiers so the result still parses; every move is
-recorded as ground truth and can be undone.  One walker, `_map_members`,
-finds member references for both the state check and the rewrites, and
-rewrites share every subtree they leave unchanged.
+rewriting member qualifiers so the result still parses.  It keeps a
+move only when the moved method is still a candidate in its new class
+and has exactly one parameter of its origin's type, so the recommender
+scores it and a move back can undo it; every kept move is recorded as
+ground truth.  One walker, `_map_members`, finds member references for
+both the state check and the rewrites, and rewrites share every subtree
+they leave unchanged.
 
 Datasets pair each candidate with its origin (label 1, duplicated) and
 each target (label 0), keeping the two label counts exactly equal.  The
@@ -400,10 +403,13 @@ def corpora_equal(a: list[SourceUnit], b: list[SourceUnit]) -> bool:
 
 
 def inject_feature_envy(
-    units: list[SourceUnit], seed: int, max_moves: int | None = None
+    units: list[SourceUnit], seed: int
 ) -> tuple[list[SourceUnit], list[GroundTruthEntry]]:
-    """Move candidates into seeded-random targets until exhausted or at
-    the cap.  Candidates invalidated by earlier moves are skipped."""
+    """Move every candidate into a seeded-random target.  Candidates
+    invalidated by earlier moves are skipped, and so is a move that the
+    recommender could not see or undo: the moved method must pass the
+    structural filters in its new class and keep exactly one parameter
+    of its origin's type."""
     candidates = find_movable(units)
     rng = random.Random(seed)
     order = list(candidates)
@@ -411,14 +417,16 @@ def inject_feature_envy(
     current = units
     entries: list[GroundTruthEntry] = []
     for candidate in order:
-        if max_moves is not None and len(entries) >= max_moves:
-            break
         target = rng.choice(candidate.target_class_ids)
         try:
-            current, entry = perform_move(current, candidate.method_id, target)
+            moved, entry = perform_move(current, candidate.method_id, target)
         except (NotMovableError, UnresolvedTargetError):
             continue
-        entries.append(entry)
+        cls, method = find_enclosing(moved, entry.moved_method_id)
+        origin_params = [t for _, t in method.params if t == entry.original_class_id]
+        if passes_structural_filters(method, cls) and len(origin_params) == 1:
+            current = moved
+            entries.append(entry)
     return current, entries
 
 

@@ -131,7 +131,7 @@ def fit_classifier(
     """Reduction and decision stages: PCA and the feature map come from
     the training split alone; the probability calibration is fit on the
     validation split so it never sees the decision boundary's own data."""
-    pca = fit_pca([e.feature for e in train], variance_threshold=config.pca_variance_threshold)
+    pca = fit_pca([e.feature for e in train])
 
     def reduced(examples: list[LabeledExample]) -> np.ndarray:
         return apply_pca_matrix(pca, np.stack([e.feature.values for e in examples]))
@@ -353,9 +353,9 @@ def analytic_random_baseline(
 # Bundle persistence
 
 
-# The RunConfig sections a model is trained with.  threshold, work_dir
-# and injection are run-time settings and stay out of model.pmb.
-MODEL_SETTINGS = ("seed", "limits", "embedder", "pca", "svm", "rff")
+# The RunConfig sections a model is trained with.  threshold and
+# work_dir are run-time settings and stay out of model.pmb.
+MODEL_SETTINGS = ("seed", "embedder", "svm", "rff")
 
 
 def _model_settings(config: RunConfig) -> dict:
@@ -527,7 +527,7 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
     gt_by_project = {}
     for project in eval_projects:
         units = load_project(corpus_root, project)
-        mutated, entries = inject_feature_envy(units, config.seed, config.max_moves)
+        mutated, entries = inject_feature_envy(units, config.seed)
         gt_by_project[project] = entries
         recs_by_project[project] = score_project(mutated, bundle, config.threshold)
 

@@ -54,7 +54,7 @@ def test_truncated_file_rejected(tmp_path):
     for cut in (4, len(MAGIC) + 6, len(blob) // 2, len(blob) - 1):
         path.write_bytes(blob[:cut])
         with pytest.raises(CorruptFileError):
-            load_bundle(path)
+            load_bundle(path, "k")
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -62,14 +62,14 @@ def test_trailing_bytes_rejected(tmp_path):
     save_bundle(path, "k", {}, sample_arrays())
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CorruptFileError, match="trailing"):
-        load_bundle(path)
+        load_bundle(path, "k")
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "model.pmb"
     path.write_bytes(b"NOTMYFMT" + b"\x00" * 32)
     with pytest.raises(CorruptFileError, match="not a bundle"):
-        load_bundle(path)
+        load_bundle(path, "k")
 
 
 def test_version_mismatch(tmp_path):
@@ -79,7 +79,7 @@ def test_version_mismatch(tmp_path):
     struct.pack_into("<I", blob, len(MAGIC), VERSION + 1)
     path.write_bytes(bytes(blob))
     with pytest.raises(VersionMismatchError) as exc_info:
-        load_bundle(path)
+        load_bundle(path, "k")
     assert exc_info.value.found == VERSION + 1
     assert str(path) in str(exc_info.value)
 
@@ -93,13 +93,13 @@ def test_kind_checked(tmp_path):
 
 def test_missing_file():
     with pytest.raises(Exception):
-        load_bundle("/nonexistent/model.pmb")
+        load_bundle("/nonexistent/model.pmb", "model")
 
 
 def test_float32_upcast_and_object_rejected(tmp_path):
     path = tmp_path / "model.pmb"
     save_bundle(path, "k", {}, {"w": np.ones(3, dtype=np.float32)})
-    _, loaded = load_bundle(path)
+    _, loaded = load_bundle(path, "k")
     assert loaded["w"].dtype == np.float64
     with pytest.raises(ValueError):
         save_bundle(path, "k", {}, {"w": np.array(["a"], dtype=object)})
@@ -111,4 +111,4 @@ def test_non_finite_float_array_rejected_by_name(tmp_path):
     arrays["bias"][2] = np.nan
     save_bundle(path, "k", {}, arrays)
     with pytest.raises(CorruptFileError, match="non-finite values in array 'bias'"):
-        load_bundle(path)
+        load_bundle(path, "k")

@@ -262,15 +262,24 @@ class TestExitCodes:
             assert main(["train-embed", "--config", str(path)]) == 2
             assert "unknown config key" in capsys.readouterr().err
 
+    def test_removed_limits_section_is_config_error(self, tmp_path, capsys):
+        # the extraction limits are fixed; a config that sets them is refused
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"limits": {"max_length": 8, "max_width": 2,
+                                               "max_contexts": 200}}))
+        assert main(["train-embed", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown config key 'limits'" in err
+
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"embedder": {"learning_rate": 1%s}}' % ("0" * 400), "embedder.learning_rate"),
-            ('{"svm": {"c": 1%s}}' % ("0" * 400), "svm.c"),
+            ('{"threshold": 1%s}' % ("0" * 400), "threshold"),
+            ('{"threshold": -1%s}' % ("0" * 400), "threshold"),
             # beyond the digit limit of Python's int parser
             ('{"seed": 1%s}' % ("0" * 5000), "not valid JSON"),
         ],
-        ids=["learning-rate", "svm-c", "too-many-digits"],
+        ids=["threshold", "negative-threshold", "too-many-digits"],
     )
     def test_integer_beyond_float_range_is_config_error(self, tmp_path, monkeypatch, capsys,
                                                         text, message):
@@ -376,6 +385,35 @@ class TestStageChain:
             staged = (tmp_path / "work" / name).read_bytes()
             oneshot = (tmp_path / "work2" / name).read_bytes()
             assert staged == oneshot, name
+
+    def test_unplantable_move_is_not_injected(self, tmp_path, monkeypatch, capsys):
+        """Moving put into Target would make it a setter there, which no
+        recommender scores and no move can undo.  inject plants nothing,
+        so the project has no ground truth, and pipeline and evaluate
+        both refuse it without writing a report."""
+        base = self.run_stages(tmp_path, monkeypatch)
+        eval_dir = tmp_path / "corpus" / "eval"
+        shutil.rmtree(eval_dir)
+        (eval_dir / "proj-x").mkdir(parents=True)
+        (eval_dir / "proj-x" / "Origin.java").write_text(
+            "class Origin {\n    int level;\n    int getLevel() {\n        return level;\n"
+            "    }\n    void put(Target t, int v) {\n        t.count = v;\n    }\n}\n")
+        (eval_dir / "proj-x" / "Target.java").write_text(
+            "class Target {\n    int count;\n    int getCount() {\n        return count;\n"
+            "    }\n}\n")
+        work = tmp_path / "work"
+        (work / REPORT_FILE).unlink()
+        capsys.readouterr()
+        assert main(["inject", *base, "--corpus", "corpus", "--out", "mutated2"]) == 0
+        assert read_ground_truth(work / GROUND_TRUTH_FILE) == []
+        assert main(["recommend", *base, "--corpus", "mutated2"]) == 0
+        assert main(["evaluate", *base, "--corpus", "mutated2"]) == 3
+        assert main(["pipeline", *base, "--work-dir", "work2", "--corpus", "corpus"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 2 and err.count("eval/proj-x") == 2
+        assert "Traceback" not in err
+        assert not (work / REPORT_FILE).exists()
+        assert not (tmp_path / "work2" / REPORT_FILE).exists()
 
     def test_evaluate_reads_no_source(self, tmp_path, monkeypatch, capsys):
         base = self.run_stages(tmp_path, monkeypatch)
@@ -711,8 +749,8 @@ class TestStageChain:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda meta, arrays: meta["settings"]["limits"].update(max_length=2.5),
-             "limits.max_length must be an integer"),
+            (lambda meta, arrays: meta["settings"]["embedder"].update(batch_size=2.5),
+             "embedder.batch_size must be an integer"),
             (lambda meta, arrays: meta["settings"].update(seed="x"), "seed must be an integer"),
             (lambda meta, arrays: meta["settings"]["svm"].update(epochs=2.5),
              "svm.epochs must be an integer"),
@@ -722,13 +760,26 @@ class TestStageChain:
              "unknown config key rff.gamma"),
             (lambda meta, arrays: meta["settings"]["rff"].update(enabled=False),
              "rff.enabled must be true"),
-            (lambda meta, arrays: meta["settings"]["pca"].update(k=None),
-             "unknown config key pca.k"),
+            (lambda meta, arrays: meta["settings"].update(pca={"k": None,
+                                                                "variance_threshold": 0.95}),
+             "unknown config key 'pca'"),
+            # models written while the extraction limits, the learning
+            # rate, the PCA variance and svm.c were still settings
+            (lambda meta, arrays: meta["settings"].update(
+                limits={"max_length": 8, "max_width": 2, "max_contexts": 200}),
+             "unknown config key 'limits'"),
+            (lambda meta, arrays: (
+                meta["settings"].update(limits={"max_length": 8, "max_width": 2,
+                                                "max_contexts": 200},
+                                        pca={"variance_threshold": 0.95}),
+                meta["settings"]["embedder"].update(learning_rate=0.001),
+                meta["settings"]["svm"].update(c=10.0)),
+             "unknown config key embedder.learning_rate"),
             (lambda meta, arrays: meta.update(platt_converged="yes"),
              "platt_converged must be true or false"),
             # settings are exactly the training sections: none missing, none run-time
-            (lambda meta, arrays: meta["settings"].pop("limits"), EXACT_SECTIONS),
-            (lambda meta, arrays: meta["settings"]["limits"].pop("max_width"), EXACT_SECTIONS),
+            (lambda meta, arrays: meta["settings"].pop("svm"), EXACT_SECTIONS),
+            (lambda meta, arrays: meta["settings"]["svm"].pop("epochs"), EXACT_SECTIONS),
             (lambda meta, arrays: meta["settings"].update(threshold=0.5), EXACT_SECTIONS),
             (lambda meta, arrays: meta["settings"].update(work_dir="work"), EXACT_SECTIONS),
             (lambda meta, arrays: meta.pop("settings"),
@@ -744,9 +795,10 @@ class TestStageChain:
             (lambda meta, arrays: meta["settings"]["rff"].update(dim=256),
              "settings rff.dim 256"),
         ],
-        ids=["max_length-float", "limits-seed-str", "svm-epochs-float", "rff-gamma",
-             "rff-disabled", "pca-k", "converged-str", "no-limits", "no-max-width", "threshold",
-             "work_dir", "no-settings", "token_dim", "path_dim", "code_dim", "rff-dim"],
+        ids=["batch_size-float", "limits-seed-str", "svm-epochs-float", "rff-gamma",
+             "rff-disabled", "pca-k", "limits", "parent-settings", "converged-str", "no-svm",
+             "no-svm-epochs", "threshold", "work_dir", "no-settings", "token_dim", "path_dim",
+             "code_dim", "rff-dim"],
     )
     def test_mistyped_model_settings_fail_at_load(self, tmp_path, monkeypatch, capsys,
                                                   edit, message):

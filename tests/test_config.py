@@ -11,6 +11,7 @@ import pytest
 from pathmove.config import _KEYS, RunConfig, config_from_dict, config_to_dict, load_config
 from pathmove.embed import TrainConfig
 from pathmove.errors import ConfigError
+from pathmove.pathctx import ExtractionLimits
 from pathmove.svm import SvmHyperparams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,7 +22,6 @@ class TestRunConfig:
         config = RunConfig()
         assert config.threshold == 0.5
         assert config.code_dim == 384
-        assert config.pca_variance_threshold == 0.95
         assert config.epochs == 2
         # the kernel approximation is the only classifier path
         assert config.rff_enabled is True
@@ -29,6 +29,7 @@ class TestRunConfig:
     def test_defaults_agree_with_components_and_readme(self):
         # each default is written three times: RunConfig, the component
         # dataclasses and the README's config block
+        assert RunConfig().limits() == ExtractionLimits()
         assert RunConfig().train_config() == TrainConfig()
         assert RunConfig().svm_hyperparams() == SvmHyperparams()
         section = README.read_text().split("\n## Configuration\n", 1)[1]
@@ -41,30 +42,30 @@ class TestRunConfig:
         assert config.train_config().seed == 9
 
     def test_component_views_mirror_fields(self):
-        config = RunConfig(max_length=6, token_dim=32, svm_c=4.0)
-        assert config.limits().max_length == 6
+        config = RunConfig(token_dim=32, batch_size=8, svm_epochs=40)
         assert config.train_config().d_t == 32
-        assert config.svm_hyperparams().C == 4.0
+        assert config.train_config().batch_size == 8
+        assert config.svm_hyperparams().epochs == 40
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"threshold": 0.0},
             {"threshold": 1.0},
-            {"svm_c": 0.0},
+            {"token_dim": 0},
             {"rff_dim": 0},
             {"batch_size": 0},
-            {"max_moves": 0},
-            {"max_width": 0},
-            {"pca_variance_threshold": 0.0},
-            {"pca_variance_threshold": 1.5},
+            {"path_dim": 0},
+            {"code_dim": 0},
+            {"threshold": -0.5},
+            {"threshold": 1.5},
             {"epochs": 0},
-            {"max_length": 0},
+            {"rff_dim": -1},
             {"svm_epochs": 0},
             {"seed": -1},
             {"rff_enabled": False},
-            {"learning_rate": 0.0},
-            {"max_contexts": -3},
+            {"svm_epochs": -2},
+            {"code_dim": -3},
             {"min_count": 0},
         ],
     )
@@ -84,9 +85,9 @@ class TestDictMapping:
             seed=4,
             threshold=0.6,
             token_dim=64,
-            pca_variance_threshold=0.9,
+            min_count=3,
+            svm_epochs=50,
             rff_dim=32,
-            max_moves=7,
         )
         assert config_from_dict(config_to_dict(config)) == config
 
@@ -94,22 +95,16 @@ class TestDictMapping:
         config = config_from_dict(
             {
                 "seed": 2,
-                "limits": {"max_length": 6},
                 "embedder": {"code_dim": 64},
-                "pca": {"variance_threshold": 0.9},
-                "svm": {"c": 2.0},
+                "svm": {"epochs": 20},
                 "rff": {"enabled": True, "dim": 32},
-                "injection": {"max_moves": 3},
             }
         )
         assert config.seed == 2
-        assert config.max_length == 6
         assert config.code_dim == 64
-        assert config.pca_variance_threshold == 0.9
-        assert config.svm_c == 2.0
+        assert config.svm_epochs == 20
         assert config.rff_enabled is True
         assert config.rff_dim == 32
-        assert config.max_moves == 3
 
     def test_rejects_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -119,12 +114,28 @@ class TestDictMapping:
         with pytest.raises(ConfigError, match="embedder.codedim"):
             config_from_dict({"embedder": {"codedim": 64}})
 
-    @pytest.mark.parametrize("data", [{"pca": {"k": 3}}, {"rff": {"gamma": 0.5}}],
+    @pytest.mark.parametrize("data, key", [({"pca": {"k": 3}}, "'pca'"),
+                                           ({"rff": {"gamma": 0.5}}, "rff.gamma")],
                              ids=["pca-k", "rff-gamma"])
-    def test_rejects_removed_width_overrides(self, data):
+    def test_rejects_removed_width_overrides(self, data, key):
         # both widths always come from the training split
-        section, value = next(iter(data.items()))
-        with pytest.raises(ConfigError, match=f"unknown config key {section}.{next(iter(value))}"):
+        with pytest.raises(ConfigError, match=f"unknown config key {key}"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"limits": {"max_length": 8, "max_width": 2, "max_contexts": 200}}, "'limits'"),
+            ({"embedder": {"learning_rate": 0.001}}, "embedder.learning_rate"),
+            ({"pca": {"variance_threshold": 0.95}}, "'pca'"),
+            ({"svm": {"c": 10.0}}, "svm.c"),
+            ({"injection": {"max_moves": None}}, "'injection'"),
+        ],
+        ids=["limits", "learning-rate", "pca-variance", "svm-c", "injection"],
+    )
+    def test_rejects_removed_keys(self, data, key):
+        # no caller set them; they are fixed at the component defaults
+        with pytest.raises(ConfigError, match=f"unknown config key {key}"):
             config_from_dict(data)
 
     def test_rejects_non_object_section(self):
@@ -142,21 +153,21 @@ class TestDictMapping:
     @pytest.mark.parametrize(
         "text",
         [
-            '{"limits": {"max_contexts": 2.5}}',
+            '{"embedder": {"batch_size": 2.5}}',
             '{"embedder": {"epochs": 1.5}}',
             '{"embedder": {"token_dim": 8.5}}',
             '{"seed": "x"}',
             '{"seed": 1.5}',
             '{"svm": {"epochs": 2.5}}',
             '{"rff": {"dim": 3.5}}',
-            '{"embedder": {"learning_rate": NaN}}',
-            '{"embedder": {"learning_rate": Infinity}}',
-            '{"svm": {"c": Infinity}}',
+            '{"threshold": NaN}',
+            '{"threshold": Infinity}',
+            '{"threshold": -Infinity}',
             # integers beyond the float range
-            pytest.param('{"embedder": {"learning_rate": 1%s}}' % ("0" * 400), id="huge-rate"),
-            pytest.param('{"svm": {"c": -1%s}}' % ("0" * 400), id="huge-c"),
+            pytest.param('{"threshold": 1%s}' % ("0" * 400), id="huge-threshold"),
+            pytest.param('{"threshold": -1%s}' % ("0" * 400), id="huge-negative-threshold"),
             '{"rff": {"enabled": "no"}}',
-            '{"injection": {"max_moves": 1.5}}',
+            '{"embedder": {"min_count": null}}',
             '{"embedder": {"epochs": true}}',
         ],
     )

@@ -748,12 +748,55 @@ def test_inject_determinism_and_seed_sensitivity():
     assert len(seen) > 1
 
 
-def test_inject_cap():
-    units = envy_units()
-    _, entries = inject_feature_envy(units, seed=0, max_moves=2)
-    assert len(entries) == 2
-    _, all_entries = inject_feature_envy(units, seed=0)
-    assert all_entries[:2] == entries
+TARGET_SRC = """
+class Target {
+    int count;
+    int getCount() {
+        return count;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "method, scoreable, undoable",
+    [
+        # a setter once unqualified, which find_scoreable drops
+        ("void put(Target t, int v) {\n        t.count = v;\n    }", False, False),
+        ("void put(Origin o, Target t, int v) {\n        t.count = v;\n    }", False, True),
+        # no class-typed parameter but Target's own: nothing to carry it back
+        ("int take(Target t, int v) {\n        int w = v + 1;\n        return t.count + w;\n    }",
+         False, False),
+        # two Origin parameters: a move back cannot pick a qualifier
+        ("int pair(Origin a, Origin b, Target t) {\n        int w = t.count + 1;\n"
+         "        return w * 2;\n    }", True, False),
+    ],
+    ids=["setter", "setter-with-origin-param", "no-origin-param", "two-origin-params"],
+)
+def test_inject_plants_only_moves_it_can_score_and_undo(method, scoreable, undoable):
+    origin = f"""
+class Origin {{
+    int level;
+    int getLevel() {{
+        return level;
+    }}
+    {method}
+}}
+"""
+    units = [parse_unit(origin, "Origin.java"), parse_unit(TARGET_SRC, "Target.java")]
+    (candidate,) = find_movable(units)
+    moved, entry = perform_move(units, candidate.method_id, "Target")
+    assert (entry.moved_method_id in {c.method_id for c in find_scoreable(moved)}) == scoreable
+    try:
+        perform_move(moved, entry.moved_method_id, "Origin")
+    except NotMovableError:
+        assert not undoable
+    else:
+        assert undoable
+    for seed in range(4):
+        mutated, entries = inject_feature_envy(units, seed)
+        assert entries == []
+        assert mutated is units
 
 
 def test_inject_leaves_input_untouched():
@@ -779,8 +822,10 @@ def test_inject_leaves_input_untouched():
 
 
 def test_inject_shares_unmoved_units():
-    units = envy_units()
-    mutated, entries = inject_feature_envy(units, seed=7, max_moves=1)
+    # without Gamma, drift is the only candidate; Delta takes no part
+    alpha, beta, _ = envy_units()
+    units = [alpha, beta, parse_unit("class Delta {\n    int d;\n}\n", "Delta.java")]
+    mutated, entries = inject_feature_envy(units, seed=7)
     (entry,) = entries
     touched = {entry.original_class_id, entry.injected_class_id}
     for before, after in zip(units, mutated):

@@ -508,7 +508,7 @@ class TestFitClassifier:
         train = blob_examples(20, seed=15)
         validate = blob_examples(6, seed=16)
         test = blob_examples(10, seed=17)
-        config = RunConfig(seed=0, svm_c=10.0, svm_epochs=100, rff_dim=64)
+        config = RunConfig(seed=0, svm_epochs=100, rff_dim=64)
         pca, rff, svm_model, platt = fit_classifier(train, validate, config)
         assert svm_model.weights.shape == (64,)
         bundle = toy_bundle()
@@ -526,7 +526,7 @@ def fitted_bundle():
     rng = np.random.default_rng(3)
     train = blob_examples(15, seed=25)
     validate = blob_examples(5, seed=26)
-    config = RunConfig(seed=2, threshold=0.7, max_length=7, max_contexts=150, svm_epochs=60,
+    config = RunConfig(seed=2, threshold=0.7, batch_size=7, min_count=3, svm_epochs=60,
                        rff_dim=16, token_dim=2, path_dim=2, code_dim=1)
     pca, rff, svm_model, platt = fit_classifier(train, validate, config)
     # code vectors of width 1, so that pairs are as wide as the blobs
