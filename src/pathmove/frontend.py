@@ -212,28 +212,28 @@ def _lex(source: str, file_path: str) -> list[_Token]:
     pos = 0
     line = 1
     line_start = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {source[pos]!r}", file_path, line, col)
-        text = m.group()
+    for m in _TOKEN_RE.finditer(source):
+        if m.start() != pos:
+            break  # the search skipped a character no token starts with
         kind = m.lastgroup
-        col = pos - line_start + 1
-        if kind == "ident":
-            if text in KEYWORDS:
-                kind = "keyword"
-            elif text in UNSUPPORTED_KEYWORDS:
-                raise ParseError(
-                    f"unsupported Java construct {text!r}", file_path, line, col
-                )
+        text = m.group()
         if kind not in ("ws", "linecomment", "blockcomment"):
+            col = pos - line_start + 1
+            if kind == "ident":
+                if text in KEYWORDS:
+                    kind = "keyword"
+                elif text in UNSUPPORTED_KEYWORDS:
+                    raise ParseError(
+                        f"unsupported Java construct {text!r}", file_path, line, col
+                    )
             tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
+        if "\n" in text:  # whitespace, a block comment or a string
+            line += text.count("\n")
             line_start = pos + text.rindex("\n") + 1
         pos = m.end()
+    if pos < len(source):
+        col = pos - line_start + 1
+        raise ParseError(f"unexpected character {source[pos]!r}", file_path, line, col)
     tokens.append(_Token("eof", "", line, pos - line_start + 1))
     return tokens
 
@@ -251,6 +251,8 @@ class _Parser:
     # token helpers
 
     def peek(self, offset: int = 0) -> _Token:
+        if offset == 0:  # the list ends in eof, which advance never passes
+            return self.tokens[self.i]
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
 
     def advance(self) -> _Token:
@@ -278,7 +280,7 @@ class _Parser:
         return self.advance()
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.tokens[self.i].text == text
 
     # grammar
 

@@ -7,7 +7,9 @@ node labels with `↑` up to the ancestor and `↓` after it, as in
 `Name↑Assignment↓Name`.  Labels hold no arrows, so the path is a
 vocabulary key and nothing more is kept of its structure.  A method is
 represented by the bag of all such triples that fit the length/width
-limits, down-sampled to a cap.
+limits, down-sampled to a cap.  Pairs are visited in source order, and a
+leaf's scan over the later leaves stops as soon as their common ancestor
+lies so far up that the path up to it alone leaves no room to go down.
 
 A bag dump has one line per method: the method id, then one
 tab-separated `start,path,end` cell per context.  A method with no
@@ -74,44 +76,48 @@ def context_to_string(ctx: PathContext) -> str:
     return f"{ctx.start_token},{ctx.path},{ctx.end_token}"
 
 
-def _collect_leaves(root: AstNode) -> list[tuple[AstNode, tuple[AstNode, ...]]]:
-    """Token-bearing leaves in source order, each with its ancestor chain
-    from the root down to the leaf itself."""
-    found: list[tuple[AstNode, tuple[AstNode, ...]]] = []
+def _collect_leaves(root: AstNode) -> list[tuple[AstNode, tuple, tuple, int]]:
+    """Token-bearing leaves in source order, each as (leaf, labels, where,
+    shared).  `labels` are the node labels from the root down to the
+    leaf, `where[k]` is the index among its parent's children of the
+    chain node at depth k + 1, and `shared` is the depth of the deepest
+    node the leaf shares with the leaf before it (the root has depth 0;
+    -1 for the first leaf)."""
+    found = []
+    shared = -1
 
-    def visit(node: AstNode, chain: tuple[AstNode, ...]):
-        chain = chain + (node,)
+    def visit(node: AstNode, labels: tuple, where: tuple):
+        nonlocal shared
+        labels = labels + (node.label,)
         if node.is_leaf:
-            found.append((node, chain))
-        for child in node.children:
-            visit(child, chain)
+            found.append((node, labels, where, shared))
+            shared = len(where)
+            return
+        for k, child in enumerate(node.children):
+            visit(child, labels, where + (k,))
+            # Every later leaf branches off at this node or above it.
+            shared = min(shared, len(where))
 
-    visit(root, ())
+    visit(root, (), ())
     return found
 
 
-def _pair_path(
-    chain_a: tuple[AstNode, ...], chain_b: tuple[AstNode, ...], limits: ExtractionLimits
-) -> str | None:
-    """Path string from leaf a to leaf b, or None when it exceeds the
-    length limit (nodes on the path) or the width limit (index distance
-    between the two children of the lowest common ancestor that the
-    leaves descend through)."""
-    shared = 0
-    limit = min(len(chain_a), len(chain_b))
-    while shared < limit and chain_a[shared] is chain_b[shared]:
-        shared += 1
-    if len(chain_a) + len(chain_b) - 2 * shared + 1 > limits.max_length:
-        return None
-    child_a = chain_a[shared]
-    child_b = chain_b[shared]
-    siblings = chain_a[shared - 1].children
-    pos_a = next(k for k, c in enumerate(siblings) if c is child_a)
-    pos_b = next(k for k, c in enumerate(siblings) if c is child_b)
-    if abs(pos_b - pos_a) > limits.max_width:
-        return None
-    rising = "↑".join([n.label for n in reversed(chain_a[shared - 1 :])])
-    return rising + "↓" + "↓".join([n.label for n in chain_b[shared:]])
+def _label_runs(labels: tuple, max_length: int) -> tuple[list, list]:
+    """A leaf's two path pieces per depth s of a lowest common ancestor
+    that can fit: rise[s] joins the labels from the leaf up to depth s
+    with `↑`, and fall[s] is the labels below depth s, each after a `↓`.
+    The path from leaf a down to leaf b is rise_a[s] + fall_b[s]."""
+    depth = len(labels) - 1
+    rise: list = [None] * depth
+    fall: list = [None] * depth
+    up = labels[depth]
+    down = ""
+    for s in range(depth - 1, max(0, depth - max_length + 2) - 1, -1):
+        up = up + "↑" + labels[s]
+        down = "↓" + labels[s + 1] + down
+        rise[s] = up
+        fall[s] = down
+    return rise, fall
 
 
 def _bag_rng(seed: int, method_id: str) -> random.Random:
@@ -129,20 +135,42 @@ def extract_contexts(method: MethodDecl, limits: ExtractionLimits) -> ContextBag
     Bodies with fewer than two leaves yield an empty bag, not an error.
     Tokens and paths repeat across a corpus, so each string is interned.
     """
-    leaves = _collect_leaves(method.body)
+    found = _collect_leaves(method.body)
+    if len(found) < 2:
+        return ContextBag(method.id, [])
+    leaves, chains, wheres, shared = zip(*found)
     tokens = []
-    for leaf, _ in leaves:
+    for leaf in leaves:
         text = normalize_token(leaf)
         if leaf.label == "Name" and text == method.name:
             text = METHOD_NAME_PLACEHOLDER
         tokens.append(sys.intern(text))
 
+    max_length = limits.max_length
+    max_width = limits.max_width
+    depths = [len(where) for where in wheres]
+    runs = [_label_runs(labels, max_length) for labels in chains]
     contexts: list[PathContext] = []
-    for i in range(len(leaves)):
+    for i in range(len(leaves) - 1):
+        depth_i = depths[i]
+        where_i = wheres[i]
+        rise_i = runs[i][0]
+        s = depth_i
         for j in range(i + 1, len(leaves)):
-            path = _pair_path(leaves[i][1], leaves[j][1], limits)
-            if path is not None:
-                contexts.append(PathContext(tokens[i], sys.intern(path), tokens[j]))
+            # Leaves i and j share the shallowest ancestor that any two
+            # neighbours between them share.
+            if shared[j] < s:
+                s = shared[j]
+                # Leaf j and every later leaf sit below depth s, so once
+                # the rise alone leaves no room for a fall, stop.
+                if depth_i - s + 2 > max_length:
+                    break
+            if depth_i + depths[j] - 2 * s + 1 > max_length:
+                continue
+            if wheres[j][s] - where_i[s] > max_width:
+                continue
+            path = sys.intern(rise_i[s] + runs[j][1][s])
+            contexts.append(PathContext._make((tokens[i], path, tokens[j])))
 
     if len(contexts) > limits.max_contexts:
         rng = _bag_rng(limits.seed, method.id)

@@ -392,11 +392,14 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
     header, arrays = load_bundle(path, expect_kind="model")
     try:
         meta = header["meta"]
-        if "settings" not in meta:
-            raise ValueError("the file predates the settings layout; run 'train-clf' again")
-        config = config_from_dict(meta["settings"])
-        if _model_settings(config) != meta["settings"]:
-            raise ValueError(f"settings must hold exactly the sections {MODEL_SETTINGS}")
+        try:  # settings that fail the round trip were written by an older version
+            if "settings" not in meta:
+                raise ValueError("the file predates the settings layout")
+            config = config_from_dict(meta["settings"])
+            if _model_settings(config) != meta["settings"]:
+                raise ValueError(f"settings must hold exactly the sections {MODEL_SETTINGS}")
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ValueError(f"{exc}; run 'train-clf' again") from exc
         embedder, vocabs = unpack_model(meta, arrays, prefix="emb_")
         pca = PcaModel(arrays["pca_mean"], arrays["pca_components"], arrays["pca_evr"])
         (bias,) = arrays["svm_bias"].tolist()
@@ -528,8 +531,12 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
     for project in eval_projects:
         units = load_project(corpus_root, project)
         mutated, entries = inject_feature_envy(units, config.seed)
-        gt_by_project[project] = entries
-        recs_by_project[project] = score_project(mutated, bundle, config.threshold)
+        recs = score_project(mutated, bundle, config.threshold)
+        # The artifacts hold no row for a project with neither, so the
+        # stage path's evaluate never sees it; leave it out here too.
+        if entries or recs:
+            gt_by_project[project] = entries
+            recs_by_project[project] = recs
 
     report = evaluate(recs_by_project, gt_by_project)
     baseline = analytic_random_baseline(recs_by_project, gt_by_project)

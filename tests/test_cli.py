@@ -415,6 +415,24 @@ class TestStageChain:
         assert not (work / REPORT_FILE).exists()
         assert not (tmp_path / "work2" / REPORT_FILE).exists()
 
+    def test_project_without_candidates_is_left_out(self, tmp_path, monkeypatch, capsys):
+        """proj-x has no method to move, so neither artifact holds a row
+        for it: evaluate and pipeline both leave it out and write the
+        report of the generated project alone."""
+        base = self.run_stages(tmp_path, monkeypatch)
+        work = tmp_path / "work"
+        report = (work / REPORT_FILE).read_bytes()
+        (tmp_path / "corpus" / "eval" / "proj-x").mkdir()
+        (tmp_path / "corpus" / "eval" / "proj-x" / "Target.java").write_text(
+            "class Target {\n    int count;\n    int getCount() {\n        return count;\n"
+            "    }\n}\n")
+        assert main(["inject", *base, "--corpus", "corpus", "--out", "mutated2"]) == 0
+        assert main(["recommend", *base, "--corpus", "mutated2"]) == 0
+        assert main(["evaluate", *base, "--corpus", "mutated2"]) == 0
+        assert main(["pipeline", *base, "--work-dir", "work2", "--corpus", "corpus"]) == 0
+        assert (work / REPORT_FILE).read_bytes() == report
+        assert (tmp_path / "work2" / REPORT_FILE).read_bytes() == report
+
     def test_evaluate_reads_no_source(self, tmp_path, monkeypatch, capsys):
         base = self.run_stages(tmp_path, monkeypatch)
         report = (tmp_path / "work" / REPORT_FILE).read_bytes()
@@ -767,14 +785,14 @@ class TestStageChain:
             # rate, the PCA variance and svm.c were still settings
             (lambda meta, arrays: meta["settings"].update(
                 limits={"max_length": 8, "max_width": 2, "max_contexts": 200}),
-             "unknown config key 'limits'"),
+             "unknown config key 'limits'; run 'train-clf' again$"),
             (lambda meta, arrays: (
                 meta["settings"].update(limits={"max_length": 8, "max_width": 2,
                                                 "max_contexts": 200},
                                         pca={"variance_threshold": 0.95}),
                 meta["settings"]["embedder"].update(learning_rate=0.001),
                 meta["settings"]["svm"].update(c=10.0)),
-             "unknown config key embedder.learning_rate"),
+             "unknown config key embedder.learning_rate; run 'train-clf' again$"),
             (lambda meta, arrays: meta.update(platt_converged="yes"),
              "platt_converged must be true or false"),
             # settings are exactly the training sections: none missing, none run-time

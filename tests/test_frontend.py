@@ -174,6 +174,32 @@ def test_parse_error_carries_position():
     assert "Pos.java:3:" in str(err)
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("class A {\n  /* one\n     two */ int x; #\n}\n",
+         "P.java:3:20: unexpected character '#'"),
+        ("class A { // note\n  int x;   // more\n     @ }\n",
+         "P.java:3:6: unexpected character '@'"),
+        ('class A {\n  int f() {\n    g("a\\\n  b"); $\n  }\n}\n',
+         "P.java:4:8: unexpected character '$'"),
+        ("class A {\n  int x;\n}\n#", "P.java:4:1: unexpected character '#'"),
+        ("class A {\n  A f() {\n    /* x */ return new A();\n  }\n}\n",
+         "P.java:3:20: unsupported Java construct 'new'"),
+        # a class or block body only ends at its `}`, so end of file
+        # surfaces as the next token another rule expects
+        ("class A {\n  int f() {\n    return g(1,\n      2 /* end\n */  ",
+         "P.java:5:6: expected ')', got 'end of file'"),
+    ],
+    ids=["after-block-comment", "after-line-comment", "after-string-continuation",
+         "last-character", "unsupported-keyword", "end-of-file"],
+)
+def test_parse_error_line_and_column(source, message):
+    with pytest.raises(ParseError) as exc_info:
+        parse_unit(source, "P.java")
+    assert str(exc_info.value) == message
+
+
 def test_duplicate_signature_rejected():
     src = "class A { int f(int a) { return a; } int f(int b) { return b; } }"
     with pytest.raises(DuplicateSignatureError) as caught:

@@ -1,12 +1,14 @@
 """Path-context extraction tests.
 
-The completeness oracle is an independent brute-force walker built on a
-parent map; the main extractor uses ancestor chains instead, so agreement
-between the two is meaningful.
+Two oracles check the extractor.  A brute-force walker built on a parent
+map checks completeness as a multiset.  The all-pairs extractor that the
+one-pass scan replaced checks the exact bag, in order, so a reordering
+that changes the down-sample cannot pass.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import string
 
@@ -15,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_method_source
+from pathmove.codegen import GenConfig, generate_corpus
 from pathmove.errors import DataError
 from pathmove.frontend import AstNode, parse_unit
+from pathmove.injector import inject_feature_envy
 from pathmove.pathctx import (
     METHOD_NAME_PLACEHOLDER,
     ContextBag,
@@ -131,6 +135,122 @@ def test_completeness_against_brute_force():
         assert sorted(got) == sorted(expected), f"case {case}"
         checked_pairs += len(expected)
     assert checked_pairs > 1000  # the corpus was not degenerate
+
+
+def _pair_path(chain_a, chain_b, limits: ExtractionLimits) -> str | None:
+    """Path string from leaf a to leaf b, or None when it exceeds the
+    length limit (nodes on the path) or the width limit (index distance
+    between the two children of the lowest common ancestor that the
+    leaves descend through)."""
+    shared = 0
+    limit = min(len(chain_a), len(chain_b))
+    while shared < limit and chain_a[shared] is chain_b[shared]:
+        shared += 1
+    if len(chain_a) + len(chain_b) - 2 * shared + 1 > limits.max_length:
+        return None
+    child_a = chain_a[shared]
+    child_b = chain_b[shared]
+    siblings = chain_a[shared - 1].children
+    pos_a = next(k for k, c in enumerate(siblings) if c is child_a)
+    pos_b = next(k for k, c in enumerate(siblings) if c is child_b)
+    if abs(pos_b - pos_a) > limits.max_width:
+        return None
+    rising = "↑".join([n.label for n in reversed(chain_a[shared - 1 :])])
+    return rising + "↓" + "↓".join([n.label for n in chain_b[shared:]])
+
+
+def _reference_bag(method, limits: ExtractionLimits) -> ContextBag:
+    """Every leaf pair in source order, each path built from both whole
+    ancestor chains, then the seeded down-sample."""
+    chains = []
+
+    def visit(node: AstNode, chain: tuple):
+        chain = chain + (node,)
+        if node.is_leaf:
+            chains.append(chain)
+        for child in node.children:
+            visit(child, chain)
+
+    visit(method.body, ())
+    tokens = []
+    for chain in chains:
+        text = normalize_token(chain[-1])
+        if chain[-1].label == "Name" and text == method.name:
+            text = METHOD_NAME_PLACEHOLDER
+        tokens.append(text)
+    contexts = []
+    for i in range(len(chains)):
+        for j in range(i + 1, len(chains)):
+            path = _pair_path(chains[i], chains[j], limits)
+            if path is not None:
+                contexts.append(PathContext(tokens[i], path, tokens[j]))
+    if len(contexts) > limits.max_contexts:
+        digest = hashlib.sha256(f"{limits.seed}:{method.id}".encode()).digest()
+        rng = random.Random(int.from_bytes(digest[:8], "little"))
+        keep = sorted(rng.sample(range(len(contexts)), limits.max_contexts))
+        contexts = [contexts[k] for k in keep]
+    return ContextBag(method.id, contexts)
+
+
+LIMIT_GRID = [(1, 1), (2, 5), (3, 1), (5, 2), (8, 2), (10**6, 10**6)]
+
+
+def test_same_bags_in_order_on_a_generated_corpus():
+    files = generate_corpus(GenConfig(n_projects=3, eval_projects=1, seed=11))
+    projects: dict[str, list] = {}
+    for path, text in files.items():
+        projects.setdefault(path.rsplit("/", 1)[0], []).append(parse_unit(text, path))
+    units = [u for project in projects.values() for u in project]
+    for project in projects.values():
+        units += inject_feature_envy(project, 5)[0]  # bodies the injector rewrote
+    methods = [m for u in units for c in u.classes for m in c.methods]
+    assert len(methods) > 100
+    for method in methods:
+        for limits in (ExtractionLimits(), ExtractionLimits(max_contexts=20, seed=3)):
+            assert extract_contexts(method, limits) == _reference_bag(method, limits), method.id
+
+
+@pytest.mark.parametrize("max_length, max_width", LIMIT_GRID)
+def test_same_bags_in_order_on_random_bodies(max_length, max_width):
+    rng = random.Random(max_length * 31 + max_width)
+    limits = ExtractionLimits(max_length, max_width, 10**6)
+    for _ in range(30):
+        method = method_of(random_method_source(rng, name="beta", max_stmts=7))
+        assert extract_contexts(method, limits) == _reference_bag(method, limits)
+
+
+DEEP = (
+    "class T { int f(int a, int b) { if (a > b) { while (a < b) { if (a == b) {"
+    " while (b > 0) { return a > b ? a < b ? a : b > a ? b : a + (b * (a - b))"
+    " : g(a, h(b, a.c)); } } } } return 0; } }"
+)
+WIDE_CALL = "class T { void f(int a, int b) { g(a, b, c, d, e, f); } }"
+
+
+@pytest.mark.parametrize("src", [DEEP, WIDE_CALL], ids=["deep", "wide-call"])
+@pytest.mark.parametrize("max_length, max_width", LIMIT_GRID)
+def test_same_bags_in_order_on_deep_and_wide_bodies(src, max_length, max_width):
+    method = method_of(src)
+    limits = ExtractionLimits(max_length, max_width, 10**6)
+    assert extract_contexts(method, limits) == _reference_bag(method, limits)
+
+
+def test_deep_body_has_paths_longer_than_the_default_limit():
+    paths = _reference_bag(method_of(DEEP), WIDE).contexts
+    assert max(path_nodes(c.path) for c in paths) > ExtractionLimits().max_length
+
+
+def test_same_down_sample_as_the_reference():
+    rng = random.Random(42)
+    method = method_of(random_method_source(rng, max_stmts=12))
+    limits = ExtractionLimits()
+    full = _reference_bag(method, ExtractionLimits(max_contexts=10**6))
+    assert len(full.contexts) > limits.max_contexts  # the sample has to choose
+    for seed in range(3):
+        limits = ExtractionLimits(seed=seed)
+        bag = extract_contexts(method, limits)
+        assert len(bag.contexts) == limits.max_contexts
+        assert bag == _reference_bag(method, limits)
 
 
 def test_limit_monotonicity():
