@@ -162,7 +162,7 @@ _CHUNK_BAGS = 32
 
 def _attend(
     params: EmbedderParams, starts: np.ndarray, paths: np.ndarray, ends: np.ndarray,
-    lengths: np.ndarray | None = None,
+    lengths: np.ndarray | None = None, work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward pass over bags laid end to end, lengths[i] contexts in bag i
     (default: one bag), in the parameters' dtype: (bag of each context,
@@ -170,15 +170,25 @@ def _attend(
     The first layer acts on the small tables, not on every context row:
     combined @ fc_matrix == (tokens @ W_start)[starts]
                           + (paths @ W_path)[paths] + (tokens @ W_end)[ends].
+
+    `work`, if given, is a workspace of at least two (len(starts), d)
+    planes in the parameters' dtype: plane 1 is clobbered, and the
+    transformed contexts returned are the view work[0, :len(starts)].
+    Without it each intermediate is a fresh array, as numpy allocates it.
+    Rows are gathered by np.take with mode="clip", which changes nothing
+    for in-range indices: under the default mode="raise" np.take buffers
+    `out` and the gather runs about 4x slower.
     """
+    n = len(starts)
     if lengths is None:
-        lengths = np.array([len(starts)])
+        lengths = np.array([n])
+    out_pre, out_tmp = (None, None) if work is None else work[:2, :n]
     offsets = np.cumsum(lengths) - lengths
     seg = np.repeat(np.arange(len(lengths)), lengths)
     w_start, w_path, w_end = np.split(params.fc_matrix, [params.d_t, params.d_t + params.d_p])
-    pre = (params.token_matrix @ w_start)[starts]
-    pre += (params.path_matrix @ w_path)[paths]
-    pre += (params.token_matrix @ w_end)[ends]
+    pre = np.take(params.token_matrix @ w_start, starts, axis=0, out=out_pre, mode="clip")
+    pre += np.take(params.path_matrix @ w_path, paths, axis=0, out=out_tmp, mode="clip")
+    pre += np.take(params.token_matrix @ w_end, ends, axis=0, out=out_tmp, mode="clip")
     pre += params.fc_bias
     transformed = np.tanh(pre, out=pre)
     scores = transformed @ params.attention_vector
@@ -264,18 +274,24 @@ class _Adam:
             arrays[key] -= grad
 
 
-def _sum_rows_by_index(rows: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
-    """(n_rows, d) matrix whose row r sums rows[index == r]; zero if unused."""
+def _sum_rows_by_index(
+    rows: np.ndarray, index: np.ndarray, n_rows: int, work: np.ndarray | None = None
+) -> np.ndarray:
+    """(n_rows, d) matrix whose row r sums rows[index == r]; zero if unused.
+    `work`, if given, is an array shaped like `rows` that is clobbered
+    by the sorted rows, gathered with mode="clip" as in `_attend`; the
+    result never views it."""
     order = np.argsort(index, kind="stable")
     sorted_index = index[order]
     firsts = np.flatnonzero(np.r_[True, sorted_index[1:] != sorted_index[:-1]])
+    ordered = np.take(rows, order, axis=0, out=work, mode="clip")
     out = np.zeros((n_rows, rows.shape[1]), dtype=rows.dtype)
-    out[sorted_index[firsts]] = np.add.reduceat(rows[order], firsts, axis=0)
+    out[sorted_index[firsts]] = np.add.reduceat(ordered, firsts, axis=0)
     return out
 
 
 def _batch_loss_and_grads(
-    params: EmbedderParams, batch: list[_Indexed]
+    params: EmbedderParams, batch: list[_Indexed], work: np.ndarray | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch and gradients for every group.
 
@@ -283,6 +299,12 @@ def _batch_loss_and_grads(
     this is its backward pass. The first layer's gradients are summed
     per table row before any matmul with its weights. Everything runs in
     the parameters' dtype.
+
+    `work`, if given, is a (3, cap, d) workspace in the parameters' dtype
+    with cap at least the batch's context count. Every (contexts, d)
+    intermediate then lives in it, gathered with mode="clip" as in
+    `_attend`, so all three planes are clobbered; the returned gradients
+    never view it. Without it each intermediate is a fresh array.
     """
     lengths = np.array([len(s.starts) for s in batch])
     offsets = np.cumsum(lengths) - lengths
@@ -290,7 +312,9 @@ def _batch_loss_and_grads(
     paths = np.concatenate([s.paths for s in batch])
     ends = np.concatenate([s.ends for s in batch])
     labels = np.array([s.label for s in batch])
-    seg, transformed, weights, vectors = _attend(params, starts, paths, ends, lengths)
+    n = len(starts)
+    _, out_d, out_tmp = (None, None, None) if work is None else work[:, :n]
+    seg, transformed, weights, vectors = _attend(params, starts, paths, ends, lengths, work)
 
     logits = vectors @ params.output_matrix
     logits -= logits.max(axis=1, keepdims=True)
@@ -305,22 +329,22 @@ def _batch_loss_and_grads(
     d_output = vectors.T @ d_logits
     d_vectors = d_logits @ params.output_matrix.T
 
-    d_transformed = d_vectors[seg]
+    d_transformed = np.take(d_vectors, seg, axis=0, out=out_d, mode="clip")
     d_weights = np.einsum("ij,ij->i", transformed, d_transformed)
     d_transformed *= weights[:, None]
     inner = np.add.reduceat(weights * d_weights, offsets)
     d_scores = weights * (d_weights - inner[seg])
     d_attention = transformed.T @ d_scores
-    d_transformed += d_scores[:, None] * params.attention_vector
+    d_transformed += np.multiply(d_scores[:, None], params.attention_vector, out=out_tmp)
     # tanh' = 1 - tanh**2, computed in place: transformed is not read again.
     d_pre = d_transformed
     d_pre *= np.subtract(1.0, np.square(transformed, out=transformed), out=transformed)
     d_bias = d_pre.sum(axis=0)
 
     n_tokens = len(params.token_matrix)
-    g_start = _sum_rows_by_index(d_pre, starts, n_tokens)
-    g_path = _sum_rows_by_index(d_pre, paths, len(params.path_matrix))
-    g_end = _sum_rows_by_index(d_pre, ends, n_tokens)
+    g_start = _sum_rows_by_index(d_pre, starts, n_tokens, out_tmp)
+    g_path = _sum_rows_by_index(d_pre, paths, len(params.path_matrix), out_tmp)
+    g_end = _sum_rows_by_index(d_pre, ends, n_tokens, out_tmp)
     d_fc = np.vstack(
         [
             params.token_matrix.T @ g_start,
@@ -362,6 +386,10 @@ def train_embedder(
 
     arrays = params.grouped()
     adam = _Adam(arrays, config.learning_rate)
+    # One workspace for every step, as large as the biggest possible
+    # batch; rows a run never reaches are never touched, so cost no RSS.
+    cap = sum(sorted(len(s.starts) for s in indexed)[-config.batch_size :])
+    work = np.empty((3, cap, config.d), dtype=np.float32)
     history: list[float] = []
     order = np.arange(len(indexed))
     for _ in range(config.epochs):
@@ -369,7 +397,7 @@ def train_embedder(
         total = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = [indexed[i] for i in order[lo : lo + config.batch_size]]
-            loss, grads = _batch_loss_and_grads(params, batch)
+            loss, grads = _batch_loss_and_grads(params, batch, work)
             adam.update(arrays, grads)
             total += loss * len(batch)
         history.append(total / len(indexed))
@@ -433,5 +461,11 @@ def unpack_model(
     expected = 2 * params.d_t + params.d_p
     if params.fc_matrix.shape[0] != expected or params.fc_bias.shape != (params.d,):
         raise ValueError("inconsistent embedder dimensions")
+    # The forward pass gathers table rows with mode="clip", which would
+    # clamp an index past a short table instead of raising.
+    if (len(params.token_matrix), len(params.path_matrix)) != (
+        len(vocabs.token_index), len(vocabs.path_index)
+    ):
+        raise ValueError("embedding tables and vocabularies differ in length")
     return params, vocabs
 

@@ -120,9 +120,11 @@ def fit_pca(
     dim = data.shape[1]
     if k is not None and not 1 <= k <= dim:
         raise DataError(f"fixed k={k} outside [1, {dim}]")
+    n = data.shape[0]
     mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (data.shape[0] - 1)
+    data -= mean  # the stacked copy is ours: centre it in place
+    cov = data.T @ data / (n - 1)
+    del data  # released before eigh allocates its workspace
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
@@ -144,10 +146,13 @@ def fit_pca(
     return PcaModel(mean, components, ratios[:k])
 
 
-def apply_pca_matrix(model: PcaModel, data: np.ndarray) -> np.ndarray:
-    """Bulk projection of an (n, 2d) matrix."""
+def apply_pca_matrix(model: PcaModel, data: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Bulk projection of an (n, 2d) matrix.  `data` is left as it is,
+    unless `overwrite` lets it be centred in place to spare an (n, 2d)
+    copy; the caller must not read it afterwards."""
     if data.shape[1] != model.input_dim:
         raise DimMismatchError(
             f"matrix width {data.shape[1]} != PCA input {model.input_dim}"
         )
-    return (data - model.mean) @ model.components.T
+    centred = np.subtract(data, model.mean, out=data if overwrite else None)
+    return centred @ model.components.T

@@ -134,7 +134,8 @@ def fit_classifier(
     pca = fit_pca([e.feature for e in train])
 
     def reduced(examples: list[LabeledExample]) -> np.ndarray:
-        return apply_pca_matrix(pca, np.stack([e.feature.values for e in examples]))
+        stacked = np.stack([e.feature.values for e in examples])
+        return apply_pca_matrix(pca, stacked, overwrite=True)
 
     train_matrix = reduced(train)
     rff = fit_rff(train_matrix, d_out=config.rff_dim, seed=config.seed)

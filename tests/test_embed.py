@@ -4,6 +4,7 @@ persistence."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,61 @@ def test_float32_step_keeps_dtype_and_agrees_with_float64():
         assert rel <= 1e-4, f"{group}: relative error {rel}"
 
 
+def workspace_setup(dtype, seed):
+    """Parameters, two batches (the first larger) and a workspace sized
+    for the larger one, filled with garbage."""
+    tokens = [f"t{i}" for i in range(9)]
+    markers = [f"M{i}" for i in range(7)]
+    vocabs = toy_vocabs(tokens, markers, [f"n{i}" for i in range(5)])
+    params = seeded_params(vocabs, d_t=16, d_p=12, d=24, seed=seed)
+    params = EmbedderParams(**{k: a.astype(dtype) for k, a in params.grouped().items()})
+    rng = np.random.default_rng(seed)
+    sizes = (len(vocabs.token_index), len(vocabs.path_index), 5)
+    big, small = random_batch(rng, 8, 60, *sizes), random_batch(rng, 3, 20, *sizes)
+    cap = sum(len(s.starts) for s in big)
+    work = np.full((3, cap, params.d), np.nan, dtype=dtype)
+    return params, big, small, work
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_step_with_workspace_equals_fresh_allocation(dtype):
+    params, big, small, work = workspace_setup(dtype, seed=5)
+    for batch in (big, small, big):  # small runs over what big left behind
+        loss, grads = _batch_loss_and_grads(params, batch, work)
+        ref_loss, ref_grads = _batch_loss_and_grads(params, batch)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for group, ref in ref_grads.items():
+            assert grads[group].dtype == ref.dtype, group
+            assert grads[group].tobytes() == ref.tobytes(), group
+            assert not np.shares_memory(grads[group], work), group
+
+
+def test_step_with_workspace_allocates_no_context_matrix():
+    # Peak traced allocation of one step, as a multiple of one
+    # (contexts, d) array: without a workspace several such arrays are
+    # live at once, with one none is.
+    vocabs = toy_vocabs([f"t{i}" for i in range(9)], [f"M{i}" for i in range(7)], ["f", "g"])
+    params = float32_copy(seeded_params(vocabs, d_t=16, d_p=16, d=128, seed=9))
+    rng = np.random.default_rng(9)
+    sizes = (len(vocabs.token_index), len(vocabs.path_index), 2)
+    batch = random_batch(rng, 32, 120, *sizes)
+    contexts = sum(len(s.starts) for s in batch)
+    one_matrix = contexts * params.d * np.dtype(np.float32).itemsize
+    work = np.empty((3, contexts, params.d), dtype=np.float32)
+
+    def peak(*args):
+        tracemalloc.start()
+        try:
+            _batch_loss_and_grads(params, batch, *args)
+            return tracemalloc.get_traced_memory()[1] / one_matrix
+        finally:
+            tracemalloc.stop()
+
+    assert peak(work) < 1.0
+    assert peak() > 2.0
+
+
 def test_adam_update_matches_textbook():
     rng = np.random.default_rng(6)
     shapes = {"w": (5, 3), "b": (7,)}
@@ -540,6 +596,19 @@ def test_load_rejects_nonfinite(tmp_path):
     from pathmove.bundle import CorruptFileError
 
     with pytest.raises(CorruptFileError, match="non-finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("table", ["token_matrix", "path_matrix"])
+def test_load_rejects_table_shorter_than_vocabulary(tmp_path, table):
+    vocabs = toy_vocabs(["a", "b"], ["M1", "M2"], ["f", "g"])
+    params = seeded_params(vocabs)
+    setattr(params, table, getattr(params, table)[:-1])
+    path = str(tmp_path / "short.pmb")
+    save_model(params, vocabs, path)
+    from pathmove.bundle import CorruptFileError
+
+    with pytest.raises(CorruptFileError, match="differ in length"):
         load_model(path)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,62 @@ def test_refit_equality_and_independence_from_other_rows():
     model_b = fit_pca(train, k=3)
     assert np.array_equal(model_a.mean, model_b.mean)
     assert np.array_equal(model_a.components, model_b.components)
+
+
+def two_copy_pca(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference: fit_pca's formula with a separate centred copy."""
+    mean = data.mean(axis=0)
+    centered = data - mean
+    cov = centered.T @ centered / (data.shape[0] - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.clip(eigvals[order], 0.0, None)
+    components = eigvecs[:, order][:, :k].T.copy()
+    for row in components:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return mean, components, (eigvals / eigvals.sum())[:k]
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_pca_leaves_input_and_matches_two_copy_formula():
+    rng = np.random.default_rng(37)
+    data = rng.normal(size=(400, 48)) * np.linspace(4, 0.2, 48) + 3.0
+    kept = data.copy()
+    features = raw_features(data)  # rows are views of data
+    model = fit_pca(features, k=10)
+    assert np.array_equal(data, kept)
+    mean, components, ratios = two_copy_pca(kept, 10)
+    assert model.mean.tobytes() == mean.tobytes()
+    assert model.components.tobytes() == components.tobytes()
+    assert model.explained_variance_ratio.tobytes() == ratios.tobytes()
+
+
+def test_fit_pca_holds_one_stacked_copy():
+    data = np.random.default_rng(41).normal(size=(400, 48))
+    features = raw_features(data)
+    assert traced_peak(fit_pca, features, k=10) < 1.6 * data.nbytes
+
+
+def test_projection_in_place_equals_copying_projection():
+    rng = np.random.default_rng(43)
+    data = rng.normal(size=(2000, 40)) + 1.5
+    model = fit_pca(raw_features(data), k=6)
+    kept = data.copy()
+    expected = apply_pca_matrix(model, data)
+    assert np.array_equal(data, kept)  # the default leaves its input alone
+    assert traced_peak(apply_pca_matrix, model, kept.copy()) >= data.nbytes
+    assert traced_peak(apply_pca_matrix, model, kept.copy(), overwrite=True) < 0.5 * data.nbytes
+    assert apply_pca_matrix(model, kept, overwrite=True).tobytes() == expected.tobytes()
+    assert np.array_equal(kept, data - model.mean)  # centred in place
 
 
 def test_pca_error_cases():
