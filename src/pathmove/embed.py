@@ -462,9 +462,11 @@ def unpack_model(
     if params.fc_matrix.shape[0] != expected or params.fc_bias.shape != (params.d,):
         raise ValueError("inconsistent embedder dimensions")
     # The forward pass gathers table rows with mode="clip", which would
-    # clamp an index past a short table instead of raising.
+    # clamp an index past a short table instead of raising. Indices run
+    # over the vocabulary lists (Vocabularies has already refused a list
+    # with a repeated entry, as its indices would not be dense).
     if (len(params.token_matrix), len(params.path_matrix)) != (
-        len(vocabs.token_index), len(vocabs.path_index)
+        len(meta["token_vocab"]), len(meta["path_vocab"])
     ):
         raise ValueError("embedding tables and vocabularies differ in length")
     return params, vocabs

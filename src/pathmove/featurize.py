@@ -146,13 +146,14 @@ def fit_pca(
     return PcaModel(mean, components, ratios[:k])
 
 
-def apply_pca_matrix(model: PcaModel, data: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Bulk projection of an (n, 2d) matrix.  `data` is left as it is,
-    unless `overwrite` lets it be centred in place to spare an (n, 2d)
-    copy; the caller must not read it afterwards."""
+def apply_pca_matrix(model: PcaModel, rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    """Bulk projection of an (n, 2d) matrix or a list of n rows.  The
+    input is left as it is: the float64 copy stacked here is ours, so it
+    is centred in place and a list costs one (n, 2d) array, not two."""
+    data = np.array(rows, dtype=np.float64)
     if data.shape[1] != model.input_dim:
         raise DimMismatchError(
             f"matrix width {data.shape[1]} != PCA input {model.input_dim}"
         )
-    centred = np.subtract(data, model.mean, out=data if overwrite else None)
-    return centred @ model.components.T
+    data -= model.mean
+    return data @ model.components.T

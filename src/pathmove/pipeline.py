@@ -134,8 +134,7 @@ def fit_classifier(
     pca = fit_pca([e.feature for e in train])
 
     def reduced(examples: list[LabeledExample]) -> np.ndarray:
-        stacked = np.stack([e.feature.values for e in examples])
-        return apply_pca_matrix(pca, stacked, overwrite=True)
+        return apply_pca_matrix(pca, [e.feature.values for e in examples])
 
     train_matrix = reduced(train)
     rff = fit_rff(train_matrix, d_out=config.rff_dim, seed=config.seed)

@@ -612,6 +612,27 @@ def test_load_rejects_table_shorter_than_vocabulary(tmp_path, table):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "vocab, table", [("token_vocab", "token_matrix"), ("path_vocab", "path_matrix")]
+)
+def test_load_rejects_duplicated_vocabulary_entry(tmp_path, vocab, table):
+    # [UNK, x, x] makes a 2-key dict that maps x to index 2, past a 2-row
+    # table; the clipped gather would read row 1, so loading must refuse it
+    vocabs = toy_vocabs(["a"], ["M1"], ["f", "g"])
+    params = seeded_params(vocabs)
+    path = str(tmp_path / "dup.pmb")
+    save_model(params, vocabs, path)
+    from pathmove.bundle import CorruptFileError, load_bundle, save_bundle
+
+    header, arrays = load_bundle(path, expect_kind="embedder")
+    meta = header["meta"]
+    assert len(getattr(params, table)) == len(meta[vocab]) == 2
+    meta[vocab] = [*meta[vocab], meta[vocab][-1]]
+    save_bundle(path, "embedder", meta, arrays)
+    with pytest.raises(CorruptFileError, match="dense from 0"):
+        load_model(path)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(d=0)

@@ -256,17 +256,17 @@ def test_fit_pca_holds_one_stacked_copy():
     assert traced_peak(fit_pca, features, k=10) < 1.6 * data.nbytes
 
 
-def test_projection_in_place_equals_copying_projection():
+def test_projection_leaves_input_and_holds_one_copy():
     rng = np.random.default_rng(43)
     data = rng.normal(size=(2000, 40)) + 1.5
     model = fit_pca(raw_features(data), k=6)
     kept = data.copy()
-    expected = apply_pca_matrix(model, data)
-    assert np.array_equal(data, kept)  # the default leaves its input alone
-    assert traced_peak(apply_pca_matrix, model, kept.copy()) >= data.nbytes
-    assert traced_peak(apply_pca_matrix, model, kept.copy(), overwrite=True) < 0.5 * data.nbytes
-    assert apply_pca_matrix(model, kept, overwrite=True).tobytes() == expected.tobytes()
-    assert np.array_equal(kept, data - model.mean)  # centred in place
+    expected = (kept - model.mean) @ model.components.T
+    assert apply_pca_matrix(model, data).tobytes() == expected.tobytes()
+    assert apply_pca_matrix(model, list(data)).tobytes() == expected.tobytes()
+    assert np.array_equal(data, kept)  # the input is never centred in place
+    for rows in (data, list(data)):
+        assert data.nbytes <= traced_peak(apply_pca_matrix, model, rows) < 1.5 * data.nbytes
 
 
 def test_pca_error_cases():
