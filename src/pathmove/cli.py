@@ -20,7 +20,7 @@ from .codegen import EVAL_DIR, GenConfig, list_group, list_projects, load_projec
 from .config import RunConfig, load_config
 from .embed import load_model, save_model, train_embedder, training_accuracy
 from .errors import ConfigError, DataError, MissingArtifactError
-from .frontend import method_project, print_unit
+from .frontend import method_project, print_unit, split_method_id
 from .injector import (
     inject_feature_envy,
     read_dataset,
@@ -33,11 +33,9 @@ from .pathctx import ContextBag, dump_bags, load_bags
 from .pipeline import (
     EvalReport,
     ModelBundle,
-    analytic_random_baseline,
     corpus_bags,
     evaluate,
     fit_classifier,
-    group_ground_truth,
     load_model_bundle,
     project_examples,
     read_recommendations,
@@ -149,12 +147,22 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> None:
 
 
 def _read_bags(work: Path) -> list[ContextBag]:
+    """The training bags; a malformed line, or a method id that does not
+    parse or sits in no project directory, is a DataError naming the line."""
     path = _require(work / BAGS_FILE, "extract")
     text = read_utf8(path)
     try:
-        return load_bags(text)
+        bags = load_bags(text)
     except DataError as exc:
         raise DataError(f"{path}:{exc}") from exc
+    for index, bag in enumerate(bags):
+        try:
+            split_method_id(bag.method_id)
+            method_project(bag.method_id)
+        except DataError as exc:
+            lineno = [n for n, line in enumerate(text.splitlines(), 1) if line][index]
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return bags
 
 
 def cmd_train_embed(args: argparse.Namespace, config: RunConfig) -> None:
@@ -197,7 +205,12 @@ def cmd_build_dataset(args: argparse.Namespace, config: RunConfig) -> None:
 def cmd_train_clf(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     params, vocabs = load_model(_require(work / EMBEDDER_FILE, "train-embed"))
-    train, validate = read_dataset(_require(work / DATASET_FILE, "build-dataset"))
+    dataset_path = _require(work / DATASET_FILE, "build-dataset")
+    train, validate = read_dataset(dataset_path)
+    width = train[0].feature.values.size
+    if width != 2 * params.d:
+        raise DataError(f"{dataset_path}: pairs are {width} wide, not twice the embedder's code "
+                        f"width {params.d}; run the 'build-dataset' stage again")
     pca, rff, svm_model, platt = fit_classifier(train, validate, config)
     bundle = ModelBundle(params, vocabs, pca, svm_model, platt, rff, config)
     save_model_bundle(work / MODEL_FILE, bundle)
@@ -208,21 +221,18 @@ def cmd_train_clf(args: argparse.Namespace, config: RunConfig) -> None:
 def cmd_inject(args: argparse.Namespace, config: RunConfig) -> None:
     out_root = _fresh_out(args.out)
     _, eval_projects = list_projects(args.corpus)
-    all_entries = []
+    gt_by_project = {}
     for project in eval_projects:
         units = load_project(args.corpus, project)
-        mutated, entries = inject_feature_envy(units, config.seed)
+        mutated, gt_by_project[project] = inject_feature_envy(units, config.seed)
         for unit in mutated:
             path = out_root / unit.file_path
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(print_unit(unit), encoding="utf-8")
-        all_entries.extend(entries)
     work = _work_dir(config)
-    write_ground_truth(work / GROUND_TRUTH_FILE, all_entries)
-    print(
-        f"moved {len(all_entries)} methods across {len(eval_projects)} "
-        f"projects into {out_root}"
-    )
+    write_ground_truth(work / GROUND_TRUTH_FILE, gt_by_project)
+    moved = sum(map(len, gt_by_project.values()))
+    print(f"moved {moved} methods across {len(eval_projects)} projects into {out_root}")
 
 
 def cmd_recommend(args: argparse.Namespace, config: RunConfig) -> None:
@@ -243,12 +253,11 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     recs_by_project = read_recommendations(_require(work / RECOMMENDATIONS_FILE, "recommend"))
     gt_path = _require(work / GROUND_TRUTH_FILE, "inject")
-    gt_by_project = group_ground_truth(read_ground_truth(gt_path))
+    gt_by_project = read_ground_truth(gt_path)
     missing = sorted(set(gt_by_project) - set(list_group(args.corpus, EVAL_DIR)))
     if missing:
         raise DataError(f"{gt_path}: project {missing[0]} is not in the corpus {args.corpus}")
-    report = evaluate(recs_by_project, gt_by_project)
-    _write_report(work, report, analytic_random_baseline(recs_by_project, gt_by_project))
+    _write_report(work, *evaluate(recs_by_project, gt_by_project))
 
 
 def cmd_pipeline(args: argparse.Namespace, config: RunConfig) -> None:
@@ -256,8 +265,7 @@ def cmd_pipeline(args: argparse.Namespace, config: RunConfig) -> None:
     work = _work_dir(config)
     save_model_bundle(work / MODEL_FILE, result.model)
     write_recommendations(work / RECOMMENDATIONS_FILE, result.recommendations)
-    entries = [e for project in sorted(result.ground_truth) for e in result.ground_truth[project]]
-    write_ground_truth(work / GROUND_TRUTH_FILE, entries)
+    write_ground_truth(work / GROUND_TRUTH_FILE, result.ground_truth)
     _write_report(work, result.report, result.baseline_f1)
 
 

@@ -572,21 +572,27 @@ def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
         raise CorruptFileError(f"{path}: bad dataset bundle: {exc}") from exc
 
 
-def write_ground_truth(path: str | Path, entries: list[GroundTruthEntry]) -> None:
-    write_jsonl(path, GROUND_TRUTH_FORMAT, map(asdict, entries))
+def write_ground_truth(path: str | Path, gt_by_project: dict[str, list[GroundTruthEntry]]) -> None:
+    """One row per entry, the projects in sorted order."""
+    rows = (asdict(e) for project in sorted(gt_by_project) for e in gt_by_project[project])
+    write_jsonl(path, GROUND_TRUTH_FORMAT, rows)
 
 
-def _parse_ground_truth(row: dict) -> GroundTruthEntry:
+def _parse_ground_truth(row: dict) -> tuple[str, GroundTruthEntry]:
     entry = GroundTruthEntry(**row)
-    method_project(entry.moved_method_id)
+    project = method_project(entry.moved_method_id)
     home = split_method_id(entry.moved_method_id)[1]
     if entry.injected_class_id != home:
         raise ValueError(f"injected_class_id {entry.injected_class_id!r} is not the class "
                          f"{home!r} of the moved method")
     if entry.original_class_id == home:
         raise ValueError(f"original_class_id equals injected_class_id {home!r}")
-    return entry
+    return project, entry
 
 
-def read_ground_truth(path: str | Path) -> list[GroundTruthEntry]:
-    return read_jsonl(path, GROUND_TRUTH_FORMAT, _parse_ground_truth)
+def read_ground_truth(path: str | Path) -> dict[str, list[GroundTruthEntry]]:
+    """The entries of each project, in file order."""
+    out: dict[str, list[GroundTruthEntry]] = {}
+    for project, entry in read_jsonl(path, GROUND_TRUTH_FORMAT, _parse_ground_truth):
+        out.setdefault(project, []).append(entry)
+    return out

@@ -289,17 +289,28 @@ def summarize(scores: list[ProjectScore]) -> EvalReport:
 def evaluate(
     recs_by_project: dict[str, list[Recommendation]],
     gt_by_project: dict[str, list[GroundTruthEntry]],
-) -> EvalReport:
-    """A recommendation counts as correct when it moves a ground-truth
+) -> tuple[EvalReport, float]:
+    """The model's report and the random baseline's expected macro-F1.
+
+    A recommendation counts as correct when it moves a ground-truth
     method back to the exact class it was taken from.  A project may name
     each method at most once in its recommendations and in its ground
-    truth."""
+    truth.
+
+    The baseline recommends uniformly at random among the candidates the
+    recommendations record (one per scoreable method).  For a
+    ground-truth method with t candidate targets there are t + 1 equally
+    likely picks (stay or one target), so it is found with probability
+    1/(t+1) and some move is recommended with probability t/(t+1).
+    Methods the random recommender cannot even see count against recall
+    only, exactly as they do for the real one.
+    """
     if set(recs_by_project) != set(gt_by_project):
         raise DataError(
             f"project sets differ: recommendations {sorted(recs_by_project)} "
             f"vs ground truth {sorted(gt_by_project)}"
         )
-    scores = []
+    scores, baseline = [], []
     for project in sorted(gt_by_project):
         entries = gt_by_project[project]
         recs = recs_by_project[project]
@@ -309,44 +320,24 @@ def evaluate(
         moves = [r for r in recs if r.decision == MOVE]
         correct = sum(1 for r in moves if home.get(r.method_id) == r.best_class_id)
         scores.append(project_score(project, len(entries), len(moves), correct))
-    return summarize(scores)
-
-
-def _require_unique(project: str, source: str, method_ids: list[str]) -> None:
-    repeated = sorted(m for m, n in Counter(method_ids).items() if n > 1)
-    if repeated:
-        raise DataError(f"project {project}: {source} name {repeated[0]!r} more than once")
-
-
-def analytic_random_baseline(
-    recs_by_project: dict[str, list[Recommendation]],
-    gt_by_project: dict[str, list[GroundTruthEntry]],
-) -> float:
-    """Expected macro-F1 of recommending uniformly at random among the
-    candidates the recommendations record (one per scoreable method).
-
-    For a ground-truth method with t candidate targets there are t + 1
-    equally likely picks (stay or one target), so it is found with
-    probability 1/(t+1) and some move is recommended with probability
-    t/(t+1).  Methods the random recommender cannot even see count
-    against recall only, exactly as they do for the real one.
-    """
-    scores = []
-    for project in sorted(gt_by_project):
-        entries = gt_by_project[project]
-        cand_map = {r.method_id: r for r in recs_by_project.get(project, [])}
-        exp_correct = 0.0
-        exp_recommended = 0.0
+        by_id = {r.method_id: r for r in recs}
+        exp_correct = exp_recommended = 0.0
         for entry in entries:
-            cand = cand_map.get(entry.moved_method_id)
+            cand = by_id.get(entry.moved_method_id)
             if cand is None:
                 continue
             options = len(cand.target_class_ids) + 1
             if entry.original_class_id in cand.target_class_ids:
                 exp_correct += 1.0 / options
             exp_recommended += (options - 1.0) / options
-        scores.append(project_score(project, len(entries), exp_recommended, exp_correct))
-    return summarize(scores).macro_f1
+        baseline.append(project_score(project, len(entries), exp_recommended, exp_correct))
+    return summarize(scores), summarize(baseline).macro_f1
+
+
+def _require_unique(project: str, source: str, method_ids: list[str]) -> None:
+    repeated = sorted(m for m, n in Counter(method_ids).items() if n > 1)
+    if repeated:
+        raise DataError(f"project {project}: {source} name {repeated[0]!r} more than once")
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +473,6 @@ def read_recommendations(path: str | Path) -> dict[str, list[Recommendation]]:
     return out
 
 
-def group_ground_truth(
-    entries: list[GroundTruthEntry],
-) -> dict[str, list[GroundTruthEntry]]:
-    out: dict[str, list[GroundTruthEntry]] = {}
-    for entry in entries:
-        out.setdefault(method_project(entry.moved_method_id), []).append(entry)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # End-to-end run
 
@@ -538,6 +520,5 @@ def run_pipeline(corpus_root: str | Path, config: RunConfig) -> PipelineResult:
             gt_by_project[project] = entries
             recs_by_project[project] = recs
 
-    report = evaluate(recs_by_project, gt_by_project)
-    baseline = analytic_random_baseline(recs_by_project, gt_by_project)
+    report, baseline = evaluate(recs_by_project, gt_by_project)
     return PipelineResult(report, baseline, bundle, recs_by_project, gt_by_project)

@@ -41,7 +41,7 @@ from pathmove.cli import (
 from pathmove.codegen import load_project
 from pathmove.frontend import split_method_id
 from pathmove.injector import find_scoreable, read_ground_truth
-from pathmove.pipeline import f1_score, group_ground_truth, load_model_bundle
+from pathmove.pipeline import f1_score, load_model_bundle
 
 
 def home(row: dict) -> str:
@@ -203,6 +203,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{BAGS_FILE}:2:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train-embed", "build-dataset"])
+    @pytest.mark.parametrize(
+        "method_id", ["garbage", "train/proj-00/A.java::A::f/x", "Top.java::Top::f/1"]
+    )
+    def test_bad_method_id_in_bags_file_names_its_line(self, tmp_path, monkeypatch, capsys,
+                                                        command, method_id):
+        """An id that does not parse or sits in no project directory."""
+        monkeypatch.chdir(tmp_path)
+        base = ["--config", write_config(tmp_path)]
+        assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "3",
+                     "--eval-projects", "1"]) == 0
+        assert main(["extract", *base, "--corpus", "corpus"]) == 0
+        assert main(["train-embed", *base]) == 0
+        capsys.readouterr()
+        bags = tmp_path / "work" / BAGS_FILE
+        lines = bags.read_text().splitlines()
+        lines[1] = "\t".join([method_id, *lines[1].split("\t")[1:]])
+        bags.write_text("\n".join(lines) + "\n")
+        corpus = ["--corpus", "corpus"] if command == "build-dataset" else []
+        assert main([command, *base, *corpus]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{BAGS_FILE}:2: " in err and method_id in err
+        assert "Traceback" not in err
+
+    def test_dataset_of_another_code_width_asks_for_build_dataset(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        """An embedder retrained at another code width after build-dataset:
+        train-clf refuses the stale pairs instead of writing a model that
+        recommend then rejects."""
+        monkeypatch.chdir(tmp_path)
+        base = ["--config", write_config(tmp_path)]
+        assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "3",
+                     "--eval-projects", "1"]) == 0
+        assert main(["extract", *base, "--corpus", "corpus"]) == 0
+        assert main(["train-embed", *base]) == 0
+        assert main(["build-dataset", *base, "--corpus", "corpus"]) == 0
+        narrow = {"embedder": {**MICRO_CONFIG["embedder"], "code_dim": 8}}
+        narrow_base = ["--config", write_config(tmp_path, narrow, name="narrow.json")]
+        assert main(["train-embed", *narrow_base]) == 0
+        capsys.readouterr()
+        assert main(["train-clf", *narrow_base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and DATASET_FILE in err and "'build-dataset'" in err
+        assert "32 wide" in err and "Traceback" not in err
+        assert not (tmp_path / "work" / MODEL_FILE).exists()
 
     def test_split_without_test_rows_is_data_error(self, tmp_path, monkeypatch, capsys):
         """One small training project whose methods each hold more rows
@@ -405,7 +451,7 @@ class TestStageChain:
         (work / REPORT_FILE).unlink()
         capsys.readouterr()
         assert main(["inject", *base, "--corpus", "corpus", "--out", "mutated2"]) == 0
-        assert read_ground_truth(work / GROUND_TRUTH_FILE) == []
+        assert read_ground_truth(work / GROUND_TRUTH_FILE) == {}
         assert main(["recommend", *base, "--corpus", "mutated2"]) == 0
         assert main(["evaluate", *base, "--corpus", "mutated2"]) == 3
         assert main(["pipeline", *base, "--work-dir", "work2", "--corpus", "corpus"]) == 3
@@ -445,7 +491,7 @@ class TestStageChain:
         """The baseline that evaluate takes from the recommendations'
         targets equals one taken from the mutated corpus's candidates."""
         self.run_stages(tmp_path, monkeypatch)
-        truth = group_ground_truth(read_ground_truth(tmp_path / "work" / GROUND_TRUTH_FILE))
+        truth = read_ground_truth(tmp_path / "work" / GROUND_TRUTH_FILE)
         f1s = []
         for project, entries in sorted(truth.items()):
             candidates = {c.method_id: c for c in find_scoreable(load_project("mutated", project))}

@@ -1138,13 +1138,48 @@ def test_dataset_rejects_counts_that_disagree(tmp_path, edit):
 
 
 def test_ground_truth_round_trip(tmp_path):
-    entries = [
-        GroundTruthEntry("eval/proj-01/b.java::B::m/2", "A", "B"),
-        GroundTruthEntry("eval/proj-01/c.java::C::n/1", "A", "C"),
-    ]
+    gt_by_project = {
+        "eval/proj-01": [
+            GroundTruthEntry("eval/proj-01/b.java::B::m/2", "A", "B"),
+            GroundTruthEntry("eval/proj-01/c.java::C::n/1", "A", "C"),
+        ],
+        "eval/proj-02": [GroundTruthEntry("eval/proj-02/a.java::A::p/1", "D", "A")],
+    }
     path = tmp_path / "gt.jsonl"
-    write_ground_truth(path, entries)
-    assert read_ground_truth(path) == entries
+    write_ground_truth(path, gt_by_project)
+    assert read_ground_truth(path) == gt_by_project
+
+
+def test_ground_truth_writes_projects_in_sorted_order(tmp_path):
+    later = [GroundTruthEntry("eval/proj-02/a.java::A::p/1", "D", "A")]
+    earlier = [GroundTruthEntry("eval/proj-01/b.java::B::m/2", "A", "B")]
+    write_ground_truth(tmp_path / "a.jsonl", {"eval/proj-02": later, "eval/proj-01": earlier})
+    write_ground_truth(tmp_path / "b.jsonl", {"eval/proj-01": earlier, "eval/proj-02": later})
+    text = (tmp_path / "a.jsonl").read_text()
+    assert text == (tmp_path / "b.jsonl").read_text()
+    assert text.index("eval/proj-01/") < text.index("eval/proj-02/")
+
+
+def test_read_ground_truth_groups_rows_by_project(tmp_path):
+    """Rows that interleave two projects are grouped by project, each
+    project's entries in file order."""
+    path = tmp_path / "gt.jsonl"
+    path.write_text(
+        '{"format": "ground-truth", "version": 1}\n'
+        '{"injected_class_id": "A", "moved_method_id": "eval/proj-04/A.java::A::m/2", '
+        '"original_class_id": "B"}\n'
+        '{"injected_class_id": "C", "moved_method_id": "eval/proj-05/C.java::C::p/3", '
+        '"original_class_id": "D"}\n'
+        '{"injected_class_id": "B", "moved_method_id": "eval/proj-04/B.java::B::n/1", '
+        '"original_class_id": "A"}\n'
+    )
+    assert read_ground_truth(path) == {
+        "eval/proj-04": [
+            GroundTruthEntry("eval/proj-04/A.java::A::m/2", "B", "A"),
+            GroundTruthEntry("eval/proj-04/B.java::B::n/1", "A", "B"),
+        ],
+        "eval/proj-05": [GroundTruthEntry("eval/proj-05/C.java::C::p/3", "D", "C")],
+    }
 
 
 def test_ground_truth_rejects_wrong_kind(tmp_path):
@@ -1155,11 +1190,12 @@ def test_ground_truth_rejects_wrong_kind(tmp_path):
 
 
 def test_ground_truth_rejects_id_outside_a_project(tmp_path):
-    entries = [
-        GroundTruthEntry("eval/proj-01/b.java::B::m/2", "A", "B"),
-        GroundTruthEntry("b.java::B::n/1", "A", "B"),
-    ]
+    # Keyed so that the project-less row is written second, on line 3.
+    gt_by_project = {
+        "eval/proj-01": [GroundTruthEntry("eval/proj-01/b.java::B::m/2", "A", "B")],
+        "none": [GroundTruthEntry("b.java::B::n/1", "A", "B")],
+    }
     path = tmp_path / "gt.jsonl"
-    write_ground_truth(path, entries)
+    write_ground_truth(path, gt_by_project)
     with pytest.raises(DataError, match="gt.jsonl:3: .*project directory"):
         read_ground_truth(path)

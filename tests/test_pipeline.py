@@ -42,13 +42,11 @@ from pathmove.pipeline import (
     STAY,
     ModelBundle,
     Recommendation,
-    analytic_random_baseline,
     corpus_bags,
     embed_corpus,
     evaluate,
     f1_score,
     fit_classifier,
-    group_ground_truth,
     load_model_bundle,
     read_recommendations,
     recommend,
@@ -382,7 +380,7 @@ class TestScoring:
 
     def test_evaluate_hand_computed(self):
         recs, gt = self.evaluate_fixture()
-        report = evaluate(recs, gt)
+        report, _ = evaluate(recs, gt)
         p1, p2 = report.projects
         assert (p1.project, p2.project) == ("p1", "p2")
         assert (p1.ground_truth, p1.recommended, p1.correct) == (2, 3, 1)
@@ -399,7 +397,7 @@ class TestScoring:
 
     def test_evaluate_flags_undefined_precision(self):
         recs, gt = self.evaluate_fixture()
-        report = evaluate(recs, gt)
+        report, _ = evaluate(recs, gt)
         p2 = report.projects[1]
         assert p2.precision_undefined
         assert p2.precision == 0.0
@@ -424,7 +422,7 @@ class TestScoring:
 
     def test_report_to_dict_shape(self):
         recs, gt = self.evaluate_fixture()
-        d = evaluate(recs, gt).to_dict()
+        d = evaluate(recs, gt)[0].to_dict()
         assert set(d) == {"projects", "macro", "micro"}
         assert [p["project"] for p in d["projects"]] == ["p1", "p2"]
         assert set(d["macro"]) == {"precision", "recall", "f1"}
@@ -460,7 +458,7 @@ class TestRandomBaseline:
             gt[proj] = [
                 GroundTruthEntry(f"{proj}/m{i}", "T2", "Home") for i in range(3)
             ]
-        assert analytic_random_baseline(recs, gt) == pytest.approx(2 / 7, abs=1e-12)
+        assert evaluate(recs, gt)[1] == pytest.approx(2 / 7, abs=1e-12)
 
     def test_mixed_visibility_hand_computed(self):
         # e1: two options with the original reachable, e2: invisible.
@@ -472,16 +470,16 @@ class TestRandomBaseline:
                 GroundTruthEntry("p/m2", "T9", "Home"),
             ]
         }
-        assert analytic_random_baseline(recs, gt) == pytest.approx(0.4, rel=1e-12)
+        assert evaluate(recs, gt)[1] == pytest.approx(0.4, rel=1e-12)
 
     def test_unreachable_original_counts_against_precision(self):
         recs = {"p": [scored("p/m1", ["T1"])]}
         gt = {"p": [GroundTruthEntry("p/m1", "Elsewhere", "Home")]}
-        assert analytic_random_baseline(recs, gt) == 0.0
+        assert evaluate(recs, gt)[1] == 0.0
 
     def test_rejects_empty_ground_truth(self):
         with pytest.raises(DataError):
-            analytic_random_baseline({"p": []}, {"p": []})
+            evaluate({"p": []}, {"p": []})
 
 
 # ---------------------------------------------------------------------------
@@ -670,28 +668,17 @@ class TestRecommendationIO:
         with pytest.raises(DataError):
             method_project("A.java::A::m/2")
 
-    def test_group_ground_truth(self):
-        entries = [
-            GroundTruthEntry("eval/proj-04/A.java::A::m/2", "B", "A"),
-            GroundTruthEntry("eval/proj-05/C.java::C::p/3", "D", "C"),
-            GroundTruthEntry("eval/proj-04/B.java::B::n/1", "A", "B"),
-        ]
-        grouped = group_ground_truth(entries)
-        assert sorted(grouped) == ["eval/proj-04", "eval/proj-05"]
-        assert [e.moved_method_id for e in grouped["eval/proj-04"]] == [
-            "eval/proj-04/A.java::A::m/2",
-            "eval/proj-04/B.java::B::n/1",
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Line-delimited artifacts under corruption
 
-VALID_GT = [
-    GroundTruthEntry("eval/proj-01/A.java::A::m/1", "B", "A"),
-    GroundTruthEntry("eval/proj-01/C.java::C::n/1", "A", "C"),
-    GroundTruthEntry("eval/proj-02/D.java::D::p/2", "E", "D"),
-]
+VALID_GT = {
+    "eval/proj-01": [
+        GroundTruthEntry("eval/proj-01/A.java::A::m/1", "B", "A"),
+        GroundTruthEntry("eval/proj-01/C.java::C::n/1", "A", "C"),
+    ],
+    "eval/proj-02": [GroundTruthEntry("eval/proj-02/D.java::D::p/2", "E", "D")],
+}
 VALID_RECS = {
     "eval/proj-01": [
         Recommendation("eval/proj-01/A.java::A::m/1", "B", 0.9, MOVE, ["B", "D"]),
@@ -704,11 +691,11 @@ VALID_RECS = {
 LINE_ARTIFACTS = {
     "ground-truth": (
         lambda path: write_ground_truth(path, VALID_GT),
-        lambda path: evaluate(VALID_RECS, group_ground_truth(read_ground_truth(path))),
+        lambda path: evaluate(VALID_RECS, read_ground_truth(path)),
     ),
     "recommendations": (
         lambda path: write_recommendations(path, VALID_RECS),
-        lambda path: evaluate(read_recommendations(path), group_ground_truth(VALID_GT)),
+        lambda path: evaluate(read_recommendations(path), VALID_GT),
     ),
 }
 
