@@ -5,9 +5,12 @@ directory) followed by the raw C-order bytes of each array in directory
 order.  Writes are byte-deterministic: the header is serialized with
 sorted keys and arrays are stored in sorted name order, so saving the
 same data twice produces identical files.  Floats round-trip bit-exactly
-because the payload is the raw IEEE representation.  Learned numbers
-live in the arrays, and a reader rejects any float64 array holding a NaN
-or an infinity, naming the array.
+because the payload is the raw IEEE representation.  A float array is
+stored as float32 when every element survives the cast to float32 (an
+embedder trained in float32, say) and as float64 otherwise; the reader
+returns float64 either way.  Learned numbers live in the arrays, and a
+reader rejects any float array holding a NaN or an infinity, naming the
+array.
 
 A line-delimited artifact (ground truth, recommendations) is a header
 line such as `{"format": "ground-truth", "version": 1}` followed by
@@ -30,7 +33,8 @@ from .errors import DataError
 MAGIC = b"PMBNDL\n\x00"
 VERSION = 1
 
-_ALLOWED_DTYPES = ("float64", "int64")
+# Stored dtype -> dtype the reader returns.
+_DTYPES = {"float32": np.float64, "float64": np.float64, "int64": np.int64}
 
 
 class VersionMismatchError(DataError):
@@ -47,18 +51,21 @@ class CorruptFileError(DataError):
 
 
 def save_bundle(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write a bundle. Arrays are coerced to C-contiguous float64/int64."""
+    """Write a bundle. Integer arrays are stored as int64; a float array
+    as float32 when it equals its float32 cast element for element (which
+    keeps the sign of zero and never holds for a NaN), else as float64."""
     directory = []
     blobs = []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype not in (np.float64, np.int64):
-            if np.issubdtype(arr.dtype, np.floating):
-                arr = arr.astype(np.float64)
-            elif np.issubdtype(arr.dtype, np.integer):
-                arr = arr.astype(np.int64)
-            else:
-                raise ValueError(f"unsupported array dtype {arr.dtype} for {name!r}")
+        if np.issubdtype(arr.dtype, np.floating):
+            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: unequal
+                narrow = arr.astype(np.float32)
+            arr = narrow if np.array_equal(narrow, arr) else arr.astype(np.float64, copy=False)
+        elif np.issubdtype(arr.dtype, np.integer):
+            arr = arr.astype(np.int64)
+        else:
+            raise ValueError(f"unsupported array dtype {arr.dtype} for {name!r}")
         directory.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)})
         blobs.append(arr.tobytes(order="C"))
     header = {"kind": kind, "meta": meta, "arrays": directory}
@@ -104,7 +111,7 @@ def load_bundle(path: str | Path, expect_kind: str) -> tuple[dict, dict[str, np.
         if not isinstance(entry, dict) or type(entry.get("name")) is not str:
             raise CorruptFileError(f"{path}: array entry {entry!r} has no string name")
         dtype = entry.get("dtype")
-        if dtype not in _ALLOWED_DTYPES:
+        if dtype not in _DTYPES:
             raise CorruptFileError(f"{path}: illegal dtype {dtype!r}")
         shape = entry.get("shape")
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
@@ -114,9 +121,9 @@ def load_bundle(path: str | Path, expect_kind: str) -> tuple[dict, dict[str, np.
         if offset + nbytes > len(raw):
             raise CorruptFileError(f"{path}: truncated array {entry['name']!r}")
         flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        if dtype == "float64" and not np.isfinite(flat).all():
+        if dtype != "int64" and not np.isfinite(flat).all():
             raise CorruptFileError(f"{path}: non-finite values in array {entry['name']!r}")
-        arrays[entry["name"]] = flat.reshape(shape).copy()
+        arrays[entry["name"]] = flat.reshape(shape).astype(_DTYPES[dtype])
         offset += nbytes
     if offset != len(raw):
         raise CorruptFileError(f"{path}: {len(raw) - offset} trailing bytes")

@@ -7,8 +7,10 @@ of those transformed contexts.  Training maximizes the likelihood of the
 method's own name under a softmax over a name vocabulary; afterwards the
 name head is discarded for downstream use and only the pooled vector
 matters.  One forward pass serves training and inference, one bag or
-many.  Training runs in float32; the stored parameters and every
-forward pass outside training stay float64.
+many.  Training runs in float32 and every forward pass outside training
+in float64.  The trained parameters are float64 in memory; each of them
+is a float32 value, so a bundle stores them as float32 and reads them
+back bit for bit.
 """
 
 from __future__ import annotations
@@ -386,14 +388,19 @@ def train_embedder(
 
     arrays = params.grouped()
     adam = _Adam(arrays, config.learning_rate)
-    # One workspace for every step, as large as the biggest possible
-    # batch; rows a run never reaches are never touched, so cost no RSS.
-    cap = sum(sorted(len(s.starts) for s in indexed)[-config.batch_size :])
-    work = np.empty((3, cap, config.d), dtype=np.float32)
-    history: list[float] = []
+    # Every epoch's order is drawn up front (training draws nothing else
+    # from rng), so one workspace for every step fits the largest batch.
     order = np.arange(len(indexed))
+    orders = []
     for _ in range(config.epochs):
         rng.shuffle(order)
+        orders.append(order.copy())
+    lengths = np.array([len(s.starts) for s in indexed])
+    batch_starts = np.arange(0, len(indexed), config.batch_size)
+    cap = max(int(np.add.reduceat(lengths[o], batch_starts).max()) for o in orders)
+    work = np.empty((3, cap, config.d), dtype=np.float32)
+    history: list[float] = []
+    for order in orders:
         total = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = [indexed[i] for i in order[lo : lo + config.batch_size]]

@@ -15,7 +15,8 @@ they leave unchanged.
 
 Datasets pair each candidate with its origin (label 1, duplicated) and
 each target (label 0), keeping the two label counts exactly equal.  The
-split dataset is saved as one bundle of features and labels.
+split dataset is saved as one bundle of labels and pair halves, each
+distinct method half and class half stored once.
 """
 
 from __future__ import annotations
@@ -533,22 +534,35 @@ GROUND_TRUTH_FORMAT = {"format": "ground-truth", "version": 1}
 
 
 def write_dataset(path: str | Path, splits: tuple[list[LabeledExample], ...]) -> None:
-    """One bundle: `features` and int64 `labels` hold the rows of every
-    split in DATASET_SPLITS order; the metadata holds each split's
-    [method_id, class_id] per row."""
+    """One bundle holding the rows of every split in DATASET_SPLITS order.
+    Each pair is stored as its two halves, each distinct half once:
+    `method_halves` and `class_halves` hold them in first-seen order, and
+    row i is method_halves[method_index[i]] followed by
+    class_halves[class_index[i]].  Halves are told apart by their bytes,
+    so 0.0 and -0.0 stay apart.  The int64 `labels` hold the labels, and
+    the metadata holds each split's [method_id, class_id] per row."""
     rows = [e for split in splits for e in split]
     meta = {name: [[e.feature.method_id, e.feature.class_id] for e in split]
             for name, split in zip(DATASET_SPLITS, splits, strict=True)}
-    arrays = {"features": np.stack([e.feature.values for e in rows]),
-              "labels": np.array([e.label for e in rows], dtype=np.int64)}
+    features = np.stack([e.feature.values for e in rows])
+    width = features.shape[1] // 2
+    arrays = {"labels": np.array([e.label for e in rows], dtype=np.int64)}
+    for half, part in (("method", features[:, :width]), ("class", features[:, width:])):
+        seen: dict[bytes, int] = {}  # a distinct half's bytes -> its place
+        index = [seen.setdefault(row.tobytes(), len(seen)) for row in part]
+        distinct = np.frombuffer(b"".join(seen), dtype=part.dtype)
+        arrays[f"{half}_halves"] = distinct.reshape(len(seen), part.shape[1])
+        arrays[f"{half}_index"] = np.array(index, dtype=np.int64)
     save_bundle(path, "dataset", meta, arrays)
 
 
 def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
-    """The splits `write_dataset` saved.  Raises CorruptFileError unless
-    the metadata holds exactly the DATASET_SPLITS, each a non-empty list
-    of [method_id, class_id] string pairs, each label is 0 or 1, and the
-    ids, rows and labels agree in number."""
+    """The splits `write_dataset` saved, every feature row rebuilt bit for
+    bit.  Raises CorruptFileError unless the metadata holds exactly the
+    DATASET_SPLITS, each a non-empty list of [method_id, class_id] string
+    pairs, the two half arrays are matrices of one width, each index
+    array is int64 with one entry per id and stays within its halves,
+    and each label is 0 or 1."""
     header, arrays = load_bundle(path, expect_kind="dataset")
     try:
         meta = header["meta"]
@@ -557,15 +571,30 @@ def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
         if stale:
             raise ValueError(f"split {stale[0]!r} is not one of {DATASET_SPLITS}; "
                              "run 'build-dataset' again")
-        features, labels = arrays["features"], arrays["labels"]
+        if "features" in arrays:
+            raise ValueError("pairs stored whole in a 'features' array, an older layout; "
+                             "run 'build-dataset' again")
+        labels = arrays["labels"]
         n = sum(map(len, ids))
         if not all(type(split) is list and split for split in ids) or any(
             type(pair) is not list or len(pair) != 2 for split in ids for pair in split
         ):
             raise ValueError("each split must be a non-empty list of [method_id, class_id]")
-        if features.ndim != 2 or len(features) != n or labels.shape != (n,):
-            raise ValueError(f"{n} ids, features {features.shape}, labels {labels.shape}")
-        rows = iter(zip(features, labels.tolist()))
+        parts = []
+        for half in ("method", "class"):
+            halves, index = arrays[f"{half}_halves"], arrays[f"{half}_index"]
+            if halves.ndim != 2:
+                raise ValueError(f"{half}_halves of shape {halves.shape} is not a matrix")
+            if index.shape != (n,) or labels.shape != (n,):
+                raise ValueError(f"{n} ids, features indexed {index.shape} by {half}_index, "
+                                 f"labels {labels.shape}")
+            if index.dtype != np.int64 or not ((index >= 0) & (index < len(halves))).all():
+                raise ValueError(f"{half}_index leaves the {len(halves)} rows of {half}_halves")
+            parts.append(halves[index])
+        if parts[0].shape[1] != parts[1].shape[1]:
+            raise ValueError(f"method halves {parts[0].shape[1]} wide, "
+                             f"class halves {parts[1].shape[1]}")
+        rows = iter(zip(np.concatenate(parts, axis=1), labels.tolist()))
         return tuple([LabeledExample(FeatureVector(values, *pair, "raw"), label)
                       for pair, (values, label) in zip(split, rows)] for split in ids)
     except (KeyError, TypeError, ValueError) as exc:

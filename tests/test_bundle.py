@@ -112,3 +112,50 @@ def test_non_finite_float_array_rejected_by_name(tmp_path):
     save_bundle(path, "k", {}, arrays)
     with pytest.raises(CorruptFileError, match="non-finite values in array 'bias'"):
         load_bundle(path, "k")
+
+
+def stored_dtypes(path):
+    header, _ = load_bundle(path, "k")
+    return {entry["name"]: entry["dtype"] for entry in header["arrays"]}
+
+
+def test_float32_exact_array_stored_as_float32_and_read_bit_equal(tmp_path):
+    path = tmp_path / "model.pmb"
+    exact = np.random.default_rng(3).normal(size=(4, 5)).astype(np.float32).astype(np.float64)
+    save_bundle(path, "k", {}, {"exact": exact, "wide": exact + 1e-12})
+    assert stored_dtypes(path) == {"exact": "float32", "wide": "float64"}
+    _, loaded = load_bundle(path, "k")
+    assert loaded["exact"].dtype == np.float64
+    assert loaded["exact"].tobytes() == exact.tobytes()
+    assert loaded["wide"].tobytes() == (exact + 1e-12).tobytes()
+
+
+@pytest.mark.parametrize("value", [0.1, 1e39, -1e39, 1e-46])
+def test_float_beyond_float32_stays_float64(tmp_path, value):
+    path = tmp_path / "model.pmb"
+    save_bundle(path, "k", {}, {"w": np.array([1.0, value])})
+    assert stored_dtypes(path) == {"w": "float64"}
+    _, loaded = load_bundle(path, "k")
+    assert loaded["w"].tolist() == [1.0, value]
+
+
+def test_negative_zero_keeps_its_sign(tmp_path):
+    path = tmp_path / "model.pmb"
+    save_bundle(path, "k", {}, {"w": np.array([-0.0, 0.0, 2.5])})
+    assert stored_dtypes(path) == {"w": "float32"}
+    _, loaded = load_bundle(path, "k")
+    assert np.signbit(loaded["w"]).tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_stored_float32_array_rejected_by_name(tmp_path, bad):
+    """save_bundle never writes one (a NaN stays float64, an infinity is
+    exact in float32), so the payload is edited by hand."""
+    path = tmp_path / "model.pmb"
+    save_bundle(path, "k", {}, {"good": np.ones(2), "tables": np.array([1.0, 2.0, 3.0])})
+    assert stored_dtypes(path) == {"good": "float32", "tables": "float32"}
+    blob = path.read_bytes()
+    assert blob.count(struct.pack("<f", 3.0)) == 1
+    path.write_bytes(blob.replace(struct.pack("<f", 3.0), struct.pack("<f", bad)))
+    with pytest.raises(CorruptFileError, match="non-finite values in array 'tables'"):
+        load_bundle(path, "k")

@@ -521,32 +521,49 @@ class TestStageChain:
 
     def test_dataset_row_without_feature_is_data_error(self, tmp_path, monkeypatch,
                                                       capsys):
-        """A dataset bundle without its `features` array."""
+        """A dataset bundle without its `class_halves` array."""
         base = self.run_stages(tmp_path, monkeypatch)
         capsys.readouterr()
         path = tmp_path / "work" / DATASET_FILE
         header, arrays = load_bundle(path, expect_kind="dataset")
-        del arrays["features"]
+        del arrays["class_halves"]
         save_bundle(path, "dataset", header["meta"], arrays)
         assert main(["train-clf", *base]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and DATASET_FILE in err and "features" in err
+        assert err.startswith("error:") and DATASET_FILE in err and "class_halves" in err
         assert "Traceback" not in err
 
     def test_dataset_row_of_other_width_is_data_error(self, tmp_path, monkeypatch,
                                                       capsys):
-        """Rows of unequal width do not make a matrix: cutting three values
-        off the first row leaves a flat array."""
+        """Halves of unequal width do not make pairs: class halves three
+        values narrower than the method halves."""
         base = self.run_stages(tmp_path, monkeypatch)
         capsys.readouterr()
         path = tmp_path / "work" / DATASET_FILE
         header, arrays = load_bundle(path, expect_kind="dataset")
-        arrays["features"] = arrays["features"].ravel()[3:]
+        arrays["class_halves"] = arrays["class_halves"][:, 3:]
         save_bundle(path, "dataset", header["meta"], arrays)
         assert main(["train-clf", *base]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{DATASET_FILE}: bad dataset bundle" in err
         assert "Traceback" not in err
+
+    def test_dataset_of_whole_pairs_asks_for_build_dataset(self, tmp_path, monkeypatch,
+                                                          capsys):
+        """A dataset.pmb from a version that stored each pair whole, in a
+        `features` array."""
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / DATASET_FILE
+        header, arrays = load_bundle(path, expect_kind="dataset")
+        arrays["features"] = np.concatenate(
+            [arrays.pop("method_halves")[arrays.pop("method_index")],
+             arrays.pop("class_halves")[arrays.pop("class_index")]], axis=1)
+        save_bundle(path, "dataset", header["meta"], arrays)
+        assert main(["train-clf", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and DATASET_FILE in err and "'features'" in err
+        assert "run 'build-dataset' again" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -584,7 +601,7 @@ class TestStageChain:
         meta = header["meta"]
         meta["test"] = meta["validate"]
         n_validate = len(meta["validate"])
-        for name in ("features", "labels"):
+        for name in ("method_index", "class_index", "labels"):
             arrays[name] = np.concatenate([arrays[name], arrays[name][-n_validate:]])
         save_bundle(path, "dataset", meta, arrays)
         assert main(["train-clf", *base]) == 3

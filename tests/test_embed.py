@@ -535,6 +535,26 @@ def test_training_is_deterministic():
         assert np.array_equal(arr, params_b.grouped()[key]), key
 
 
+def test_training_workspace_fits_the_largest_batch_drawn():
+    """Eight long bags among 56 short ones, eight bags a batch: a workspace
+    for the eight longest bags at once (3 planes of cap x d float32) is
+    more than twice what any batch a shuffle draws needs, and training
+    peaks below it."""
+    short = [simple_context("a", "M0", "b")] * 2
+    long = [simple_context("a", f"M{k % 2}", "b") for k in range(1000)]
+    samples = [(ContextBag(f"m{i}", long if i < 8 else short), f"name{i % 4}")
+               for i in range(64)]
+    config = TrainConfig(d_t=8, d_p=8, d=64, batch_size=8, epochs=2, seed=0, min_count=1)
+    largest_possible = 3 * 8 * len(long) * config.d * 4
+    tracemalloc.start()
+    try:
+        train_embedder(samples, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest_possible
+
+
 def test_vocab_cutoff_and_unk():
     c1 = simple_context("common", "M1", "common")
     c2 = simple_context("rare", "M2", "common")

@@ -964,14 +964,14 @@ def singleton_examples(n, dim=3):
     ]
 
 
-def grouped_examples(n_groups):
+def grouped_examples(n_groups, dim=3):
     rng = np.random.default_rng(0)
     out = []
     for i in range(n_groups):
         for cls, label in (("A", 1), ("B", 0)):
             out.append(
                 LabeledExample(
-                    FeatureVector(rng.standard_normal(3), f"m{i:03d}", cls, "raw"),
+                    FeatureVector(rng.standard_normal(dim), f"m{i:03d}", cls, "raw"),
                     label,
                 )
             )
@@ -1045,23 +1045,49 @@ def test_split_leaves_no_split_empty():
 
 
 def dataset_splits():
-    """The train and validation splits, the two that a dataset stores."""
-    train, _, validate = split_dataset(grouped_examples(10), seed=1)
+    """The train and validation splits, the two that a dataset stores, of
+    pairs 4 wide: a method half and a class half of 2 values each."""
+    train, _, validate = split_dataset(grouped_examples(10, dim=4), seed=1)
     return train, validate
+
+
+def assert_same_rows(loaded, splits):
+    assert [len(split) for split in loaded] == [len(split) for split in splits]
+    for orig, back in zip((e for split in splits for e in split),
+                          (e for split in loaded for e in split)):
+        assert back.label == orig.label
+        assert back.feature.method_id == orig.feature.method_id
+        assert back.feature.class_id == orig.feature.class_id
+        assert back.feature.values.tobytes() == orig.feature.values.tobytes()
 
 
 def test_dataset_round_trip(tmp_path):
     splits = dataset_splits()
     path = tmp_path / "dataset.pmb"
     write_dataset(path, splits)
-    loaded = read_dataset(path)
-    assert [len(split) for split in loaded] == [len(split) for split in splits] == [12, 4]
-    for orig, back in zip((e for split in splits for e in split),
-                          (e for split in loaded for e in split)):
-        assert back.label == orig.label
-        assert back.feature.method_id == orig.feature.method_id
-        assert back.feature.class_id == orig.feature.class_id
-        assert np.array_equal(back.feature.values, orig.feature.values)
+    assert [len(split) for split in splits] == [12, 4]
+    assert_same_rows(read_dataset(path), splits)
+
+
+def test_dataset_stores_each_half_once_and_keeps_signed_zeros(tmp_path):
+    """Halves repeat across rows, as a candidate's method vector does across
+    its classes; 0.0 and -0.0 are different halves, stored apart."""
+    zero, minus_zero = [0.0, 1.5], [-0.0, 1.5]
+    rows = [(zero, [2.0, 3.0], "m1", "A", 1), (zero, [4.0, -0.0], "m1", "B", 0),
+            (minus_zero, [2.0, 3.0], "m2", "A", 0), (zero, [4.0, 0.0], "m1", "C", 0),
+            (minus_zero, [4.0, -0.0], "m2", "B", 1)]
+    examples = [LabeledExample(FeatureVector(np.array(m + c), mid, cid, "raw"), label)
+                for m, c, mid, cid, label in rows]
+    splits = (examples[:3], examples[3:])
+    path = tmp_path / "dataset.pmb"
+    write_dataset(path, splits)
+    _, arrays = load_bundle(path, expect_kind="dataset")
+    assert arrays["method_halves"].tolist() == [zero, minus_zero]
+    assert np.signbit(arrays["method_halves"][:, 0]).tolist() == [False, True]
+    assert arrays["method_index"].tolist() == [0, 0, 1, 0, 1]
+    assert np.signbit(arrays["class_halves"][:, 1]).tolist() == [False, True, False]
+    assert arrays["class_index"].tolist() == [0, 1, 0, 2, 1]
+    assert_same_rows(read_dataset(path), splits)
 
 
 def test_dataset_write_is_deterministic(tmp_path):
@@ -1093,7 +1119,7 @@ def rewrite_dataset(path, edit):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("feature", [float("nan"), 0.0, 0.0]),
+        ("feature", [float("nan"), 0.0]),
         ("method_id", 7),
         ("class_id", None),
         ("label", 0.9),
@@ -1105,7 +1131,7 @@ def test_dataset_rejects_malformed_row_values(tmp_path, key, value):
 
     def edit(meta, arrays):
         if key == "feature":
-            arrays["features"][1] = value
+            arrays["class_halves"][arrays["class_index"][1]] = value
         elif key == "label":
             arrays["labels"] = arrays["labels"].astype(type(value))
             arrays["labels"][1] = value
@@ -1123,7 +1149,7 @@ def test_dataset_rejects_malformed_row_values(tmp_path, key, value):
     "edit",
     [
         lambda meta, arrays: meta["validate"].pop(),
-        lambda meta, arrays: arrays.update(features=arrays["features"][:-1]),
+        lambda meta, arrays: arrays.update(method_index=arrays["method_index"][:-1]),
         lambda meta, arrays: arrays.update(labels=arrays["labels"][:-1]),
         lambda meta, arrays: meta["validate"].append(meta["validate"][0]),
     ],
@@ -1134,6 +1160,32 @@ def test_dataset_rejects_counts_that_disagree(tmp_path, edit):
     write_dataset(path, dataset_splits())
     rewrite_dataset(path, edit)
     with pytest.raises(CorruptFileError, match="ids, features"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda arrays: arrays.update(method_halves=arrays["method_halves"].ravel()),
+         "method_halves of shape \\(\\d+,\\) is not a matrix"),
+        (lambda arrays: arrays.update(class_halves=arrays["class_halves"][:, 1:]),
+         "method halves 2 wide, class halves 1"),
+        (lambda arrays: arrays["method_index"].__setitem__(0, len(arrays["method_halves"])),
+         "method_index leaves the"),
+        (lambda arrays: arrays["class_index"].__setitem__(2, -1), "class_index leaves the"),
+        (lambda arrays: arrays.update(class_index=arrays["class_index"].astype(float)),
+         "class_index leaves the"),
+        (lambda arrays: arrays.update(class_index=arrays["class_index"][:, None]),
+         "16 ids, features indexed \\(16, 1\\) by class_index"),
+    ],
+    ids=["flat-halves", "narrow-class-halves", "index-past-end", "negative-index",
+         "float-index", "2d-index"],
+)
+def test_dataset_rejects_malformed_halves_and_indices(tmp_path, edit, message):
+    path = tmp_path / "dataset.pmb"
+    write_dataset(path, dataset_splits())
+    rewrite_dataset(path, lambda meta, arrays: edit(arrays))
+    with pytest.raises(CorruptFileError, match="dataset.pmb: bad dataset bundle: " + message):
         read_dataset(path)
 
 
