@@ -147,20 +147,19 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> None:
 
 
 def _read_bags(work: Path) -> list[ContextBag]:
-    """The training bags; a malformed line, or a method id that does not
-    parse or sits in no project directory, is a DataError naming the line."""
+    """The training bags; a malformed header or line, or a method id that
+    does not parse or sits in no project directory, is a DataError naming
+    the line."""
     path = _require(work / BAGS_FILE, "extract")
-    text = read_utf8(path)
     try:
-        bags = load_bags(text)
+        bags = load_bags(read_utf8(path))
     except DataError as exc:
         raise DataError(f"{path}:{exc}") from exc
-    for index, bag in enumerate(bags):
+    for lineno, bag in enumerate(bags, 2):  # line 1 is the header
         try:
             split_method_id(bag.method_id)
             method_project(bag.method_id)
         except DataError as exc:
-            lineno = [n for n, line in enumerate(text.splitlines(), 1) if line][index]
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     return bags
 

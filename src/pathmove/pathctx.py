@@ -11,14 +11,18 @@ limits, down-sampled to a cap.  Pairs are visited in source order, and a
 leaf's scan over the later leaves stops as soon as their common ancestor
 lies so far up that the path up to it alone leaves no room to go down.
 
-A bag dump has one line per method: the method id, then one
-tab-separated `start,path,end` cell per context.  A method with no
-contexts is a line holding only its id.
+A bag dump starts with a JSON header line that holds the method count
+and two tables, the distinct tokens and the distinct paths, each in the
+order the dump first uses it.  One line per method follows: the method
+id, then one tab-separated `s,p,e` cell per context, the decimal indices
+of its start token, path and end token in those tables.  A method with
+no contexts is a line holding only its id.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import re
 import sys
@@ -180,36 +184,123 @@ def extract_contexts(method: MethodDecl, limits: ExtractionLimits) -> ContextBag
 
 
 # ---------------------------------------------------------------------------
-# Bag serialization (one method per line, tab-separated contexts)
+# Bag serialization (a header with the string tables, then one method per line)
 
-# start,path,end as extraction writes them: tokens and labels are
-# non-empty and free of commas and arrows, and a path rises at least once
-# and then falls at least once.
-_CONTEXT_CELL = re.compile(r"([^,↑↓]+),([^,↑↓]+(?:↑[^,↑↓]+)+(?:↓[^,↑↓]+)+),([^,↑↓]+)")
+BAGS_FORMAT = {"format": "bags", "version": 2}
+
+# Tokens and labels as extraction writes them: non-empty and free of tabs,
+# commas and arrows; a path rises at least once and then falls at least once.
+_TOKEN = re.compile(r"[^\t,↑↓]+")
+_PATH = re.compile(r"[^\t,↑↓]+(?:↑[^\t,↑↓]+)+(?:↓[^\t,↑↓]+)+")
 
 
 def dump_bags(bags: list[ContextBag]) -> str:
+    tokens: dict[str, int] = {}
+    paths: dict[str, int] = {}
+    cells: dict[PathContext, str] = {}
     lines = []
     for bag in bags:
-        cells = [bag.method_id] + [context_to_string(c) for c in bag.contexts]
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+        line = [bag.method_id]
+        for ctx in bag.contexts:
+            cell = cells.get(ctx)
+            if cell is None:
+                start = tokens.setdefault(ctx.start_token, len(tokens))
+                path = paths.setdefault(ctx.path, len(paths))
+                end = tokens.setdefault(ctx.end_token, len(tokens))
+                cell = cells[ctx] = f"{start},{path},{end}"
+            line.append(cell)
+        lines.append("\t".join(line))
+    header = {**BAGS_FORMAT, "methods": len(bags), "tokens": list(tokens), "paths": list(paths)}
+    return "\n".join([json.dumps(header, ensure_ascii=False, sort_keys=True), *lines]) + "\n"
+
+
+def _bags_header(line: str) -> tuple[int, list[str], list[str]]:
+    """The method count and the token and path tables of a header line."""
+    try:
+        header = json.loads(line)
+    except (ValueError, RecursionError):  # also an int of too many digits, or deep nesting
+        header = None
+    if not isinstance(header, dict) or any(header.get(k) != v for k, v in BAGS_FORMAT.items()):
+        raise DataError(f"1: expected a version-2 bags header, found {line[:80]!r}; "
+                        "run 'extract' again")
+    if set(header) != {*BAGS_FORMAT, "methods", "tokens", "paths"}:
+        raise DataError(f"1: bags header keys {sorted(header)}")
+    methods = header["methods"]
+    if type(methods) is not int or methods < 0:
+        raise DataError(f"1: bags header method count {methods!r}")
+    for name, grammar in (("tokens", _TOKEN), ("paths", _PATH)):
+        table = header[name]
+        if not isinstance(table, list):
+            raise DataError(f"1: bags header {name} is not a list")
+        seen = set()
+        for k, entry in enumerate(table):
+            if not isinstance(entry, str) or grammar.fullmatch(entry) is None:
+                raise DataError(f"1: malformed entry {k} of {name}: {entry!r}")
+            if entry in seen:
+                raise DataError(f"1: {name} lists {entry!r} more than once")
+            seen.add(entry)
+    return methods, header["tokens"], header["paths"]
+
+
+def _cell_indices(cell: str, n_tokens: int, n_paths: int) -> tuple[int, int, int] | None:
+    """The (start, path, end) table indices a cell spells as `s,p,e` in
+    plain decimal, or None when it spells anything else or out of range."""
+    try:
+        start, path, end = map(int, cell.split(","))
+    except ValueError:  # not three ints, or one of more digits than Python parses
+        return None
+    if f"{start},{path},{end}" != cell or not 0 <= path < n_paths:
+        return None
+    if not (0 <= start < n_tokens and 0 <= end < n_tokens):
+        return None
+    return start, path, end
 
 
 def load_bags(text: str) -> list[ContextBag]:
-    """Read a dump back into bags; a malformed cell raises DataError
-    naming its line as `LINE: ...`.  Tokens and paths repeat across the
-    corpus, so each distinct string is kept once."""
+    """Read a dump back into bags; a malformed header or cell, a repeated
+    method id or a method count other than the header's raises DataError
+    naming its line as `LINE: ...`.  The tables must list each string in
+    the order the cells first use it, so a loaded dump dumps back to the
+    same text.  Equal cells load as one shared PathContext."""
+    lines = text.split("\n")
+    methods, tokens, paths = _bags_header(lines[0])
+    if lines[-1]:
+        raise DataError(f"{len(lines)}: no newline at the end; the file was cut short")
+    if len(lines) != methods + 2:
+        raise DataError(f"1: the header counts {methods} methods, the file holds "
+                        f"{len(lines) - 2}; run 'extract' again")
+    known: dict[str, PathContext] = {}
+    first_line: dict[str, int] = {}
+    next_token = next_path = 0
     bags = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line:
-            continue
+    for lineno, line in enumerate(lines[1:-1], 2):
         method_id, *cells = line.split("\t")
+        if first_line.setdefault(method_id, lineno) != lineno:
+            raise DataError(f"{lineno}: method {method_id!r} repeats line "
+                            f"{first_line[method_id]}")
         contexts = []
         for cell in cells:
-            match = _CONTEXT_CELL.fullmatch(cell)
-            if match is None:
-                raise DataError(f"{lineno}: malformed path-context {cell!r}")
-            contexts.append(PathContext(*map(sys.intern, match.groups())))
+            ctx = known.get(cell)
+            if ctx is None:
+                indices = _cell_indices(cell, len(tokens), len(paths))
+                if indices is None:
+                    raise DataError(f"{lineno}: malformed path-context {cell!r}")
+                start, path, end = indices
+                # A new cell may use the next unused entry of a table, no later one.
+                for index in (start, end):
+                    if index == next_token:
+                        next_token += 1
+                    elif index > next_token:
+                        raise DataError(f"{lineno}: {cell!r} uses token {index} "
+                                        f"before token {next_token}")
+                if path == next_path:
+                    next_path += 1
+                elif path > next_path:
+                    raise DataError(f"{lineno}: {cell!r} uses path {path} before path {next_path}")
+                ctx = known[cell] = PathContext(tokens[start], paths[path], tokens[end])
+            contexts.append(ctx)
         bags.append(ContextBag(method_id, contexts))
+    if next_token < len(tokens) or next_path < len(paths):
+        raise DataError(f"1: the header lists {len(tokens) - next_token} tokens and "
+                        f"{len(paths) - next_path} paths that no path-context uses")
     return bags

@@ -170,17 +170,22 @@ class TestExitCodes:
         assert err.startswith("error:") and "bad.json" in err
         assert "Traceback" not in err
 
-    def test_undecodable_bags_file_is_data_error(self, tmp_path, monkeypatch, capsys):
+    def extract(self, tmp_path, monkeypatch, capsys):
+        """gen-corpus and extract a 3/1 corpus in tmp_path: the config
+        arguments, the bags file and its lines."""
         monkeypatch.chdir(tmp_path)
         base = ["--config", write_config(tmp_path)]
         assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "3",
                      "--eval-projects", "1"]) == 0
         assert main(["extract", *base, "--corpus", "corpus"]) == 0
         capsys.readouterr()
-        path = tmp_path / "work" / BAGS_FILE
-        data = path.read_bytes()
-        lead = next(i for i, byte in enumerate(data) if byte >= 0xC0)
-        path.write_bytes(data[: lead + 1])  # ends inside a multi-byte character
+        bags = tmp_path / "work" / BAGS_FILE
+        return base, bags, bags.read_text(encoding="utf-8").splitlines()
+
+    def test_undecodable_bags_file_is_data_error(self, tmp_path, monkeypatch, capsys):
+        base, bags, _ = self.extract(tmp_path, monkeypatch, capsys)
+        # ends inside a multi-byte character
+        bags.write_bytes(bags.read_bytes() + "↑".encode("utf-8")[:2])
         assert main(["train-embed", *base]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "decode" in err and BAGS_FILE in err
@@ -189,19 +194,66 @@ class TestExitCodes:
     @pytest.mark.parametrize("path", ["Name", "Name↓X↑Y", "Name↑X↑Y"])
     def test_impossible_path_in_bags_file_is_data_error(self, tmp_path, monkeypatch,
                                                         capsys, path):
-        monkeypatch.chdir(tmp_path)
-        base = ["--config", write_config(tmp_path)]
-        assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "3",
-                     "--eval-projects", "1"]) == 0
-        assert main(["extract", *base, "--corpus", "corpus"]) == 0
-        capsys.readouterr()
-        bags = tmp_path / "work" / BAGS_FILE
-        lines = bags.read_text().splitlines()
-        lines[1] += f"\tx,{path},y"
-        bags.write_text("\n".join(lines) + "\n")
+        base, bags, lines = self.extract(tmp_path, monkeypatch, capsys)
+        header = json.loads(lines[0])
+        header["paths"].append(path)
+        lines[1] += f"\t0,{len(header['paths']) - 1},0"
+        lines[0] = json.dumps(header, ensure_ascii=False, sort_keys=True)
+        bags.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["train-embed", *base]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{BAGS_FILE}:2:" in err
+        assert err.startswith("error:") and f"{BAGS_FILE}:1: malformed entry" in err
+        assert repr(path) in err and "Traceback" not in err
+
+    def test_bags_file_cut_at_a_line_boundary_is_data_error(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """train-embed would otherwise train on the methods that are left."""
+        base, bags, lines = self.extract(tmp_path, monkeypatch, capsys)
+        bags.write_text("\n".join(lines[: len(lines) // 2]) + "\n", encoding="utf-8")
+        assert main(["train-embed", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{BAGS_FILE}:1: the header counts" in err
+        assert "run 'extract' again" in err and "Traceback" not in err
+
+    def test_repeated_method_in_bags_file_names_both_lines(self, tmp_path, monkeypatch,
+                                                           capsys):
+        base, bags, lines = self.extract(tmp_path, monkeypatch, capsys)
+        header = json.loads(lines[0])
+        header["methods"] += 1
+        lines[0] = json.dumps(header, ensure_ascii=False, sort_keys=True)
+        lines.append(lines[3])
+        bags.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["train-embed", *base]) == 3
+        err = capsys.readouterr().err
+        assert f"{BAGS_FILE}:{len(lines)}: method " in err and "repeats line 4" in err
+        assert "Traceback" not in err
+
+    def test_bags_file_of_the_old_layout_asks_for_extract(self, tmp_path, monkeypatch, capsys):
+        """Before the header, each cell spelled out `start,path,end`."""
+        base, bags, lines = self.extract(tmp_path, monkeypatch, capsys)
+        header = json.loads(lines[0])
+        tokens, paths = header["tokens"], header["paths"]
+        old = []
+        for line in lines[1:]:
+            method_id, *cells = line.split("\t")
+            for k, cell in enumerate(cells):
+                start, path, end = map(int, cell.split(","))
+                cells[k] = f"{tokens[start]},{paths[path]},{tokens[end]}"
+            old.append("\t".join([method_id, *cells]))
+        bags.write_text("\n".join(old) + "\n", encoding="utf-8")
+        assert main(["train-embed", *base]) == 3
+        err = capsys.readouterr().err
+        assert f"{BAGS_FILE}:1: expected a version-2 bags header" in err
+        assert "run 'extract' again" in err and "Traceback" not in err
+
+    def test_bad_method_id_on_a_later_line_names_that_line(self, tmp_path, monkeypatch,
+                                                           capsys):
+        base, bags, lines = self.extract(tmp_path, monkeypatch, capsys)
+        lines[-1] = "\t".join(["garbage", *lines[-1].split("\t")[1:]])
+        bags.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["train-embed", *base]) == 3
+        err = capsys.readouterr().err
+        assert f"{BAGS_FILE}:{len(lines)}: " in err and "garbage" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train-embed", "build-dataset"])
@@ -211,15 +263,9 @@ class TestExitCodes:
     def test_bad_method_id_in_bags_file_names_its_line(self, tmp_path, monkeypatch, capsys,
                                                         command, method_id):
         """An id that does not parse or sits in no project directory."""
-        monkeypatch.chdir(tmp_path)
-        base = ["--config", write_config(tmp_path)]
-        assert main(["gen-corpus", *base, "--out", "corpus", "--projects", "3",
-                     "--eval-projects", "1"]) == 0
-        assert main(["extract", *base, "--corpus", "corpus"]) == 0
+        base, bags, lines = self.extract(tmp_path, monkeypatch, capsys)
         assert main(["train-embed", *base]) == 0
         capsys.readouterr()
-        bags = tmp_path / "work" / BAGS_FILE
-        lines = bags.read_text().splitlines()
         lines[1] = "\t".join([method_id, *lines[1].split("\t")[1:]])
         bags.write_text("\n".join(lines) + "\n")
         corpus = ["--corpus", "corpus"] if command == "build-dataset" else []
