@@ -16,6 +16,10 @@ A line-delimited artifact (ground truth, recommendations) is a header
 line such as `{"format": "ground-truth", "version": 1}` followed by
 one sorted-key JSON object per row.  Readers reject a missing or foreign
 header and report a malformed row as a DataError naming its line.
+
+Every reader here raises DataError for a file it cannot accept, and
+decodes JSON through `decode_json`, so JSON nested too deeply to decode
+is malformed input like any other.
 """
 
 from __future__ import annotations
@@ -37,17 +41,13 @@ VERSION = 1
 _DTYPES = {"float32": np.float64, "float64": np.float64, "int64": np.int64}
 
 
-class VersionMismatchError(DataError):
-    """Bundle written by an incompatible format version."""
-
-    def __init__(self, path: str | Path, found: int, expected: int):
-        super().__init__(f"{path}: bundle version {found}, expected {expected}")
-        self.found = found
-        self.expected = expected
-
-
-class CorruptFileError(DataError):
-    """Bundle bytes do not match the declared layout."""
+def decode_json(text: str):
+    """`json.loads`, but a value nested too deeply to decode raises
+    ValueError like any other malformed JSON, not RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
 
 
 def save_bundle(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -86,47 +86,47 @@ def load_bundle(path: str | Path, expect_kind: str) -> tuple[dict, dict[str, np.
     except OSError as exc:
         raise DataError(f"cannot read bundle {path}: {exc}") from exc
     if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
-        raise CorruptFileError(f"{path}: not a bundle file")
+        raise DataError(f"{path}: not a bundle file")
     version, header_len = struct.unpack_from("<IQ", raw, len(MAGIC))
     if version != VERSION:
-        raise VersionMismatchError(path, version, VERSION)
+        raise DataError(f"{path}: bundle version {version}, expected {VERSION}")
     offset = len(MAGIC) + 12
     if offset + header_len > len(raw):
-        raise CorruptFileError(f"{path}: truncated header")
+        raise DataError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[offset : offset + header_len].decode())
-    except ValueError as exc:  # also bad UTF-8, bad JSON, an int of too many digits
-        raise CorruptFileError(f"{path}: unreadable header") from exc
+        header = decode_json(raw[offset : offset + header_len].decode())
+    except ValueError as exc:  # also bad UTF-8, deep nesting, an int of too many digits
+        raise DataError(f"{path}: unreadable header") from exc
     offset += header_len
     if not isinstance(header, dict) or "arrays" not in header or "kind" not in header:
-        raise CorruptFileError(f"{path}: header missing required keys")
+        raise DataError(f"{path}: header missing required keys")
     if header["kind"] != expect_kind:
-        raise CorruptFileError(
+        raise DataError(
             f"{path}: bundle kind {header['kind']!r}, expected {expect_kind!r}"
         )
     if not isinstance(header["arrays"], list):
-        raise CorruptFileError(f"{path}: array directory is not a list")
+        raise DataError(f"{path}: array directory is not a list")
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         if not isinstance(entry, dict) or type(entry.get("name")) is not str:
-            raise CorruptFileError(f"{path}: array entry {entry!r} has no string name")
+            raise DataError(f"{path}: array entry {entry!r} has no string name")
         dtype = entry.get("dtype")
         if dtype not in _DTYPES:
-            raise CorruptFileError(f"{path}: illegal dtype {dtype!r}")
+            raise DataError(f"{path}: illegal dtype {dtype!r}")
         shape = entry.get("shape")
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-            raise CorruptFileError(f"{path}: array {entry['name']!r} has bad shape {shape!r}")
+            raise DataError(f"{path}: array {entry['name']!r} has bad shape {shape!r}")
         count = math.prod(shape)
         nbytes = count * np.dtype(dtype).itemsize
         if offset + nbytes > len(raw):
-            raise CorruptFileError(f"{path}: truncated array {entry['name']!r}")
+            raise DataError(f"{path}: truncated array {entry['name']!r}")
         flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
         if dtype != "int64" and not np.isfinite(flat).all():
-            raise CorruptFileError(f"{path}: non-finite values in array {entry['name']!r}")
+            raise DataError(f"{path}: non-finite values in array {entry['name']!r}")
         arrays[entry["name"]] = flat.reshape(shape).astype(_DTYPES[dtype])
         offset += nbytes
     if offset != len(raw):
-        raise CorruptFileError(f"{path}: {len(raw) - offset} trailing bytes")
+        raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
     return header, arrays
 
 
@@ -151,8 +151,8 @@ def read_jsonl(path: str | Path, header: dict, parse_row: Callable[[dict], objec
     decoding or `parse_row` becomes a DataError naming the file and line."""
     lines = read_utf8(path).splitlines() or [""]
     try:
-        found = json.loads(lines[0])
-    except ValueError:  # also an int of more digits than Python parses
+        found = decode_json(lines[0])
+    except ValueError:  # also deep nesting, or an int of more digits than Python parses
         found = None
     if found != header:
         raise DataError(f"{path}:1: expected header {header!r}, found {lines[0][:80]!r}")
@@ -161,7 +161,7 @@ def read_jsonl(path: str | Path, header: dict, parse_row: Callable[[dict], objec
         if not line:
             continue
         try:
-            rows.append(parse_row(json.loads(line)))
+            rows.append(parse_row(decode_json(line)))
         except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
     return rows

@@ -19,7 +19,7 @@ from .bundle import read_utf8
 from .codegen import EVAL_DIR, GenConfig, list_group, list_projects, load_project, write_corpus
 from .config import RunConfig, load_config
 from .embed import load_model, save_model, train_embedder, training_accuracy
-from .errors import ConfigError, DataError, MissingArtifactError
+from .errors import ConfigError, DataError
 from .frontend import method_project, print_unit, split_method_id
 from .injector import (
     inject_feature_envy,
@@ -87,7 +87,7 @@ def _fresh_out(out: str) -> Path:
 
 def _require(path: Path, producer: str) -> Path:
     if not path.is_file():
-        raise MissingArtifactError(str(path), producer)
+        raise DataError(f"missing artifact {str(path)!r}: run the {producer!r} stage first")
     return path
 
 

@@ -8,11 +8,11 @@ its field's annotated type (a bool is not an int, floats are finite).
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .bundle import decode_json
 from .embed import TrainConfig
 from .errors import ConfigError
 from .pathctx import ExtractionLimits
@@ -145,7 +145,7 @@ def load_config(path: str | Path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+        data = decode_json(text)
+    except ValueError as exc:  # JSONDecodeError, deep nesting, an integer of too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

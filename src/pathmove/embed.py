@@ -20,15 +20,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundle import CorruptFileError, load_bundle, save_bundle
+from .bundle import load_bundle, save_bundle
 from .errors import DataError
-from .pathctx import ContextBag, EmptyBagError
+from .pathctx import ContextBag
 
 UNK = "<UNK>"
-
-
-class VocabTooSmallError(DataError):
-    """Training corpus has fewer than two distinct method names."""
 
 
 @dataclass
@@ -115,7 +111,7 @@ def build_vocabularies(samples: list[tuple[ContextBag, str]], min_count: int = 2
     path_counts = Counter(ctx.path for ctx in contexts)
     names = sorted({name for _, name in samples})
     if len(names) < 2:
-        raise VocabTooSmallError(f"need at least 2 distinct method names, got {len(names)}")
+        raise DataError(f"need at least 2 distinct method names, got {len(names)}")
 
     def frequent(counts: Counter) -> dict[str, int]:
         kept = sorted(key for key, count in counts.items() if count >= min_count and key != UNK)
@@ -146,7 +142,7 @@ def init_params(vocabs: Vocabularies, config: TrainConfig, rng: np.random.Genera
 def index_bag(bag: ContextBag, vocabs: Vocabularies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map a bag to (start, path, end) index arrays, unknowns to UNK."""
     if not bag.contexts:
-        raise EmptyBagError(f"method {bag.method_id} has no path-contexts")
+        raise DataError(f"method {bag.method_id} has no path-contexts")
     starts = np.array(
         [vocabs.token_index.get(c.start_token, 0) for c in bag.contexts], dtype=np.int64
     )
@@ -447,7 +443,7 @@ def load_model(path: str) -> tuple[EmbedderParams, Vocabularies]:
     try:
         return unpack_model(header["meta"], arrays)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise CorruptFileError(f"{path}: bad embedder bundle: {exc}") from exc
+        raise DataError(f"{path}: bad embedder bundle: {exc}") from exc
 
 
 def unpack_model(

@@ -1,31 +1,20 @@
-"""Shared exception hierarchy.
+"""The two error categories the CLI maps to exit codes.
 
-Every error raised by this package derives from PathmoveError so the CLI
-can map failures to exit codes in one place.  Module-specific exceptions
-live next to the code that raises them and subclass one of the two
-coarse categories below; the CLI reports any other exception as an
-internal failure (exit code 4).
+A ConfigError exits 2 and a DataError exits 3; the CLI reports any other
+exception as an internal failure (exit code 4).  A module defines its
+own subclass only where some `except` must tell it apart
+(`NotMovableError` in injector, `NoMethodsError` in featurize), or, for
+`ParseError` in frontend, to build the `file:line:col:` prefix its
+raise sites share.  Any other bad config or data raises one of these
+two directly.
 """
 
 from __future__ import annotations
 
 
-class PathmoveError(Exception):
-    """Base class for all package errors."""
-
-
-class ConfigError(PathmoveError):
+class ConfigError(Exception):
     """Invalid or missing configuration (exit code 2)."""
 
 
-class DataError(PathmoveError):
+class DataError(Exception):
     """Bad or missing input data or artifacts (exit code 3)."""
-
-
-class MissingArtifactError(DataError):
-    """A required artifact from an earlier stage does not exist."""
-
-    def __init__(self, path: str, producer: str):
-        super().__init__(f"missing artifact {path!r}: run the {producer!r} stage first")
-        self.path = path
-        self.producer = producer

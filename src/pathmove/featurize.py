@@ -22,14 +22,6 @@ class NoMethodsError(DataError):
     """Class has no embeddable methods left after exclusion."""
 
 
-class DimMismatchError(DataError):
-    """Vector length does not match what the operation expects."""
-
-
-class DegenerateDataError(DataError):
-    """PCA input has zero variance in every direction."""
-
-
 @dataclass(eq=False)
 class FeatureVector:
     values: np.ndarray
@@ -95,7 +87,7 @@ def class_embedding(
 def make_pair_vector(method_vec: CodeVector, class_vec: CodeVector) -> FeatureVector:
     """Concatenate method and class vectors, method half first."""
     if method_vec.values.shape != class_vec.values.shape:
-        raise DimMismatchError(
+        raise DataError(
             f"method vector length {method_vec.values.shape[0]} != "
             f"class vector length {class_vec.values.shape[0]}"
         )
@@ -131,7 +123,7 @@ def fit_pca(
     eigvecs = eigvecs[:, order]
     total = eigvals.sum()
     if total <= 0.0:
-        raise DegenerateDataError("covariance has no variance to explain")
+        raise DataError("covariance has no variance to explain")
     ratios = eigvals / total
     if k is None:
         cumulative = np.cumsum(ratios)
@@ -152,7 +144,7 @@ def apply_pca_matrix(model: PcaModel, rows: np.ndarray | list[np.ndarray]) -> np
     is centred in place and a list costs one (n, 2d) array, not two."""
     data = np.array(rows, dtype=np.float64)
     if data.shape[1] != model.input_dim:
-        raise DimMismatchError(
+        raise DataError(
             f"matrix width {data.shape[1]} != PCA input {model.input_dim}"
         )
     data -= model.mean

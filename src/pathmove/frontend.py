@@ -73,14 +73,6 @@ class ParseError(DataError):
         self.col = col
 
 
-class DuplicateSignatureError(ParseError):
-    """A class declares two methods with the same name and arity."""
-
-
-class NotFoundError(DataError):
-    """A method id does not resolve in the given units."""
-
-
 @dataclass
 class AstNode:
     """One node of the expression/statement tree.
@@ -170,7 +162,7 @@ def split_method_id(method_id: str) -> tuple[str, str, str, int]:
         name, arity = sig.rsplit("/", 1)
         return file_path, class_name, name, int(arity)
     except ValueError as exc:
-        raise NotFoundError(f"malformed method id {method_id!r}") from exc
+        raise DataError(f"malformed method id {method_id!r}") from exc
 
 
 def method_project(method_id: str) -> str:
@@ -308,7 +300,7 @@ class _Parser:
             if isinstance(member, MethodDecl):
                 sig = (member.name, member.arity)
                 if sig in signatures:
-                    raise DuplicateSignatureError(
+                    raise ParseError(
                         f"duplicate method {member.name}/{member.arity} in class {name}",
                         self.file_path,
                         start.line,
@@ -499,8 +491,8 @@ class _Parser:
 def parse_unit(source_text: str, file_path: str) -> SourceUnit:
     """Parse one source file into a SourceUnit.
 
-    Raises ParseError (with file:line:col) on anything outside the subset
-    and DuplicateSignatureError when a class repeats a name/arity pair.
+    Raises ParseError (with file:line:col) on anything outside the subset,
+    a class that repeats a name/arity pair included.
     """
     tokens = _lex(source_text, file_path)
     return _Parser(tokens, file_path).parse_unit()
@@ -533,12 +525,8 @@ def _print_class(cls: ClassDecl) -> str:
 def _print_method(method: MethodDecl) -> list[str]:
     params = ", ".join(f"{t} {n}" for n, t in method.params)
     prefix = "static " if method.is_static else ""
-    header = f"{_INDENT}{prefix}{method.return_type} {method.name}({params}) {{"
-    lines = [header]
-    for stmt in method.body.children:
-        lines.extend(_print_statement(stmt, 2))
-    lines.append(f"{_INDENT}}}")
-    return lines
+    return _print_nested(f"{_INDENT}{prefix}{method.return_type} {method.name}({params})",
+                         method.body, 1)
 
 
 def _print_statement(node: AstNode, depth: int) -> list[str]:
@@ -576,16 +564,12 @@ def _print_statement(node: AstNode, depth: int) -> list[str]:
 
 
 def _print_nested(header: str, body: AstNode, depth: int) -> list[str]:
-    """Attach a statement to an if/while header, braced bodies inline."""
-    pad = _INDENT * depth
+    """Attach a statement to a method, if or while header, braced bodies inline."""
     if body.label == "Block":
-        lines = [f"{header} {{"]
-        for child in body.children:
-            lines.extend(_print_statement(child, depth + 1))
-        lines.append(f"{pad}}}")
+        lines = _print_statement(body, depth)
+        lines[0] = f"{header} {{"
         return lines
-    inner = _print_statement(body, depth + 1)
-    return [header] + inner
+    return [header, *_print_statement(body, depth + 1)]
 
 
 def print_expression(node: AstNode) -> str:
@@ -626,4 +610,4 @@ def find_enclosing(units: list[SourceUnit], method_id: str) -> tuple[ClassDecl, 
             for method in cls.methods:
                 if method.name == name and method.arity == arity:
                     return cls, method
-    raise NotFoundError(f"method id {method_id!r} not found")
+    raise DataError(f"method id {method_id!r} not found")

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bundle import CorruptFileError, load_bundle, read_jsonl, save_bundle, write_jsonl
+from .bundle import load_bundle, read_jsonl, save_bundle, write_jsonl
 from .embed import CodeVector
 from .errors import DataError
 from .featurize import FeatureVector, NoMethodsError, class_embedding, make_pair_vector
@@ -46,14 +46,6 @@ from .frontend import (
 
 class NotMovableError(DataError):
     """The requested move violates a structural precondition."""
-
-
-class UnresolvedTargetError(DataError):
-    """Target class id does not resolve in the corpus."""
-
-
-class TooFewError(DataError):
-    """Not enough examples to split."""
 
 
 @dataclass
@@ -310,7 +302,7 @@ def perform_move(
     index = build_class_index(units)
     origin_cls, method = find_enclosing(units, method_id)
     if target_class_id not in index:
-        raise UnresolvedTargetError(f"target class {target_class_id!r} not in corpus")
+        raise NotMovableError(f"target class {target_class_id!r} not in corpus")
     if target_class_id == origin_cls.name:
         raise NotMovableError(f"{method_id}: target equals origin class")
     target_unit, target_cls = index[target_class_id]
@@ -421,7 +413,7 @@ def inject_feature_envy(
         target = rng.choice(candidate.target_class_ids)
         try:
             moved, entry = perform_move(current, candidate.method_id, target)
-        except (NotMovableError, UnresolvedTargetError):
+        except NotMovableError:
             continue
         cls, method = find_enclosing(moved, entry.moved_method_id)
         origin_params = [t for _, t in method.params if t == entry.original_class_id]
@@ -497,7 +489,7 @@ def split_dataset(
 
     Groups are canonically sorted before the seeded shuffle, so input
     order cannot change the outcome.  Test and validation greedily fill
-    floor(n/5) rows each; everything else trains.  Raises TooFewError
+    floor(n/5) rows each; everything else trains.  Raises DataError
     when test or validation would stay empty.
     """
     groups: dict[str, list[LabeledExample]] = {}
@@ -521,7 +513,7 @@ def split_dataset(
         else:
             train.extend(rows)
     if not (test and validate):
-        raise TooFewError(f"{len(examples)} examples in {len(keys)} methods leave "
+        raise DataError(f"{len(examples)} examples in {len(keys)} methods leave "
                           f"the test or validation split empty")
     return train, test, validate
 
@@ -558,7 +550,7 @@ def write_dataset(path: str | Path, splits: tuple[list[LabeledExample], ...]) ->
 
 def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
     """The splits `write_dataset` saved, every feature row rebuilt bit for
-    bit.  Raises CorruptFileError unless the metadata holds exactly the
+    bit.  Raises DataError unless the metadata holds exactly the
     DATASET_SPLITS, each a non-empty list of [method_id, class_id] string
     pairs, the two half arrays are matrices of one width, each index
     array is int64 with one entry per id and stays within its halves,
@@ -598,7 +590,7 @@ def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
         return tuple([LabeledExample(FeatureVector(values, *pair, "raw"), label)
                       for pair, (values, label) in zip(split, rows)] for split in ids)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFileError(f"{path}: bad dataset bundle: {exc}") from exc
+        raise DataError(f"{path}: bad dataset bundle: {exc}") from exc
 
 
 def write_ground_truth(path: str | Path, gt_by_project: dict[str, list[GroundTruthEntry]]) -> None:

@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .bundle import decode_json
 from .errors import DataError
 from .frontend import AstNode, MethodDecl
 
@@ -57,10 +58,6 @@ class ExtractionLimits:
 class ContextBag:
     method_id: str
     contexts: list[PathContext] = field(default_factory=list)
-
-
-class EmptyBagError(DataError):
-    """A method bag holds no contexts where at least one is required."""
 
 
 def normalize_token(leaf: AstNode) -> str:
@@ -217,8 +214,8 @@ def dump_bags(bags: list[ContextBag]) -> str:
 def _bags_header(line: str) -> tuple[int, list[str], list[str]]:
     """The method count and the token and path tables of a header line."""
     try:
-        header = json.loads(line)
-    except (ValueError, RecursionError):  # also an int of too many digits, or deep nesting
+        header = decode_json(line)
+    except ValueError:  # also an int of too many digits, or deep nesting
         header = None
     if not isinstance(header, dict) or any(header.get(k) != v for k, v in BAGS_FORMAT.items()):
         raise DataError(f"1: expected a version-2 bags header, found {line[:80]!r}; "

@@ -27,7 +27,7 @@ from .embed import (
     unpack_model,
     vocab_meta,
 )
-from .bundle import CorruptFileError, load_bundle, read_jsonl, save_bundle, write_jsonl
+from .bundle import load_bundle, read_jsonl, save_bundle, write_jsonl
 from .errors import ConfigError, DataError
 from .featurize import FeatureVector, PcaModel, apply_pca_matrix, fit_pca
 from .frontend import SourceUnit, method_project, split_method_id
@@ -373,7 +373,7 @@ def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
 
 
 def load_model_bundle(path: str | Path) -> ModelBundle:
-    """Read a model bundle, or raise CorruptFileError.  Its `settings`
+    """Read a model bundle, or raise DataError.  Its `settings`
     must be exactly the MODEL_SETTINGS sections of a valid RunConfig, so
     a missing section never falls back to defaults; the returned config
     keeps the defaults of the run-time settings.  The learned numbers are
@@ -403,7 +403,7 @@ def load_model_bundle(path: str | Path) -> ModelBundle:
         rff = RffMap(arrays["rff_omega"], arrays["rff_phases"])
         _check_widths(embedder, pca, rff, svm_model, config)
     except (ConfigError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise CorruptFileError(f"{path}: bad model bundle: {exc}") from exc
+        raise DataError(f"{path}: bad model bundle: {exc}") from exc
     return ModelBundle(embedder, vocabs, pca, svm_model, platt, rff, config)
 
 

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .featurize import DimMismatchError, FeatureVector
-
-
-class SingleClassError(DataError):
-    """Training or calibration data contains only one label."""
+from .featurize import FeatureVector
 
 
 @dataclass
@@ -39,14 +35,14 @@ class SvmModel:
 
     def decision(self, x: np.ndarray) -> float:
         if x.shape != self.weights.shape:
-            raise DimMismatchError(
+            raise DataError(
                 f"input length {x.shape} != weight length {self.weights.shape}"
             )
         return float(self.weights @ x + self.bias)
 
     def decision_matrix(self, data: np.ndarray) -> np.ndarray:
         if data.shape[1] != self.weights.shape[0]:
-            raise DimMismatchError(
+            raise DataError(
                 f"matrix width {data.shape[1]} != weight length {self.weights.shape[0]}"
             )
         return data @ self.weights + self.bias
@@ -63,7 +59,7 @@ def _as_matrix(pairs: list[tuple[FeatureVector, int]]) -> tuple[np.ndarray, np.n
     data = np.stack([fv.values for fv, _ in pairs])
     labels = np.array([label for _, label in pairs], dtype=np.int64)
     if set(labels.tolist()) != {0, 1}:
-        raise SingleClassError("need both labels 0 and 1")
+        raise DataError("need both labels 0 and 1")
     return data, labels
 
 
@@ -207,7 +203,7 @@ class RffMap:
     def transform(self, data: np.ndarray) -> np.ndarray:
         """Map the rows of a 2-D matrix."""
         if data.shape[1] != self.omega.shape[0]:
-            raise DimMismatchError(
+            raise DataError(
                 f"input width {data.shape[1]} != map input {self.omega.shape[0]}"
             )
         return np.sqrt(2.0 / self.omega.shape[1]) * np.cos(data @ self.omega + self.phases)

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathmove import cli, pipeline
-from pathmove.bundle import MAGIC, CorruptFileError, load_bundle, save_bundle
+from pathmove.bundle import MAGIC, VERSION, load_bundle, save_bundle
 from pathmove.cli import (
     BAGS_FILE,
     DATASET_FILE,
@@ -39,6 +39,7 @@ from pathmove.cli import (
     resolve_config,
 )
 from pathmove.codegen import load_project
+from pathmove.errors import DataError
 from pathmove.frontend import split_method_id
 from pathmove.injector import find_scoreable, read_ground_truth
 from pathmove.pipeline import f1_score, load_model_bundle
@@ -824,7 +825,7 @@ class TestStageChain:
         else:
             arrays["svm_weights"] = weights[:-1]
         save_bundle(path, "model", header["meta"], arrays)
-        with pytest.raises(CorruptFileError, match="svm_weights|SVM weights"):
+        with pytest.raises(DataError, match="svm_weights|SVM weights"):
             load_model_bundle(path)
         assert main(["recommend", *base, "--corpus", "mutated"]) == 3
         err = capsys.readouterr().err
@@ -866,7 +867,7 @@ class TestStageChain:
         header, arrays = load_bundle(path, expect_kind="model")
         arrays[name][0] = value
         save_bundle(path, "model", header["meta"], arrays)
-        with pytest.raises(CorruptFileError, match=f"non-finite values in array '{name}'"):
+        with pytest.raises(DataError, match=f"non-finite values in array '{name}'"):
             load_model_bundle(path)
         assert main(["recommend", *base, "--corpus", "mutated"]) == 3
         err = capsys.readouterr().err
@@ -935,7 +936,7 @@ class TestStageChain:
         header, arrays = load_bundle(path, expect_kind="model")
         edit(header["meta"], arrays)
         save_bundle(path, "model", header["meta"], arrays)
-        with pytest.raises(CorruptFileError, match=message):
+        with pytest.raises(DataError, match=message):
             load_model_bundle(path)
         assert main(["recommend", *base, "--corpus", "mutated"]) == 3
         err = capsys.readouterr().err
@@ -1062,6 +1063,44 @@ def test_damaged_bundle_version_names_the_file(finished_chain):
     blob[len(MAGIC)] ^= 0x02  # the low byte of the format version
     err = run_on_corrupt(finished_chain, MODEL_FILE, bytes(blob))
     assert err.startswith("error:") and "bundle version 3" in err and MODEL_FILE in err
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [("deep.json", None), (MODEL_FILE, None), (RECOMMENDATIONS_FILE, 0),
+     (RECOMMENDATIONS_FILE, 1), (GROUND_TRUTH_FILE, 0), (GROUND_TRUTH_FILE, 1)],
+    ids=["config", "bundle-header", "recommendations-header", "recommendations-row",
+         "ground-truth-header", "ground-truth-row"],
+)
+def test_deeply_nested_json_is_malformed_input(finished_chain, tmp_path, name, line):
+    """A JSON value nested too deeply to decode is malformed like any
+    other: in a config it exits 2, in an artifact 3 naming the file and
+    line, never 4."""
+    root, base, blobs = finished_chain
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    for other, payload in blobs.items():
+        (work / other).write_bytes(payload)
+    deep = "[" * 100_000
+    flags = [*base[:2], "--work-dir", str(work), "--corpus", str(root / "mutated")]
+    if name == "deep.json":
+        (tmp_path / name).write_text(deep)
+        command = ["train-embed", "--config", str(tmp_path / name)]
+        code, where = 2, f"{name} is not valid JSON"
+    elif name == MODEL_FILE:
+        (work / name).write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(deep)) + deep.encode())
+        command, code, where = ["recommend", *flags], 3, f"{name}: unreadable header"
+    else:
+        with redirect_stdout(io.StringIO()):
+            assert main(["recommend", *flags]) == 0
+        lines = (work / name).read_text().splitlines()
+        lines[line] = deep
+        (work / name).write_text("\n".join(lines) + "\n")
+        command, code, where = ["evaluate", *flags], 3, f"{name}:{line + 1}:"
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(command) == code, err.getvalue()
+    assert err.getvalue().startswith("error:") and where in err.getvalue()
 
 
 @pytest.mark.parametrize("name", [MODEL_FILE, EMBEDDER_FILE, DATASET_FILE])

@@ -15,7 +15,6 @@ from pathmove.embed import (
     EmbedderParams,
     TrainConfig,
     Vocabularies,
-    VocabTooSmallError,
     _Adam,
     _attend,
     _batch_loss_and_grads,
@@ -30,7 +29,8 @@ from pathmove.embed import (
     train_embedder,
     training_accuracy,
 )
-from pathmove.pathctx import ContextBag, EmptyBagError, PathContext
+from pathmove.errors import DataError
+from pathmove.pathctx import ContextBag, PathContext
 
 
 def simple_context(start: str, marker: str, end: str) -> PathContext:
@@ -222,7 +222,7 @@ def test_oov_maps_to_unk_row():
 def test_empty_bag_raises():
     vocabs = toy_vocabs(["a"], ["M1"], ["f", "g"])
     params = seeded_params(vocabs)
-    with pytest.raises(EmptyBagError):
+    with pytest.raises(DataError, match="method m has no path-contexts"):
         embed_bag(ContextBag("m", []), params, vocabs)
 
 
@@ -579,7 +579,7 @@ def test_literal_unk_token_maps_to_unk():
 
 def test_vocab_too_small():
     samples = [(ContextBag("m", [simple_context("a", "M1", "b")]), "only")]
-    with pytest.raises(VocabTooSmallError):
+    with pytest.raises(DataError, match="need at least 2 distinct method names, got 1"):
         build_vocabularies(samples)
 
 
@@ -613,9 +613,7 @@ def test_load_rejects_nonfinite(tmp_path):
     params.fc_bias[0] = np.inf
     path = str(tmp_path / "bad.pmb")
     save_model(params, vocabs, path)
-    from pathmove.bundle import CorruptFileError
-
-    with pytest.raises(CorruptFileError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite"):
         load_model(path)
 
 
@@ -626,9 +624,7 @@ def test_load_rejects_table_shorter_than_vocabulary(tmp_path, table):
     setattr(params, table, getattr(params, table)[:-1])
     path = str(tmp_path / "short.pmb")
     save_model(params, vocabs, path)
-    from pathmove.bundle import CorruptFileError
-
-    with pytest.raises(CorruptFileError, match="differ in length"):
+    with pytest.raises(DataError, match="differ in length"):
         load_model(path)
 
 
@@ -642,14 +638,14 @@ def test_load_rejects_duplicated_vocabulary_entry(tmp_path, vocab, table):
     params = seeded_params(vocabs)
     path = str(tmp_path / "dup.pmb")
     save_model(params, vocabs, path)
-    from pathmove.bundle import CorruptFileError, load_bundle, save_bundle
+    from pathmove.bundle import load_bundle, save_bundle
 
     header, arrays = load_bundle(path, expect_kind="embedder")
     meta = header["meta"]
     assert len(getattr(params, table)) == len(meta[vocab]) == 2
     meta[vocab] = [*meta[vocab], meta[vocab][-1]]
     save_bundle(path, "embedder", meta, arrays)
-    with pytest.raises(CorruptFileError, match="dense from 0"):
+    with pytest.raises(DataError, match="dense from 0"):
         load_model(path)
 
 

@@ -7,10 +7,9 @@ import random
 import pytest
 
 from helpers import random_method_source
+from pathmove.errors import DataError
 from pathmove.frontend import (
     AstNode,
-    DuplicateSignatureError,
-    NotFoundError,
     ParseError,
     find_enclosing,
     make_method_id,
@@ -202,13 +201,13 @@ def test_parse_error_line_and_column(source, message):
 
 def test_duplicate_signature_rejected():
     src = "class A { int f(int a) { return a; } int f(int b) { return b; } }"
-    with pytest.raises(DuplicateSignatureError) as caught:
+    with pytest.raises(ParseError, match="duplicate method f/1") as caught:
         parse_unit(src, "A.java")
     # the second declaration's first token
     assert (caught.value.line, caught.value.col) == (1, 38)
     assert str(caught.value).startswith("A.java:1:38: duplicate method f/1")
     src = "class A {\n    int f(int a) { return a; }\n    static int f(int b) { return b; }\n}"
-    with pytest.raises(DuplicateSignatureError) as caught:
+    with pytest.raises(ParseError, match="duplicate method f/1") as caught:
         parse_unit(src, "A.java")
     assert (caught.value.line, caught.value.col) == (3, 5)
     # Same name, different arity is allowed.
@@ -273,9 +272,9 @@ def test_find_enclosing():
     cls, method = find_enclosing([unit], "Bank.java::Audit::check/2")
     assert cls.name == "Audit"
     assert method.name == "check" and method.arity == 2
-    with pytest.raises(NotFoundError):
+    with pytest.raises(DataError, match="method id 'Bank.java::Audit::check/3' not found"):
         find_enclosing([unit], "Bank.java::Audit::check/3")
-    with pytest.raises(NotFoundError):
+    with pytest.raises(DataError, match="malformed method id 'not-an-id'"):
         find_enclosing([unit], "not-an-id")
 
 

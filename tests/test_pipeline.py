@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathmove import pipeline
-from pathmove.bundle import CorruptFileError, load_bundle, save_bundle
+from pathmove.bundle import load_bundle, save_bundle
 from pathmove.codegen import GenConfig, write_corpus
 from pathmove.config import RunConfig
 from pathmove.embed import UNK, CodeVector, EmbedderParams, Vocabularies, save_model
@@ -610,7 +610,7 @@ class TestBundlePersistence:
     def test_rejects_inconsistent_classifier(self, tmp_path, damage, message):
         path = tmp_path / "model.pmb"
         save_model_bundle(path, damage(fitted_bundle()))
-        with pytest.raises(CorruptFileError, match=message):
+        with pytest.raises(DataError, match=message):
             load_model_bundle(path)
 
     def test_rejects_wrong_kind(self, tmp_path):

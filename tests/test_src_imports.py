@@ -1,9 +1,11 @@
-"""Every name a pathmove module imports is used in that module, and
-every module-level function and class is used somewhere in `src/`, so a
-refactor cannot leave a dead import or a test-only helper behind.  The
-exceptions are the names that perfbench wraps (perfbench/spans.py
-patches them by name, so they stay bound even where nothing calls them)
-and the names the acceptance suite imports, which is their caller."""
+"""Every name a pathmove module imports is used in that module, every
+module-level function and class is used somewhere in `src/`, and every
+exception class is named by some `except` clause in `src/`, so a
+refactor cannot leave a dead import, a test-only helper or an error type
+that no code tells apart behind.  The exceptions to the second rule are
+the names that perfbench wraps (perfbench/spans.py patches them by name,
+so they stay bound even where nothing calls them) and the names the
+acceptance suite imports, which is their caller."""
 
 from __future__ import annotations
 
@@ -76,3 +78,23 @@ def test_every_definition_is_used_in_src():
         and not any(name in names for node, names in references if node is not definition)
     ]
     assert not unused, f"defined but never used in src/: {unused}"
+
+
+def test_every_exception_class_is_caught_in_src():
+    """An error type that no `except` names is one that no code tells
+    apart from its base, so it should raise the base.  `ParseError` is
+    exempt: its constructor builds the `file:line:col:` prefix that its
+    raise sites share, a reason to exist that no `except` shows."""
+    bases = {}  # class name -> the names its bases read
+    caught = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = set().union(*map(referenced_names, node.bases))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= referenced_names(node.type)
+    exceptions = {"Exception"}
+    while grown := {name for name, read in bases.items() if read & exceptions} - exceptions:
+        exceptions |= grown
+    uncaught = sorted(exceptions - caught - {"Exception", "ParseError"})
+    assert not uncaught, f"exception classes that no except in src/ names: {uncaught}"

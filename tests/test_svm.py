@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from pathmove.featurize import DimMismatchError, FeatureVector
+from pathmove.errors import DataError
+from pathmove.featurize import FeatureVector
 from pathmove.svm import (
     PlattParams,
     RffMap,
-    SingleClassError,
     SvmHyperparams,
     SvmModel,
     fit_platt,
@@ -138,10 +138,10 @@ def test_training_determinism():
 
 def test_single_class_rejected():
     data = np.ones((4, 2))
-    with pytest.raises(SingleClassError):
+    with pytest.raises(DataError, match="need both labels 0 and 1"):
         train_svm(as_pairs(data, np.ones(4, dtype=int)))
     model = SvmModel(np.ones(2), 0.0)
-    with pytest.raises(SingleClassError):
+    with pytest.raises(DataError, match="need both labels 0 and 1"):
         fit_platt(model, as_pairs(data, np.zeros(4, dtype=int)))
 
 
@@ -201,7 +201,7 @@ def test_predict_proba_end_to_end():
     hot = platt_probability(platt, model.decision(np.array([1.2, 1.1])))
     cold = platt_probability(platt, model.decision(np.array([-1.2, -1.1])))
     assert hot > 0.5 > cold
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(DataError, match="input length"):
         model.decision(np.zeros(5))
 
 
@@ -226,7 +226,7 @@ def test_rff_determinism_and_shapes():
     assert np.array_equal(a.omega, b.omega) and np.array_equal(a.phases, b.phases)
     assert a.transform(data).shape == (6, 64)
     assert a.transform(data[:1]).shape == (1, 64)
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(DataError, match="input width 9 != map input 4"):
         a.transform(np.zeros((2, 9)))
     # data without variance falls back to gamma 1, omega ~ N(0, 2)
     flat = fit_rff(np.ones((3, 2)), d_out=8, seed=5)
