@@ -450,13 +450,7 @@ class _Parser:
 
     def parse_primary(self) -> AstNode:
         tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return AstNode("Literal", token=tok.text)
-        if tok.kind == "string":
-            self.advance()
-            return AstNode("Literal", token=tok.text)
-        if tok.text in ("true", "false"):
+        if tok.kind in ("number", "string") or tok.text in ("true", "false"):
             self.advance()
             return AstNode("Literal", token=tok.text)
         if tok.kind == "ident":

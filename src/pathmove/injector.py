@@ -329,7 +329,20 @@ def perform_move(
         introduced.add(member.token)
         return AstNode("Name", token=member.token)
 
-    body = _map_members(method.body, _keep, unqualify)
+    origin_calls = origin_cls.method_names - {method.name}
+    origin_fields = origin_cls.field_names - set(method.param_names)
+    carrier: str | None = None
+
+    def requalify(name: AstNode, is_call: bool) -> AstNode:
+        nonlocal carrier
+        if name.token not in (origin_calls if is_call else origin_fields):
+            return name
+        if carrier is None:  # resolved lazily: state-free methods need none
+            carrier = _unique_param_of_type(method, origin_cls.name, "to requalify origin members")
+        return AstNode("FieldAccess", [AstNode("Name", token=carrier), name])
+
+    # One walk: requalify never sees a name unqualify introduced (see `ambiguous`).
+    body = _map_members(method.body, requalify, unqualify)
 
     blocked = set(method.param_names) | _assigned_names(method.body)
     collisions = introduced & blocked
@@ -342,20 +355,6 @@ def perform_move(
         raise NotMovableError(
             f"{method_id}: member names {sorted(ambiguous)} exist on both classes"
         )
-
-    origin_calls = origin_cls.method_names - {method.name}
-    origin_fields = origin_cls.field_names - set(method.param_names) - introduced
-    carrier: str | None = None
-
-    def requalify(name: AstNode, is_call: bool) -> AstNode:
-        nonlocal carrier
-        if name.token not in (origin_calls if is_call else origin_fields):
-            return name
-        if carrier is None:  # resolved lazily: state-free methods need none
-            carrier = _unique_param_of_type(method, origin_cls.name, "to requalify origin members")
-        return AstNode("FieldAccess", [AstNode("Name", token=carrier), name])
-
-    body = _map_members(body, requalify, _keep)
 
     new_id = make_method_id(target_unit.file_path, target_cls.name, method.name, method.arity)
     moved = replace(method, body=body, id=new_id)

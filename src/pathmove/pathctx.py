@@ -16,7 +16,9 @@ and two tables, the distinct tokens and the distinct paths, each in the
 order the dump first uses it.  One line per method follows: the method
 id, then one tab-separated `s,p,e` cell per context, the decimal indices
 of its start token, path and end token in those tables.  A method with
-no contexts is a line holding only its id.
+no contexts is a line holding only its id.  `dump_bags` alone defines
+this layout: `load_bags` accepts a text only if dumping the bags it
+read gives that text back.
 """
 
 from __future__ import annotations
@@ -229,36 +231,29 @@ def _bags_header(line: str) -> tuple[int, list[str], list[str]]:
         table = header[name]
         if not isinstance(table, list):
             raise DataError(f"1: bags header {name} is not a list")
-        seen = set()
         for k, entry in enumerate(table):
             if not isinstance(entry, str) or grammar.fullmatch(entry) is None:
                 raise DataError(f"1: malformed entry {k} of {name}: {entry!r}")
-            if entry in seen:
-                raise DataError(f"1: {name} lists {entry!r} more than once")
-            seen.add(entry)
     return methods, header["tokens"], header["paths"]
-
-
-def _cell_indices(cell: str, n_tokens: int, n_paths: int) -> tuple[int, int, int] | None:
-    """The (start, path, end) table indices a cell spells as `s,p,e` in
-    plain decimal, or None when it spells anything else or out of range."""
-    try:
-        start, path, end = map(int, cell.split(","))
-    except ValueError:  # not three ints, or one of more digits than Python parses
-        return None
-    if f"{start},{path},{end}" != cell or not 0 <= path < n_paths:
-        return None
-    if not (0 <= start < n_tokens and 0 <= end < n_tokens):
-        return None
-    return start, path, end
 
 
 def load_bags(text: str) -> list[ContextBag]:
     """Read a dump back into bags; a malformed header or cell, a repeated
     method id or a method count other than the header's raises DataError
-    naming its line as `LINE: ...`.  The tables must list each string in
-    the order the cells first use it, so a loaded dump dumps back to the
-    same text.  Equal cells load as one shared PathContext."""
+    naming its line as `LINE: ...`.  So does a text other than the one
+    `dump_bags` writes for these bags, such as tables out of first-use
+    order or a header spelled another way; only its header line can
+    differ then.  Equal cells load as one shared PathContext."""
+    bags = _parse_bags(text)
+    if dump_bags(bags) != text:
+        raise DataError("1: the header is not the one 'extract' writes for these "
+                        "path-contexts; run 'extract' again")
+    return bags
+
+
+def _parse_bags(text: str) -> list[ContextBag]:
+    """The bags a dump spells; a function of its own so that its lookup
+    tables are freed before load_bags dumps the bags again."""
     lines = text.split("\n")
     methods, tokens, paths = _bags_header(lines[0])
     if lines[-1]:
@@ -268,7 +263,6 @@ def load_bags(text: str) -> list[ContextBag]:
                         f"{len(lines) - 2}; run 'extract' again")
     known: dict[str, PathContext] = {}
     first_line: dict[str, int] = {}
-    next_token = next_path = 0
     bags = []
     for lineno, line in enumerate(lines[1:-1], 2):
         method_id, *cells = line.split("\t")
@@ -279,25 +273,13 @@ def load_bags(text: str) -> list[ContextBag]:
         for cell in cells:
             ctx = known.get(cell)
             if ctx is None:
-                indices = _cell_indices(cell, len(tokens), len(paths))
-                if indices is None:
-                    raise DataError(f"{lineno}: malformed path-context {cell!r}")
-                start, path, end = indices
-                # A new cell may use the next unused entry of a table, no later one.
-                for index in (start, end):
-                    if index == next_token:
-                        next_token += 1
-                    elif index > next_token:
-                        raise DataError(f"{lineno}: {cell!r} uses token {index} "
-                                        f"before token {next_token}")
-                if path == next_path:
-                    next_path += 1
-                elif path > next_path:
-                    raise DataError(f"{lineno}: {cell!r} uses path {path} before path {next_path}")
-                ctx = known[cell] = PathContext(tokens[start], paths[path], tokens[end])
+                try:  # three table indices in plain decimal
+                    start, path, end = map(int, cell.split(","))
+                    if f"{start},{path},{end}" != cell or min(start, path, end) < 0:
+                        raise ValueError(cell)
+                    ctx = known[cell] = PathContext(tokens[start], paths[path], tokens[end])
+                except (ValueError, IndexError):  # also an int of more digits than Python parses
+                    raise DataError(f"{lineno}: malformed path-context {cell!r}") from None
             contexts.append(ctx)
         bags.append(ContextBag(method_id, contexts))
-    if next_token < len(tokens) or next_path < len(paths):
-        raise DataError(f"1: the header lists {len(tokens) - next_token} tokens and "
-                        f"{len(paths) - next_path} paths that no path-context uses")
     return bags

@@ -1014,7 +1014,7 @@ CORRUPTION_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 @pytest.fixture(scope="module")
 def finished_chain(tmp_path_factory):
     """A finished stage chain on the micro corpus: (root, common flags,
-    the three bundles' bytes)."""
+    the bytes of each file the chain left in its work dir, by name)."""
     root = tmp_path_factory.mktemp("chain")
     config = write_config(root)
     base = ["--config", config, "--work-dir", str(root / "work")]
@@ -1026,9 +1026,19 @@ def finished_chain(tmp_path_factory):
                         ["build-dataset", "--corpus", corpus], ["train-clf"]):
             assert main([*command, *base]) == 0
         assert main(["inject", *base, "--corpus", corpus, "--out", str(root / "mutated")]) == 0
-    blobs = {name: (root / "work" / name).read_bytes()
-             for name in (MODEL_FILE, EMBEDDER_FILE, DATASET_FILE)}
-    return root, base, blobs
+    return root, base, {path.name: path.read_bytes() for path in (root / "work").iterdir()}
+
+
+def restore_work(chain, work) -> None:
+    """Make `work` hold exactly the files the chain left in its work dir,
+    with their bytes, whatever a test or a stage has edited or added."""
+    files = chain[2]
+    work.mkdir(exist_ok=True)
+    for path in work.iterdir():
+        if path.name not in files:
+            path.unlink()
+    for name, payload in files.items():
+        (work / name).write_bytes(payload)
 
 
 # The stage that loads each bundle and runs what is in it, and the corpus
@@ -1039,12 +1049,10 @@ LOADING_STAGE = {MODEL_FILE: ("recommend", "mutated"),
 
 
 def run_on_corrupt(chain, name: str, blob: bytes) -> str:
-    """Run the loading stage with `blob` as `name` and every other bundle
-    as the chain wrote it (a stage may have overwritten one); its
-    standard error."""
-    root, base, blobs = chain
-    for other, payload in blobs.items():
-        (root / "work" / other).write_bytes(payload)
+    """Run the loading stage with `blob` as `name` and every other file
+    of the work dir as the chain left it; its standard error."""
+    root, base, _ = chain
+    restore_work(chain, root / "work")
     (root / "work" / name).write_bytes(blob)
     command, corpus = LOADING_STAGE[name]
     corpus_flag = ["--corpus", str(root / corpus)] if corpus else []
@@ -1076,11 +1084,9 @@ def test_deeply_nested_json_is_malformed_input(finished_chain, tmp_path, name, l
     """A JSON value nested too deeply to decode is malformed like any
     other: in a config it exits 2, in an artifact 3 naming the file and
     line, never 4."""
-    root, base, blobs = finished_chain
+    root, base, _ = finished_chain
     work = tmp_path / "work"
-    shutil.copytree(root / "work", work)
-    for other, payload in blobs.items():
-        (work / other).write_bytes(payload)
+    restore_work(finished_chain, work)
     deep = "[" * 100_000
     flags = [*base[:2], "--work-dir", str(work), "--corpus", str(root / "mutated")]
     if name == "deep.json":

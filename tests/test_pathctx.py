@@ -431,6 +431,20 @@ def bags_text(lines, tokens=("x", "y"), paths=(GOOD_PATH,), methods=None, **head
     return "\n".join([json.dumps(fields, ensure_ascii=False, sort_keys=True), *lines]) + "\n"
 
 
+def respelled(text, reverse=False, **options):
+    """`text` with its header line written again by `json.dumps(**options)`,
+    its keys in reverse order if `reverse`."""
+    header, rest = text.split("\n", 1)
+    fields = json.loads(header)
+    if reverse:
+        fields = dict(reversed(fields.items()))
+    return json.dumps(fields, **options) + "\n" + rest
+
+
+# What load_bags says of a file that is not the text dump_bags writes for it.
+NOT_AS_WRITTEN = "^1: the header is not the one 'extract' writes for these path-contexts"
+
+
 def test_load_bags_keeps_each_distinct_string_once():
     f, g = load_bags(bags_text(["T.java::T::f/0\t0,0,1\t1,0,1", "T.java::T::g/0\t0,0,1"]))
     assert f.contexts[0] == g.contexts[0] == PathContext("x", GOOD_PATH, "y")
@@ -505,9 +519,9 @@ def test_load_bags_rejects_junk():
         pytest.param(bags_text([], tokens="xy"), "^1: bags header tokens is not a list",
                      id="tokens-string"),
         pytest.param(bags_text(["T.java::T::f/0\t0,0,1"], tokens=["x", "x"]),
-                     "^1: tokens lists 'x' more than once", id="token-repeated"),
+                     NOT_AS_WRITTEN, id="token-repeated"),
         pytest.param(bags_text(["T.java::T::f/0\t0,0,1\t0,1,1"], paths=[GOOD_PATH, GOOD_PATH]),
-                     "^1: paths lists .* more than once", id="path-repeated"),
+                     NOT_AS_WRITTEN, id="path-repeated"),
         pytest.param(bags_text(["T.java::T::f/0"], methods=2),
                      "^1: the header counts 2 methods, the file holds 1", id="fewer-methods"),
         pytest.param(bags_text(["T.java::T::f/0", "T.java::T::g/0"], methods=1),
@@ -519,12 +533,19 @@ def test_load_bags_rejects_junk():
         pytest.param(bags_text(["T.java::T::f/0\t0,0,1", "T.java::T::g/0", "T.java::T::f/0"]),
                      "^4: method 'T.java::T::f/0' repeats line 2", id="method-repeated"),
         pytest.param(bags_text(["T.java::T::f/0\t1,0,0"]),
-                     "^2: '1,0,0' uses token 1 before token 0", id="token-order"),
+                     NOT_AS_WRITTEN, id="token-order"),
         pytest.param(bags_text(["T.java::T::f/0\t0,1,1\t0,0,1"], paths=[GOOD_PATH, "A↑B↓C"]),
-                     "^2: '0,1,1' uses path 1 before path 0", id="path-order"),
+                     NOT_AS_WRITTEN, id="path-order"),
         pytest.param(bags_text(["T.java::T::f/0\t0,0,1"], tokens=["x", "y", "z"]),
-                     "^1: the header lists 1 tokens and 0 paths that no path-context uses",
-                     id="unused-token"),
+                     NOT_AS_WRITTEN, id="unused-token"),
+        pytest.param(respelled(bags_text(["T.java::T::f/0\t0,0,1"]), ensure_ascii=False,
+                               sort_keys=True, separators=(",", ":")),
+                     NOT_AS_WRITTEN, id="compact-header"),
+        pytest.param(respelled(bags_text(["T.java::T::f/0\t0,0,1"]), sort_keys=True),
+                     NOT_AS_WRITTEN, id="escaped-arrows"),
+        pytest.param(respelled(bags_text(["T.java::T::f/0\t0,0,1"]), reverse=True,
+                               ensure_ascii=False),
+                     NOT_AS_WRITTEN, id="unsorted-keys"),
     ],
 )
 def test_load_bags_rejects_a_malformed_file(text, message):
