@@ -2,16 +2,18 @@
 
 A method is a move candidate when it survives the structural filters
 (static, constructor-like, empty, delegation, parameterless, getter,
-setter), does not touch its own class's instance state, and has at least
-one parameter whose declared type resolves to a corpus class.  Injection
-relocates such methods into one of their parameter-type classes,
-rewriting member qualifiers so the result still parses.  It keeps a
-move only when the moved method is still a candidate in its new class
-and has exactly one parameter of its origin's type, so the recommender
-scores it and a move back can undo it; every kept move is recorded as
-ground truth.  One walker, `_map_members`, finds member references for
-both the state check and the rewrites, and rewrites share every subtree
-they leave unchanged.
+setter) and has at least one parameter whose declared type resolves to
+a corpus class.  That one candidate set serves injection, training and
+recommendation alike.  Injection relocates a candidate into one of its
+parameter-type classes, rewriting member qualifiers so the result still
+parses: accesses through the target-typed parameter lose their
+qualifier, and bare references to origin members are requalified
+through the one origin-typed parameter, or the move is refused.  It
+keeps a move only when the moved method is still a candidate in its new
+class and has exactly one parameter of its origin's type, so the
+recommender scores it and a move back can undo it; every kept move is
+recorded as ground truth.  The rewrites run in one walk of
+`_map_members`, which shares every subtree it leaves unchanged.
 
 Datasets pair each candidate with its origin (label 1, duplicated) and
 each target (label 0), keeping the two label counts exactly equal.  The
@@ -182,30 +184,6 @@ def _map_members(node: AstNode, bare, qualified) -> AstNode:
     return visit(node)
 
 
-def _keep(node: AstNode, is_call: bool) -> AstNode:
-    return node
-
-
-def touches_instance_state(method: MethodDecl, cls: ClassDecl) -> bool:
-    """True when the body references the enclosing class's fields or
-    methods without a qualifier.  Every bare call other than recursion
-    counts, whether or not it names a known method.  Parameter names
-    shadow fields.  Local variables cannot be told apart from field
-    writes after parsing, so a bare name matching a field counts as a
-    reference; generated corpora never shadow fields.
-    """
-    fields = cls.field_names - set(method.param_names)
-    refs: list[AstNode] = []
-
-    def record(name: AstNode, is_call: bool) -> AstNode:
-        if (name.token != method.name) if is_call else (name.token in fields):
-            refs.append(name)
-        return name
-
-    _map_members(method.body, record, _keep)
-    return bool(refs)
-
-
 # ---------------------------------------------------------------------------
 # Candidate enumeration
 
@@ -232,7 +210,10 @@ def _targets_of(method: MethodDecl, origin: str, index: dict) -> list[str]:
     return sorted(seen)
 
 
-def _enumerate(units: list[SourceUnit], require_state_free: bool) -> list[CandidateMove]:
+def find_movable(units: list[SourceUnit]) -> list[CandidateMove]:
+    """Every method that passes the structural filters and has at least
+    one resolvable target, sorted by id: the one candidate set that
+    injection, training and recommendation all use."""
     index = build_class_index(units)
     out = []
     for unit in units:
@@ -240,28 +221,10 @@ def _enumerate(units: list[SourceUnit], require_state_free: bool) -> list[Candid
             for method in cls.methods:
                 if not passes_structural_filters(method, cls):
                     continue
-                if require_state_free and touches_instance_state(method, cls):
-                    continue
                 targets = _targets_of(method, cls.name, index)
-                if not targets:
-                    continue
-                out.append(CandidateMove(method.id, cls.name, targets))
+                if targets:
+                    out.append(CandidateMove(method.id, cls.name, targets))
     return sorted(out, key=lambda c: c.method_id)
-
-
-def find_movable(units: list[SourceUnit]) -> list[CandidateMove]:
-    """Methods safe to relocate: structural filters plus no unqualified
-    use of origin state, with at least one resolvable target."""
-    return _enumerate(units, require_state_free=True)
-
-
-def find_scoreable(units: list[SourceUnit]) -> list[CandidateMove]:
-    """Methods worth scoring at recommendation time: structural filters
-    only.  Previously injected methods access their new home's members
-    without qualifiers, so the state-free restriction that guards
-    injection would hide exactly the methods the recommender must judge.
-    """
-    return _enumerate(units, require_state_free=False)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +300,7 @@ def perform_move(
         nonlocal carrier
         if name.token not in (origin_calls if is_call else origin_fields):
             return name
-        if carrier is None:  # resolved lazily: state-free methods need none
+        if carrier is None:  # resolved lazily: a body without origin members needs none
             carrier = _unique_param_of_type(method, origin_cls.name, "to requalify origin members")
         return AstNode("FieldAccess", [AstNode("Name", token=carrier), name])
 

@@ -37,7 +37,6 @@ from .injector import (
     build_dataset,
     candidate_pairs,
     find_movable,
-    find_scoreable,
     inject_feature_envy,
     split_dataset,
 )
@@ -169,7 +168,7 @@ def recommend(
     corpus with no candidates gets none.
     """
     out = []
-    for cand, origin, targets in candidate_pairs(units, embeddings, find_scoreable(units)):
+    for cand, origin, targets in candidate_pairs(units, embeddings, find_movable(units)):
         pairs = ([origin] if origin is not None else []) + targets
         best, best_prob, decision = cand.origin_class_id, 0.0, NO_RECOMMENDATION
         if pairs:

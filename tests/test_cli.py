@@ -41,7 +41,7 @@ from pathmove.cli import (
 from pathmove.codegen import load_project
 from pathmove.errors import DataError
 from pathmove.frontend import split_method_id
-from pathmove.injector import find_scoreable, read_ground_truth
+from pathmove.injector import find_movable, read_ground_truth
 from pathmove.pipeline import f1_score, load_model_bundle
 
 
@@ -541,7 +541,7 @@ class TestStageChain:
         truth = read_ground_truth(tmp_path / "work" / GROUND_TRUTH_FILE)
         f1s = []
         for project, entries in sorted(truth.items()):
-            candidates = {c.method_id: c for c in find_scoreable(load_project("mutated", project))}
+            candidates = {c.method_id: c for c in find_movable(load_project("mutated", project))}
             exp_correct = exp_recommended = 0.0
             for entry in entries:
                 cand = candidates.get(entry.moved_method_id)

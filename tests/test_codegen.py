@@ -21,7 +21,6 @@ from pathmove.frontend import parse_unit, print_unit
 from pathmove.injector import (
     build_class_index,
     find_movable,
-    find_scoreable,
     inject_feature_envy,
     is_delegation,
     perform_move,
@@ -115,9 +114,9 @@ def test_every_envy_method_actually_moves():
         movable = find_movable(units)
         mutated, entries = inject_feature_envy(units, seed=seed)
         assert len(entries) == len(movable)
-        scoreable = {c.method_id: c for c in find_scoreable(mutated)}
+        candidates = {c.method_id: c for c in find_movable(mutated)}
         for entry in entries:
-            cand = scoreable[entry.moved_method_id]
+            cand = candidates[entry.moved_method_id]
             assert entry.original_class_id in cand.target_class_ids
 
 

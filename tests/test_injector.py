@@ -26,7 +26,6 @@ from pathmove.injector import (
     build_dataset,
     corpora_equal,
     find_movable,
-    find_scoreable,
     inject_feature_envy,
     is_constructor_like,
     is_delegation,
@@ -38,7 +37,6 @@ from pathmove.injector import (
     read_dataset,
     read_ground_truth,
     split_dataset,
-    touches_instance_state,
     write_dataset,
     write_ground_truth,
 )
@@ -206,70 +204,82 @@ def test_filters_pass_candidates():
         assert passes_structural_filters(m, cls), name
 
 
+# ---------------------------------------------------------------------------
+# State-touching methods are candidates like any other: a move requalifies
+# their bare origin members through the one origin-typed parameter, and
+# leaves every other name as written
+
+
 def test_state_touch_bare_field():
-    cls, m = method_of(fixture_units(), "Wallet", "audit")
-    assert touches_instance_state(m, cls)
+    # audit reads bare `balance` and has no Wallet parameter to carry it
+    units = fixture_units()
+    audit_id = method_of(units, "Wallet", "audit")[1].id
+    assert audit_id in {c.method_id for c in find_movable(units)}
+    with pytest.raises(NotMovableError, match="to requalify origin members"):
+        perform_move(units, audit_id, "Ledger")
 
 
 def test_state_touch_ignores_qualified_refs():
+    # members reached through a parameter need no carrier, even where
+    # one exists (check's `home`)
     units = fixture_units()
-    for name in ("merge", "check", "describe", "spread"):
-        cls, m = method_of(units, "Wallet", name)
-        assert not touches_instance_state(m, cls), name
+    for cand in find_movable(units):
+        if cand.method_id.endswith("::audit/2"):
+            continue
+        for target in cand.target_class_ids:
+            mutated, entry = perform_move(units, cand.method_id, target)
+            body = find_enclosing(mutated, entry.moved_method_id)[1].body
+            assert all(n.token != "home" for n in body.walk()), cand.method_id
 
 
 def test_state_touch_unknown_bare_call():
-    cls, m = method_of(fixture_units(), "Wallet", "relay")
-    assert touches_instance_state(m, cls)
+    # `post` is no member of Wallet, so nothing requalifies it
+    units = _two_class_corpus(
+        "    int ping(Wallet home, Ledger ledger, int k) {\n"
+        "        int x = post(k);\n"
+        "        return x + ledger.total;\n    }"
+    )
+    mutated, _ = perform_move(units, units[0].classes[0].methods[0].id, "Ledger")
+    text = print_unit(build_class_index(mutated)["Ledger"][0])
+    assert "x = post(k);" in text
+    assert "return x + total;" in text
 
 
 def test_state_touch_param_shadows_field():
-    unit = parse_unit(
-        """
-        class Shadow {
-            int balance;
-            int probe(Ledger ledger, int balance) {
-                return balance + ledger.total;
-            }
-        }
-        """,
-        "Shadow.java",
+    # the parameter `balance` shadows Wallet's field: no carrier needed
+    units = _two_class_corpus(
+        "    int probe(Ledger ledger, int balance) {\n"
+        "        return balance + ledger.total;\n    }"
     )
-    cls = unit.classes[0]
-    assert not touches_instance_state(cls.methods[0], cls)
+    mutated, _ = perform_move(units, units[0].classes[0].methods[0].id, "Ledger")
+    assert "return balance + total;" in print_unit(build_class_index(mutated)["Ledger"][0])
 
 
 def test_state_touch_self_recursion_allowed():
-    unit = parse_unit(
-        """
-        class Loop {
-            int down(Ledger ledger, int n) {
-                if (n > 0) {
-                    return down(ledger, n - 1);
-                }
-                return ledger.total;
-            }
-        }
-        """,
-        "Loop.java",
+    # the recursive call moves with the method: no carrier needed
+    units = _two_class_corpus(
+        "    int down(Ledger ledger, int n) {\n"
+        "        if (n > 0) {\n"
+        "            return down(ledger, n - 1);\n"
+        "        }\n"
+        "        return ledger.total;\n    }"
     )
-    cls = unit.classes[0]
-    assert not touches_instance_state(cls.methods[0], cls)
+    mutated, _ = perform_move(units, units[0].classes[0].methods[0].id, "Ledger")
+    text = print_unit(build_class_index(mutated)["Ledger"][0])
+    assert "return down(ledger, n - 1);" in text
+    assert "return total;" in text
 
 
 def test_state_touch_bare_call_as_receiver():
-    unit = parse_unit(
-        """
-        class Probe {
-            int peek(Ledger ledger, int n) {
-                return helper().total + ledger.total;
-            }
-        }
-        """,
-        "Probe.java",
+    units = _two_class_corpus(
+        "    int helper(int n) {\n        return n * 2;\n    }\n"
+        "    int peek(Wallet own, Ledger ledger, int n) {\n"
+        "        return helper(n).total + ledger.total;\n    }"
     )
-    cls = unit.classes[0]
-    assert touches_instance_state(cls.methods[0], cls)
+    peek_id = method_of(units, "Wallet", "peek")[1].id
+    mutated, _ = perform_move(units, peek_id, "Ledger")
+    text = print_unit(build_class_index(mutated)["Ledger"][0])
+    assert "return own.helper(n).total + total;" in text
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +290,9 @@ def test_find_movable_exact_set():
     units = fixture_units()
     movable = find_movable(units)
     by_name = {c.method_id.split("::")[-1]: c for c in movable}
-    assert sorted(by_name) == ["check/4", "describe/2", "merge/2", "spread/3"]
+    # audit reads Wallet's own `balance` bare, and is a candidate all the same
+    assert sorted(by_name) == ["audit/2", "check/4", "describe/2", "merge/2", "spread/3"]
+    assert by_name["audit/2"].target_class_ids == ["Ledger"]
     assert by_name["merge/2"].target_class_ids == ["Ledger"]
     assert by_name["check/4"].target_class_ids == ["Ledger", "Report"]
     assert by_name["describe/2"].target_class_ids == ["Report"]
@@ -289,20 +301,11 @@ def test_find_movable_exact_set():
     assert [c.method_id for c in movable] == sorted(c.method_id for c in movable)
 
 
-def test_find_scoreable_adds_state_touchers():
-    units = fixture_units()
-    movable = {c.method_id for c in find_movable(units)}
-    scoreable = {c.method_id for c in find_scoreable(units)}
-    assert movable < scoreable
-    extra = {m.split("::")[-1] for m in scoreable - movable}
-    assert extra == {"audit/2"}
-
-
 def test_targetless_methods_not_scoreable():
     # plain and header pass every filter but have no class-typed params
-    scoreable = {c.method_id.split("::")[-1] for c in find_scoreable(fixture_units())}
-    assert "plain/2" not in scoreable
-    assert "header/1" not in scoreable
+    names = {c.method_id.split("::")[-1] for c in find_movable(fixture_units())}
+    assert "plain/2" not in names
+    assert "header/1" not in names
 
 
 def test_duplicate_class_rejected():
@@ -710,25 +713,15 @@ def test_inject_then_reverse_restores_everything():
 
 
 def test_injected_methods_stay_scoreable():
-    # the whole point of scoring without the state filter: moved methods
-    # must remain visible, with the original class among their targets
+    # a moved method touches its new home's members bare, and is a
+    # candidate again, with the class it came from among its targets
     units = envy_units()
     mutated, entries = inject_feature_envy(units, seed=7)
-    scoreable = {c.method_id: c for c in find_scoreable(mutated)}
+    candidates = {c.method_id: c for c in find_movable(mutated)}
     for entry in entries:
-        assert entry.moved_method_id in scoreable
-        cand = scoreable[entry.moved_method_id]
+        cand = candidates[entry.moved_method_id]
         assert cand.origin_class_id == entry.injected_class_id
         assert entry.original_class_id in cand.target_class_ids
-
-
-def test_injected_methods_not_movable_again():
-    # after the move they touch their new home's state
-    units = envy_units()
-    mutated, entries = inject_feature_envy(units, seed=7)
-    movable = {c.method_id for c in find_movable(mutated)}
-    for entry in entries:
-        assert entry.moved_method_id not in movable
 
 
 def test_inject_determinism_and_seed_sensitivity():
@@ -759,7 +752,7 @@ class Target {
 @pytest.mark.parametrize(
     "method, scoreable, undoable",
     [
-        # a setter once unqualified, which find_scoreable drops
+        # a setter once unqualified, which find_movable drops
         ("void put(Target t, int v) {\n        t.count = v;\n    }", False, False),
         ("void put(Origin o, Target t, int v) {\n        t.count = v;\n    }", False, True),
         # no class-typed parameter but Target's own: nothing to carry it back
@@ -784,7 +777,7 @@ class Origin {{
     units = [parse_unit(origin, "Origin.java"), parse_unit(TARGET_SRC, "Target.java")]
     (candidate,) = find_movable(units)
     moved, entry = perform_move(units, candidate.method_id, "Target")
-    assert (entry.moved_method_id in {c.method_id for c in find_scoreable(moved)}) == scoreable
+    assert (entry.moved_method_id in {c.method_id for c in find_movable(moved)}) == scoreable
     try:
         perform_move(moved, entry.moved_method_id, "Origin")
     except NotMovableError:
@@ -855,10 +848,10 @@ def test_dataset_balance_and_pairing():
     candidates = find_movable(units)
     examples = build_dataset(units, embeddings, candidates)
 
-    # check has two targets, the rest one each: 5 pairs, 10 rows
-    assert len(examples) == 10
+    # check has two targets, the rest one each: 6 pairs, 12 rows
+    assert len(examples) == 12
     labels = [e.label for e in examples]
-    assert labels.count(0) == labels.count(1) == 5
+    assert labels.count(0) == labels.count(1) == 6
     for e in examples:
         if e.label == 1:
             assert e.feature.class_id == "Wallet"
@@ -904,9 +897,9 @@ def test_dataset_drops_unembeddable_target_symmetrically():
     embeddings = fake_embeddings(units, omit=("header",))  # Report loses all vectors
     examples = build_dataset(units, embeddings, find_movable(units))
     # check keeps its Ledger pair; describe loses its only pair
-    assert len(examples) == 6
+    assert len(examples) == 8
     labels = [e.label for e in examples]
-    assert labels.count(0) == labels.count(1) == 3
+    assert labels.count(0) == labels.count(1) == 4
     assert all(e.feature.class_id != "Report" for e in examples if e.label == 0)
 
 
@@ -915,7 +908,7 @@ def test_dataset_skips_method_without_embedding():
     embeddings = fake_embeddings(units, omit=("merge",))
     examples = build_dataset(units, embeddings, find_movable(units))
     merge_id = method_of(units, "Wallet", "merge")[1].id
-    assert len(examples) == 8
+    assert len(examples) == 10
     assert all(e.feature.method_id != merge_id for e in examples)
 
 
