@@ -8,13 +8,16 @@ can never capture or collide a name, so every generated envy method is
 mechanically movable and the move is reversible.
 
 A class gets an accessor pair, three cohesive methods that read the
-class's own fields bare, and one or two envy methods.  An envy method
-never touches its own class's state; instead it reaches through a
-parameter into one specific other class, carries a parameter typed with
-its own class, and lists two decoy class parameters.  Those four classes
-become the candidate set a recommender must rank.  One method per
-project is a pure delegation so the structural filters see realistic
-negatives.
+class's own fields bare, and one or two envy methods.  An envy method is
+well placed as generated: it too uses only its own class's fields and
+methods, bare.  It also carries a parameter typed with its own class
+and three parameters typed with other classes of the project, one of
+them drawn as `target` and two as decoys.  Injection moves it into one
+of those three, where its body reaches back through the own-typed
+parameter into the class it came from: that is the Feature Envy a
+recommender must spot, ranking the old home among four candidate
+classes.  One method per project is a pure delegation so the
+structural filters see realistic negatives.
 """
 
 from __future__ import annotations
@@ -192,27 +195,29 @@ def _envy_method(
     decoys: tuple[_ClassPlan, _ClassPlan],
     rng: random.Random,
 ) -> str:
-    """A method that belongs in `target`: every member it touches lives
-    there, while its own class appears only as the carrier parameter."""
-    tf1, tf2 = rng.sample(target.fields, 2)
-    tcall = rng.choice(target.theme.methods[_COHESIVE_SLOTS])
+    """A method that belongs where it is: every member it touches is its
+    own class's, used bare.  If the method is moved, the own-typed `peer`
+    parameter carries those members; `target` and the two decoys are the
+    parameter-type classes it can be moved to."""
+    f1, f2 = rng.sample(plan.fields, 2)
+    call = rng.choice(plan.theme.methods[_COHESIVE_SLOTS])
     l1, l2, l3 = rng.sample(plan.theme.locals_, 3)
     shape = rng.randrange(2)
     if shape == 0:
         body = (
             f"        int {l1} = k + {rng.randrange(2, 9)};\n"
             f"        int {l2} = {l1} - k;\n"
-            f"        int {l3} = t.{tf1} + {l2};\n"
-            f"        {l3} = {l3} * t.{tcall}({l1}, {l2});\n"
-            f"        return {l3} + t.{tf2};"
+            f"        int {l3} = {f1} + {l2};\n"
+            f"        {l3} = {l3} * {call}({l1}, {l2});\n"
+            f"        return {l3} + {f2};"
         )
     else:
         body = (
             f"        int {l1} = k * {rng.randrange(2, 9)};\n"
-            f"        int {l2} = t.{tcall}({l1}, k);\n"
+            f"        int {l2} = {call}({l1}, k);\n"
             f"        int {l3} = {l2} + {l1};\n"
-            f"        if ({l3} > t.{tf1}) {{\n"
-            f"            {l3} = {l3} - t.{tf2};\n"
+            f"        if ({l3} > {f1}) {{\n"
+            f"            {l3} = {l3} - {f2};\n"
             f"        }}\n"
             f"        return {l3} + {l1};"
         )

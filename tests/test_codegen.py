@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from pathmove.codegen import (
@@ -17,8 +19,9 @@ from pathmove.codegen import (
     write_corpus,
 )
 from pathmove.errors import ConfigError, DataError
-from pathmove.frontend import parse_unit, print_unit
+from pathmove.frontend import find_enclosing, parse_unit, print_unit
 from pathmove.injector import (
+    _map_members,
     build_class_index,
     find_movable,
     inject_feature_envy,
@@ -118,6 +121,45 @@ def test_every_envy_method_actually_moves():
         for entry in entries:
             cand = candidates[entry.moved_method_id]
             assert entry.original_class_id in cand.target_class_ids
+
+
+def member_references(units, method_id):
+    """How often the method's body uses each class's members: a bare name
+    counts for the class holding the method, a name qualified by a
+    parameter for that parameter's type."""
+    index = build_class_index(units)
+    home, method = find_enclosing(units, method_id)
+    types = dict(method.params)
+    counts = Counter()
+
+    def count(cls, name, is_call):
+        if name in (cls.method_names if is_call else cls.field_names):
+            counts[cls.name] += 1
+
+    def bare(name, is_call):
+        if name.token not in types:
+            count(home, name.token, is_call)
+        return name
+
+    def qualified(access, is_call):
+        receiver, member = access.children
+        if receiver.label == "Name" and types.get(receiver.token) in index:
+            count(index[types[receiver.token]][1], member.token, is_call)
+        return access
+
+    _map_members(method.body, bare, qualified)
+    return counts
+
+
+def test_planted_body_uses_its_true_home_most():
+    # the paper's smell: a moved method uses the members of the class it
+    # came from more than those of the class it was planted in
+    for seed in range(4):
+        mutated, entries = inject_feature_envy(parse_project(seed), seed=seed)
+        assert entries
+        for entry in entries:
+            counts = member_references(mutated, entry.moved_method_id)
+            assert counts[entry.original_class_id] > counts[entry.injected_class_id], entry
 
 
 def test_moves_are_reversible():

@@ -790,6 +790,32 @@ class Origin {{
         assert mutated is units
 
 
+SETTLE_BODY = """ {
+        int due = balance + k;
+        return due * ledger.total;
+    }"""
+
+
+def test_inject_plants_state_touching_method_through_its_carrier():
+    units = _two_class_corpus("    int settle(Wallet home, Ledger ledger, int k)" + SETTLE_BODY)
+    mutated, entries = inject_feature_envy(units, seed=0)
+    assert entries == [GroundTruthEntry("Ledger.java::Ledger::settle/3", "Wallet", "Ledger")]
+    text = print_unit(build_class_index(mutated)["Ledger"][0])
+    assert "due = home.balance + k;" in text
+    assert "return due * total;" in text
+    restored, _ = perform_move(mutated, entries[0].moved_method_id, "Wallet")
+    assert corpora_equal(units, restored)
+
+
+def test_inject_never_plants_state_touching_method_without_carrier():
+    units = _two_class_corpus("    int settle(Ledger ledger, int k)" + SETTLE_BODY)
+    assert find_movable(units)  # scored and trained on all the same
+    for seed in range(4):
+        mutated, entries = inject_feature_envy(units, seed)
+        assert entries == []
+        assert mutated is units
+
+
 def test_inject_leaves_input_untouched():
     # `==` compares every unit, class, method (with its id) and AST node;
     # printing alone would not show a rewritten method id
