@@ -33,10 +33,6 @@ from .frontend import SourceUnit, parse_unit
 TRAIN_DIR = "train"
 EVAL_DIR = "eval"
 
-# Parameter names shared by every generated method; theme pools must not
-# reuse them, or a bare reference could silently bind to the wrong thing.
-RESERVED_NAMES = frozenset({"peer", "t", "aux", "extra", "k", "n", "value", "a", "b"})
-
 
 @dataclass(frozen=True)
 class Theme:

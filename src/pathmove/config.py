@@ -16,7 +16,6 @@ from .bundle import decode_json
 from .embed import TrainConfig
 from .errors import ConfigError
 from .pathctx import ExtractionLimits
-from .svm import SvmHyperparams
 
 
 @dataclass
@@ -67,9 +66,6 @@ class RunConfig:
             seed=self.seed,
             min_count=self.min_count,
         )
-
-    def svm_hyperparams(self) -> SvmHyperparams:
-        return SvmHyperparams(epochs=self.svm_epochs)
 
 
 _SECTIONS: dict[str, dict[str, str]] = {

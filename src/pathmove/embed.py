@@ -25,6 +25,7 @@ from .errors import DataError
 from .pathctx import ContextBag
 
 UNK = "<UNK>"
+LEARNING_RATE = 1e-3  # Adam's step size; README "Configuration" says it is fixed
 
 
 @dataclass
@@ -89,7 +90,6 @@ class TrainConfig:
     d_t: int = 128
     d_p: int = 128
     d: int = 384
-    learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 2
     seed: int = 0
@@ -98,8 +98,6 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.d_t, self.d_p, self.d, self.batch_size, self.epochs, self.min_count) <= 0:
             raise ValueError("training dimensions and counts must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
 
 
 def build_vocabularies(samples: list[tuple[ContextBag, str]], min_count: int = 2) -> Vocabularies:
@@ -383,7 +381,7 @@ def train_embedder(
     indexed = [_Indexed(*index_bag(bag, vocabs), vocabs.name_index[name]) for bag, name in usable]
 
     arrays = params.grouped()
-    adam = _Adam(arrays, config.learning_rate)
+    adam = _Adam(arrays, LEARNING_RATE)
     # Every epoch's order is drawn up front (training draws nothing else
     # from rng), so one workspace for every step fits the largest batch.
     order = np.arange(len(indexed))

@@ -8,7 +8,9 @@ recommendation alike.  Injection relocates a candidate into one of its
 parameter-type classes, rewriting member qualifiers so the result still
 parses: accesses through the target-typed parameter lose their
 qualifier, and bare references to origin members are requalified
-through the one origin-typed parameter, or the move is refused.  It
+through the one origin-typed parameter, or the move is refused; so is a
+move that would bind a bare name the origin does not declare to a
+target member.  It
 keeps a move only when the moved method is still a candidate in its new
 class and has exactly one parameter of its origin's type, so the
 recommender scores it and a move back can undo it; every kept move is
@@ -260,7 +262,9 @@ def perform_move(
     untouched: the returned corpus rebuilds only the moved method, its
     origin and target classes and the units holding them, and shares
     every other unit, class, method and AST node with the input.
-    Refuses moves whose rewrite would capture or collide names.
+    Refuses moves whose rewrite would capture or collide names, and
+    moves that would bind a bare name the origin does not declare (no
+    parameter, local or recursive call) to a target member.
     """
     index = build_class_index(units)
     origin_cls, method = find_enclosing(units, method_id)
@@ -294,11 +298,21 @@ def perform_move(
 
     origin_calls = origin_cls.method_names - {method.name}
     origin_fields = origin_cls.field_names - set(method.param_names)
+    blocked = set(method.param_names) | _assigned_names(method.body)
     carrier: str | None = None
 
     def requalify(name: AstNode, is_call: bool) -> AstNode:
         nonlocal carrier
         if name.token not in (origin_calls if is_call else origin_fields):
+            # a name the origin does not declare stays as written, so moved
+            # it must not bind to a target member; a recursive call moves along
+            captured = (name.token in target_cls.method_names and name.token != method.name
+                        if is_call else name.token in target_cls.field_names - blocked)
+            if captured:
+                raise NotMovableError(
+                    f"{method_id}: bare {name.token}{'()' if is_call else ''} is no member "
+                    f"of {origin_cls.name} and would bind to {target_cls.name}'s"
+                )
             return name
         if carrier is None:  # resolved lazily: a body without origin members needs none
             carrier = _unique_param_of_type(method, origin_cls.name, "to requalify origin members")
@@ -307,7 +321,6 @@ def perform_move(
     # One walk: requalify never sees a name unqualify introduced (see `ambiguous`).
     body = _map_members(method.body, requalify, unqualify)
 
-    blocked = set(method.param_names) | _assigned_names(method.body)
     collisions = introduced & blocked
     if collisions:
         raise NotMovableError(

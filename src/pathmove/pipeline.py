@@ -118,8 +118,7 @@ class ModelBundle:
     def pair_probabilities(self, raw: np.ndarray) -> np.ndarray:
         """Probability that each raw method-class pair row belongs together."""
         mapped = self.rff.transform(apply_pca_matrix(self.pca, raw))
-        scores = self.svm_model.decision_matrix(mapped)
-        return np.array([platt_probability(self.platt, float(s)) for s in scores])
+        return platt_probability(self.platt, self.svm_model.decision_matrix(mapped))
 
 
 def fit_classifier(
@@ -144,7 +143,7 @@ def fit_classifier(
             for row, e in zip(rff.transform(matrix), examples)
         ]
 
-    svm_model = train_svm(labeled(train, train_matrix), config.svm_hyperparams())
+    svm_model = train_svm(labeled(train, train_matrix), config.svm_epochs)
     platt = fit_platt(svm_model, labeled(validate, reduced(validate)))
     return pca, rff, svm_model, platt
 

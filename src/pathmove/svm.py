@@ -1,8 +1,10 @@
 """Margin classifier with probability calibration.
 
-The classifier is a linear SVM fitted exactly by Newton's method on the
-regularized squared-hinge objective, followed by Platt scaling fitted
-with damped Newton iterations on held-out scores.  A random Fourier feature
+The classifier is a linear SVM with C fixed at 10, fitted exactly on the
+regularized squared-hinge objective, followed by Platt scaling on
+held-out scores.  Both fits run the same damped Newton routine with
+Armijo backtracking, and one stable vectorised sigmoid serves both the
+Platt fit and the probabilities it calibrates.  A random Fourier feature
 map approximates an RBF kernel while keeping the trainer linear; the
 pipeline always applies it ahead of the SVM.
 """
@@ -17,15 +19,7 @@ import numpy as np
 from .errors import DataError
 from .featurize import FeatureVector
 
-
-@dataclass
-class SvmHyperparams:
-    C: float = 10.0
-    epochs: int = 200
-
-    def __post_init__(self):
-        if self.C <= 0 or self.epochs <= 0:
-            raise ValueError("C and epochs must be positive")
+C = 10.0  # the SVM's regularization constant; README "Configuration" says why 10
 
 
 @dataclass(eq=False)
@@ -34,11 +28,7 @@ class SvmModel:
     bias: float
 
     def decision(self, x: np.ndarray) -> float:
-        if x.shape != self.weights.shape:
-            raise DataError(
-                f"input length {x.shape} != weight length {self.weights.shape}"
-            )
-        return float(self.weights @ x + self.bias)
+        return float(self.decision_matrix(x[None, :])[0])
 
     def decision_matrix(self, data: np.ndarray) -> np.ndarray:
         if data.shape[1] != self.weights.shape[0]:
@@ -63,9 +53,40 @@ def _as_matrix(pairs: list[tuple[FeatureVector, int]]) -> tuple[np.ndarray, np.n
     return data, labels
 
 
-def train_svm(
-    train_set: list[tuple[FeatureVector, int]], hyperparams: SvmHyperparams | None = None
-) -> SvmModel:
+def _newton(
+    x: np.ndarray, objective, gradient, tol: float, max_iter: int
+) -> tuple[np.ndarray, bool]:
+    """Damped Newton descent from `x`; returns the last point and whether
+    the gradient fell below `tol`.
+
+    `objective(x)` is a float.  `gradient(x)` gives the gradient and a
+    function that builds the Hessian, called only when the gradient test
+    has not stopped the descent.  Each step solves the Newton system,
+    then halves the step from 1 down to 1e-10 until the Armijo condition
+    (constant 1e-4) holds.  The descent stops when the line search makes
+    no progress or after `max_iter` steps.
+    """
+    value = objective(x)
+    for _ in range(max_iter):
+        grad, hessian = gradient(x)
+        if np.abs(grad).max() < tol:
+            return x, True
+        step = np.linalg.solve(hessian(), -grad)
+        descent = float(grad @ step)
+        stepsize = 1.0
+        while stepsize >= 1e-10:
+            trial = x + stepsize * step
+            trial_value = objective(trial)
+            if trial_value <= value + 1e-4 * stepsize * descent:
+                x, value = trial, trial_value
+                break
+            stepsize /= 2.0
+        else:
+            break  # line search made no progress
+    return x, False
+
+
+def train_svm(train_set: list[tuple[FeatureVector, int]], epochs: int = 200) -> SvmModel:
     """Newton's method on lam/2 ||w||^2 + mean max(0, 1 - y f(x))^2.
 
     lam = 1/(C*n); the bias is not regularized.  The objective is a
@@ -77,63 +98,56 @@ def train_svm(
     the system regular when every margin is at least 1.  Starting from
     zero makes the fit exactly antisymmetric under label flips.
     """
-    hp = hyperparams or SvmHyperparams()
     data, labels = _as_matrix(train_set)
     signs = 2.0 * labels - 1.0
     n, dim = data.shape
-    lam = 1.0 / (hp.C * n)
+    lam = 1.0 / (C * n)
 
-    def objective(w: np.ndarray, b: float) -> tuple[float, np.ndarray]:
-        slack = np.maximum(0.0, 1.0 - signs * (data @ w + b))
-        return float(0.5 * lam * w @ w + slack @ slack / n), slack
+    def slack(x: np.ndarray) -> np.ndarray:  # x is the weights, then the bias
+        return np.maximum(0.0, 1.0 - signs * (data @ x[:dim] + x[dim]))
 
-    weights, bias = np.zeros(dim), 0.0
-    value, slack = objective(weights, bias)
-    for _ in range(hp.epochs):
-        active = slack > 0.0
+    def objective(x: np.ndarray) -> float:
+        w, s = x[:dim], slack(x)
+        return float(0.5 * lam * w @ w + s @ s / n)
+
+    def gradient(x: np.ndarray):
+        s = slack(x)
+        active = s > 0.0
         rows = data[active]
-        residual = -signs[active] * slack[active]  # f(x) - y on those rows
+        residual = -signs[active] * s[active]  # f(x) - y on those rows
         grad = (2.0 / n) * np.append(rows.T @ residual, residual.sum())
-        grad[:dim] += lam * weights
-        if np.abs(grad).max() < 1e-10:
-            break
-        column, corner = rows.sum(axis=0)[:, None], np.full((1, 1), float(len(rows)))
-        hessian = (2.0 / n) * np.block([[rows.T @ rows, column], [column.T, corner]])
-        hessian[np.diag_indices(dim + 1)] += np.append(np.full(dim, lam), 1e-10)
-        step = np.linalg.solve(hessian, -grad)
-        descent = float(grad @ step)
-        stepsize = 1.0
-        while stepsize >= 1e-10:
-            trial_w, trial_b = weights + stepsize * step[:dim], bias + stepsize * step[dim]
-            trial, trial_slack = objective(trial_w, trial_b)
-            if trial <= value + 1e-4 * stepsize * descent:
-                weights, bias, value, slack = trial_w, float(trial_b), trial, trial_slack
-                break
-            stepsize /= 2.0
-        else:
-            break  # line search made no progress
-    return SvmModel(weights, bias)
+        grad[:dim] += lam * x[:dim]
+
+        def hessian() -> np.ndarray:
+            column, corner = rows.sum(axis=0)[:, None], np.full((1, 1), float(len(rows)))
+            matrix = (2.0 / n) * np.block([[rows.T @ rows, column], [column.T, corner]])
+            matrix[np.diag_indices(dim + 1)] += np.append(np.full(dim, lam), 1e-10)
+            return matrix
+
+        return grad, hessian
+
+    x, _ = _newton(np.zeros(dim + 1), objective, gradient, 1e-10, epochs)
+    return SvmModel(x[:dim], float(x[dim]))
 
 
 # ---------------------------------------------------------------------------
 # Platt scaling
 
-_PLATT_MAX_ITER = 100
 
-
-def _sigmoid_nll(scores: np.ndarray, targets: np.ndarray, a: float, b: float) -> float:
-    z = a * scores + b
-    # t*z + log(1+exp(-z)) evaluated stably on both tails
-    return float(np.sum(targets * z + np.logaddexp(0.0, -z)))
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-t)) elementwise; exp only sees -|t|, so no finite t overflows."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def fit_platt(model: SvmModel, calib_set: list[tuple[FeatureVector, int]]) -> PlattParams:
     """Fit Pr(y=1|x) = 1/(1+exp(A f(x)+B)) by damped Newton descent.
 
     Targets are smoothed per Platt: (N+ + 1)/(N+ + 2) for positives,
-    1/(N- + 2) for negatives.  If the line search stalls before the
-    gradient is small, the best parameters so far are returned with
-    converged=False.
+    1/(N- + 2) for negatives.  The fit stops when the gradient falls
+    below 1e-5 or after 100 steps; if the line search stalls first, the
+    best parameters so far are returned with converged=False (Lin, Lin &
+    Weng, Machine Learning 2007).
     """
     data, labels = _as_matrix(calib_set)
     scores = model.decision_matrix(data)
@@ -143,52 +157,33 @@ def fit_platt(model: SvmModel, calib_set: list[tuple[FeatureVector, int]]) -> Pl
     lo = 1.0 / (n_neg + 2.0)
     targets = np.where(labels == 1, hi, lo)
 
-    a = 0.0
-    b = math.log((n_neg + 1.0) / (n_pos + 1.0))
-    value = _sigmoid_nll(scores, targets, a, b)
-    converged = False
-    for _ in range(_PLATT_MAX_ITER):
-        z = a * scores + b
-        # p = Pr(y=1) under the current parameters, stable on both tails
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
-        grad_z = targets - p
-        g_a = float(grad_z @ scores)
-        g_b = float(grad_z.sum())
-        if max(abs(g_a), abs(g_b)) < 1e-5:
-            converged = True
-            break
-        pq = np.maximum(p * (1.0 - p), 1e-12)
-        h_aa = float(pq @ (scores * scores)) + 1e-12
-        h_ab = float(pq @ scores)
-        h_bb = float(pq.sum()) + 1e-12
-        det = h_aa * h_bb - h_ab * h_ab
-        step_a = -(h_bb * g_a - h_ab * g_b) / det
-        step_b = -(-h_ab * g_a + h_aa * g_b) / det
-        descent = g_a * step_a + g_b * step_b
-        stepsize = 1.0
-        while stepsize >= 1e-10:
-            candidate = _sigmoid_nll(scores, targets, a + stepsize * step_a, b + stepsize * step_b)
-            if candidate < value + 1e-4 * stepsize * descent:
-                a += stepsize * step_a
-                b += stepsize * step_b
-                value = candidate
-                break
-            stepsize /= 2.0
-        else:
-            break  # line search failed; keep best so far
-    return PlattParams(A=a, B=b, converged=converged)
+    def objective(x: np.ndarray) -> float:  # x is (A, B)
+        z = x[0] * scores + x[1]
+        # t*z + log(1+exp(-z)) evaluated stably on both tails
+        return float(np.sum(targets * z + np.logaddexp(0.0, -z)))
+
+    def gradient(x: np.ndarray):
+        p = _sigmoid(-(x[0] * scores + x[1]))  # Pr(y=1) at (A, B)
+        residual = targets - p
+
+        def hessian() -> np.ndarray:
+            pq = np.maximum(p * (1.0 - p), 1e-12)
+            h_ab = pq @ scores
+            return np.array([[pq @ (scores * scores) + 1e-12, h_ab], [h_ab, pq.sum() + 1e-12]])
+
+        return np.array([residual @ scores, residual.sum()]), hessian
+
+    start = np.array([0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))])
+    x, converged = _newton(start, objective, gradient, 1e-5, 100)
+    return PlattParams(A=float(x[0]), B=float(x[1]), converged=converged)
 
 
-def platt_probability(platt: PlattParams, score: float) -> float:
-    """Calibrated probability for one raw decision value, clamped into
-    the open interval (0, 1)."""
-    z = platt.A * score + platt.B
-    if z >= 0:
-        e = math.exp(-z)
-        p = e / (1.0 + e)
-    else:
-        p = 1.0 / (1.0 + math.exp(z))
-    return min(max(p, 1e-15), 1.0 - 1e-15)
+def platt_probability(platt: PlattParams, score: float | np.ndarray) -> float | np.ndarray:
+    """Calibrated probability of a raw decision value, or of each value in
+    an array, clamped into the open interval (0, 1).  A scalar score
+    gives a float."""
+    p = np.clip(_sigmoid(-(platt.A * np.asarray(score) + platt.B)), 1e-15, 1.0 - 1e-15)
+    return float(p) if p.ndim == 0 else p
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +204,7 @@ class RffMap:
         return np.sqrt(2.0 / self.omega.shape[1]) * np.cos(data @ self.omega + self.phases)
 
 
-def fit_rff(data: np.ndarray, d_out: int = 256, seed: int = 0) -> RffMap:
+def fit_rff(data: np.ndarray, d_out: int, seed: int) -> RffMap:
     """Draw the random projection for z(x)·z(y) ≈ exp(-gamma ||x-y||²).
 
     gamma is 1/(dim · var(data)), the common 'scale' heuristic, or 1.0

@@ -8,7 +8,6 @@ import pytest
 
 from pathmove.codegen import (
     EVAL_DIR,
-    RESERVED_NAMES,
     THEMES,
     TRAIN_DIR,
     GenConfig,
@@ -30,6 +29,10 @@ from pathmove.injector import (
     corpora_equal,
 )
 from pathmove.pathctx import ExtractionLimits, extract_contexts
+
+# Parameter names shared by every generated method; theme pools must not
+# reuse them, or a bare reference could silently bind to the wrong thing.
+RESERVED_NAMES = frozenset({"peer", "t", "aux", "extra", "k", "n", "value", "a", "b"})
 
 
 def parse_project(seed):

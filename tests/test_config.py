@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathmove.config import _KEYS, RunConfig, config_from_dict, config_to_dict, 
 from pathmove.embed import TrainConfig
 from pathmove.errors import ConfigError
 from pathmove.pathctx import ExtractionLimits
-from pathmove.svm import SvmHyperparams
+from pathmove.svm import train_svm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,10 +29,11 @@ class TestRunConfig:
 
     def test_defaults_agree_with_components_and_readme(self):
         # each default is written three times: RunConfig, the component
-        # dataclasses and the README's config block
+        # dataclasses or train_svm's epochs, and the README's config block
         assert RunConfig().limits() == ExtractionLimits()
         assert RunConfig().train_config() == TrainConfig()
-        assert RunConfig().svm_hyperparams() == SvmHyperparams()
+        svm_epochs = inspect.signature(train_svm).parameters["epochs"].default
+        assert RunConfig().svm_epochs == svm_epochs
         section = README.read_text().split("\n## Configuration\n", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
         assert json.loads(block) == config_to_dict(RunConfig())
@@ -42,10 +44,9 @@ class TestRunConfig:
         assert config.train_config().seed == 9
 
     def test_component_views_mirror_fields(self):
-        config = RunConfig(token_dim=32, batch_size=8, svm_epochs=40)
+        config = RunConfig(token_dim=32, batch_size=8)
         assert config.train_config().d_t == 32
         assert config.train_config().batch_size == 8
-        assert config.svm_hyperparams().epochs == 40
 
     @pytest.mark.parametrize(
         "kwargs",

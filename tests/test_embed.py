@@ -500,18 +500,14 @@ def test_training_reduces_loss():
 
 def test_separable_corpus_reaches_full_accuracy():
     samples = separable_corpus()
-    config = TrainConfig(
-        d_t=8, d_p=8, d=16, epochs=80, seed=3, min_count=1, learning_rate=1e-2
-    )
+    config = TrainConfig(d_t=8, d_p=8, d=16, epochs=80, seed=3, min_count=1)
     vocabs, params, _ = train_embedder(samples, config)
     assert training_accuracy(samples, params, vocabs) == 1.0
 
 
 def test_same_name_methods_embed_closer_than_random():
     samples = separable_corpus()
-    config = TrainConfig(
-        d_t=8, d_p=8, d=16, epochs=80, seed=3, min_count=1, learning_rate=1e-2
-    )
+    config = TrainConfig(d_t=8, d_p=8, d=16, epochs=80, seed=3, min_count=1)
     vocabs, params, _ = train_embedder(samples, config)
     vectors = []
     for bag, name in samples:
@@ -652,7 +648,5 @@ def test_load_rejects_duplicated_vocabulary_entry(tmp_path, vocab, table):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(d=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)

@@ -245,6 +245,34 @@ def test_state_touch_unknown_bare_call():
     assert "return x + total;" in text
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["        int x = post(k);\n        return x + ledger.total;\n",
+     "        return level + ledger.total;\n"],
+    ids=["call", "field"],
+)
+def test_move_refuses_to_bind_an_undeclared_name_to_a_target_member(body):
+    # Wallet declares no `post` or `level` and Ledger declares both: left
+    # as written, the moved name would reach Ledger's member
+    units = _two_class_corpus(
+        "    int ping(Wallet home, Ledger ledger, int k) {\n" + body + "    }",
+        "    int level;\n    int post(int v) { return v; }\n",
+    )
+    with pytest.raises(NotMovableError, match="would bind to Ledger's"):
+        perform_move(units, units[0].classes[0].methods[0].id, "Ledger")
+    assert inject_feature_envy(units, seed=0)[1] == []
+
+
+def test_move_keeps_a_local_named_like_a_target_field():
+    units = _two_class_corpus(
+        "    int ping(Wallet home, Ledger ledger, int k) {\n"
+        "        int level = k;\n        return level + ledger.total;\n    }",
+        "    int level;\n",
+    )
+    mutated, _ = perform_move(units, units[0].classes[0].methods[0].id, "Ledger")
+    assert "return level + total;" in print_unit(build_class_index(mutated)["Ledger"][0])
+
+
 def test_state_touch_param_shadows_field():
     # the parameter `balance` shadows Wallet's field: no carrier needed
     units = _two_class_corpus(

@@ -27,7 +27,7 @@ from pathmove.codegen import GenConfig, write_corpus
 from pathmove.config import RunConfig
 from pathmove.embed import UNK, CodeVector, EmbedderParams, Vocabularies, save_model
 from pathmove.errors import DataError
-from pathmove.featurize import FeatureVector, PcaModel
+from pathmove.featurize import FeatureVector, PcaModel, apply_pca_matrix
 from pathmove.frontend import method_project, parse_unit
 from pathmove.injector import (
     GroundTruthEntry,
@@ -55,7 +55,7 @@ from pathmove.pipeline import (
     training_samples,
     write_recommendations,
 )
-from pathmove.svm import PlattParams, RffMap, SvmModel
+from pathmove.svm import PlattParams, RffMap, SvmModel, platt_probability, train_svm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -514,6 +514,26 @@ class TestFitClassifier:
         bundle.svm_model, bundle.platt = svm_model, platt
         probs = bundle.pair_probabilities(np.stack([e.feature.values for e in test]))
         assert np.array_equal(probs > 0.5, np.array([e.label for e in test]) == 1)
+
+    def test_svm_epochs_cap_the_fit(self, monkeypatch):
+        seen = []
+
+        def recording(pairs, epochs):
+            seen.append(epochs)
+            return train_svm(pairs, epochs)
+
+        monkeypatch.setattr(pipeline, "train_svm", recording)
+        fit_classifier(blob_examples(5, seed=1), blob_examples(3, seed=2),
+                       RunConfig(svm_epochs=7, rff_dim=8))
+        assert seen == [7]
+
+    def test_pair_probabilities_calibrate_each_decision_value(self):
+        bundle = fitted_bundle()
+        raw = np.random.default_rng(10).standard_normal((8, 2))
+        mapped = bundle.rff.transform(apply_pca_matrix(bundle.pca, raw))
+        scores = bundle.svm_model.decision_matrix(mapped)
+        each = [platt_probability(bundle.platt, float(score)) for score in scores]
+        assert bundle.pair_probabilities(raw).tolist() == each
 
 
 # ---------------------------------------------------------------------------

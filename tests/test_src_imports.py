@@ -1,5 +1,6 @@
 """Every name a pathmove module imports is used in that module, every
-module-level function and class is used somewhere in `src/`, and every
+module-level function, class and constant is used somewhere in `src/`
+(`__version__` aside), and every
 exception class is named by some `except` clause in `src/`, so a
 refactor cannot leave a dead import, a test-only helper or an error type
 that no code tells apart behind.  The exceptions to the second rule are
@@ -57,6 +58,18 @@ def referenced_names(node: ast.AST) -> set[str]:
     }
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or
+    the constants an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name)]
+    return []
+
+
 def test_every_definition_is_used_in_src():
     definitions = []  # (module, name, the top-level statement defining it)
     statements = []
@@ -64,13 +77,13 @@ def test_every_definition_is_used_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         statements += tree.body
         definitions += [
-            (f"pathmove.{path.stem}", node.name, node)
+            (f"pathmove.{path.stem}", name, node)
             for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for name in defined_names(node)
         ]
     references = [(node, referenced_names(node)) for node in statements]
     exempt = imported_names(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
-    exempt |= {attr for _, attr, _, _ in spans.WRAPS}
+    exempt |= {attr for _, attr, _, _ in spans.WRAPS} | {"__version__"}
     unused = [
         f"{module}.{name}"
         for module, name, definition in definitions

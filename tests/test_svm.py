@@ -10,9 +10,9 @@ import pytest
 from pathmove.errors import DataError
 from pathmove.featurize import FeatureVector
 from pathmove.svm import (
+    C,
     PlattParams,
     RffMap,
-    SvmHyperparams,
     SvmModel,
     fit_platt,
     fit_rff,
@@ -72,9 +72,8 @@ def test_separable_blobs_fully_learned():
 
 def test_label_flip_negates_model_exactly():
     data, labels = blob_set(seed=3)
-    hp = SvmHyperparams(C=1.0, epochs=50)
-    model = train_svm(as_pairs(data, labels), hp)
-    flipped = train_svm(as_pairs(data, 1 - labels), hp)
+    model = train_svm(as_pairs(data, labels), epochs=50)
+    flipped = train_svm(as_pairs(data, 1 - labels), epochs=50)
     assert np.array_equal(flipped.weights, -model.weights)
     assert flipped.bias == -model.bias
     for row in data:
@@ -88,7 +87,7 @@ def test_objective_close_to_grid_search_optimum():
     )
     labels = np.array([1, 1, 1, 0, 0, 0])
     signs = 2 * labels - 1
-    lam = 1.0 / (1.0 * len(data))
+    lam = 1.0 / (C * len(data))
 
     w1 = np.arange(-3.0, 3.0001, 0.05)[:, None, None]
     w2 = np.arange(-3.0, 3.0001, 0.05)[None, :, None]
@@ -100,7 +99,7 @@ def test_objective_close_to_grid_search_optimum():
     grid_objective = 0.5 * lam * (w1**2 + w2**2) + slack_sq / len(data)
     grid_best = float(grid_objective.min())
 
-    model = train_svm(as_pairs(data, labels), SvmHyperparams(C=1.0, epochs=400))
+    model = train_svm(as_pairs(data, labels), epochs=400)
     trained, _ = squared_hinge(model.weights, model.bias, data, labels, lam)
     assert abs(trained - grid_best) <= 0.02 * grid_best
 
@@ -111,18 +110,17 @@ def test_fit_is_stationary(lifted):
     if lifted:
         xor_data, labels = xor_set()
         data = fit_rff(xor_data, d_out=512, seed=3).transform(xor_data)
-    hp = SvmHyperparams()
-    model = train_svm(as_pairs(data, labels), hp)
-    _, grad = squared_hinge(model.weights, model.bias, data, labels, 1.0 / (hp.C * len(data)))
+    model = train_svm(as_pairs(data, labels))
+    _, grad = squared_hinge(model.weights, model.bias, data, labels, 1.0 / (C * len(data)))
     assert np.abs(grad).max() < 1e-6
 
 
 def test_epochs_cap_the_newton_iterations():
     data, labels = xor_set()
     data = fit_rff(data, d_out=512, seed=3).transform(data)
-    lam = 1.0 / (SvmHyperparams().C * len(data))
-    one = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=1))
-    full = train_svm(as_pairs(data, labels), SvmHyperparams())
+    lam = 1.0 / (C * len(data))
+    one = train_svm(as_pairs(data, labels), epochs=1)
+    full = train_svm(as_pairs(data, labels))
     capped, _ = squared_hinge(one.weights, one.bias, data, labels, lam)
     converged, _ = squared_hinge(full.weights, full.bias, data, labels, lam)
     assert capped > converged
@@ -130,9 +128,8 @@ def test_epochs_cap_the_newton_iterations():
 
 def test_training_determinism():
     data, labels = blob_set(seed=8)
-    hp = SvmHyperparams(epochs=30)
-    a = train_svm(as_pairs(data, labels), hp)
-    b = train_svm(as_pairs(data, labels), hp)
+    a = train_svm(as_pairs(data, labels), epochs=30)
+    b = train_svm(as_pairs(data, labels), epochs=30)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
@@ -187,21 +184,24 @@ def test_platt_closed_form_value():
 
 def test_probability_bounds_and_monotonicity():
     platt = PlattParams(-1.5, 0.2)
-    values = [platt_probability(platt, f) for f in (-1e6, -10.0, 0.0, 10.0, 1e6)]
+    scores = (-1e6, -10.0, 0.0, 10.0, 1e6)
+    values = [platt_probability(platt, f) for f in scores]
     for p in values:
-        assert 0.0 < p < 1.0
+        assert type(p) is float and 0.0 < p < 1.0
+    # one array call gives the scalar values bit for bit, and neither warns
+    assert platt_probability(platt, np.array(scores)).tolist() == values
     assert values == sorted(values)  # A<0: increasing f, increasing p
     assert values[-1] > 0.999 and values[0] < 0.001
 
 
 def test_predict_proba_end_to_end():
     data, labels = blob_set(seed=12)
-    model = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=80))
+    model = train_svm(as_pairs(data, labels), epochs=80)
     platt = fit_platt(model, as_pairs(data, labels))
     hot = platt_probability(platt, model.decision(np.array([1.2, 1.1])))
     cold = platt_probability(platt, model.decision(np.array([-1.2, -1.1])))
     assert hot > 0.5 > cold
-    with pytest.raises(DataError, match="input length"):
+    with pytest.raises(DataError, match="matrix width 5 != weight length 2"):
         model.decision(np.zeros(5))
 
 
@@ -238,21 +238,14 @@ def test_rff_enables_nonlinear_separation():
     # XOR layout defeats a linear margin; the feature map recovers it.
     data, labels = xor_set()
 
-    linear = train_svm(as_pairs(data, labels), SvmHyperparams(epochs=100))
+    linear = train_svm(as_pairs(data, labels), epochs=100)
     linear_acc = np.mean((linear.decision_matrix(data) > 0).astype(int) == labels)
 
     feature_map = fit_rff(data, d_out=512, seed=3)
     lifted = feature_map.transform(data)
-    mapped = train_svm(as_pairs(lifted, labels), SvmHyperparams(epochs=100))
+    mapped = train_svm(as_pairs(lifted, labels), epochs=100)
     mapped_acc = np.mean((mapped.decision_matrix(lifted) > 0).astype(int) == labels)
 
     assert linear_acc < 0.7  # genuinely not linearly separable
     assert mapped_acc >= 0.95
     assert mapped_acc > linear_acc
-
-
-def test_hyperparam_validation():
-    with pytest.raises(ValueError):
-        SvmHyperparams(C=0.0)
-    with pytest.raises(ValueError):
-        SvmHyperparams(epochs=-1)
