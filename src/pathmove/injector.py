@@ -10,12 +10,12 @@ parses: accesses through the target-typed parameter lose their
 qualifier, and bare references to origin members are requalified
 through the one origin-typed parameter, or the move is refused; so is a
 move that would bind a bare name the origin does not declare to a
-target member.  It
-keeps a move only when the moved method is still a candidate in its new
-class and has exactly one parameter of its origin's type, so the
-recommender scores it and a move back can undo it; every kept move is
-recorded as ground truth.  The rewrites run in one walk of
-`_map_members`, which shares every subtree it leaves unchanged.
+target member.  It keeps a move only when the moved method is still a
+candidate in its new class and has exactly one parameter of its
+origin's type, so the recommender scores it and a move back can undo
+it; every kept move is recorded as ground truth.  The rewrites run in
+one walk of `_map_members`, which shares every subtree it leaves
+unchanged.
 
 Datasets pair each candidate with its origin (label 1, duplicated) and
 each target (label 0), keeping the two label counts exactly equal.  The

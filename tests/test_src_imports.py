@@ -1,7 +1,7 @@
 """Every name a pathmove module imports is used in that module, every
 module-level function, class and constant is used somewhere in `src/`
-(`__version__` aside), and every
-exception class is named by some `except` clause in `src/`, so a
+(`__version__` aside), and every exception class is named by some
+`except` clause in `src/`, so a
 refactor cannot leave a dead import, a test-only helper or an error type
 that no code tells apart behind.  The exceptions to the second rule are
 the names that perfbench wraps (perfbench/spans.py patches them by name,
