@@ -6,9 +6,11 @@ order.  Writes are byte-deterministic: the header is serialized with
 sorted keys and arrays are stored in sorted name order, so saving the
 same data twice produces identical files.  Floats round-trip bit-exactly
 because the payload is the raw IEEE representation.  A float array is
-stored as float32 when every element survives the cast to float32 (an
-embedder trained in float32, say) and as float64 otherwise; the reader
-returns float64 either way.  Learned numbers live in the arrays, and a
+stored as float32 when every element survives the cast to float32 (the
+embedder's parameters and the code-vector pairs, which are float32) and
+as float64 otherwise; the reader returns float64 either way, and a
+caller that works in float32 narrows the arrays again (`embed.unpack_model`
+does, refusing a value that float32 cannot hold).  Learned numbers live in the arrays, and a
 reader rejects any float array holding a NaN or an infinity, naming the
 array.
 

@@ -7,10 +7,10 @@ of those transformed contexts.  Training maximizes the likelihood of the
 method's own name under a softmax over a name vocabulary; afterwards the
 name head is discarded for downstream use and only the pooled vector
 matters.  One forward pass serves training and inference, one bag or
-many.  Training runs in float32 and every forward pass outside training
-in float64.  The trained parameters are float64 in memory; each of them
-is a float32 value, so a bundle stores them as float32 and reads them
-back bit for bit.
+many.  float32 is the one precision, from training through inference:
+the parameters are drawn in float64 and cast once, and every code
+vector comes out float32.  A bundle stores the parameters as float32,
+and loading hands them back as float32, bit for bit.
 """
 
 from __future__ import annotations
@@ -368,9 +368,9 @@ def train_embedder(
 ) -> tuple[Vocabularies, EmbedderParams, list[float]]:
     """Fit the embedder on (bag, method-name) pairs.
 
-    Empty bags are skipped. Returns the vocabularies, float64 parameters
-    trained in float32, and per-epoch mean training loss. Deterministic
-    for a fixed config and BLAS thread count.
+    Empty bags are skipped. Returns the vocabularies, the float32
+    parameters, and per-epoch mean training loss. Deterministic for a
+    fixed config and BLAS thread count.
     """
     usable = [(bag, name) for bag, name in samples if bag.contexts]
     vocabs = build_vocabularies(usable, config.min_count)
@@ -402,8 +402,7 @@ def train_embedder(
             adam.update(arrays, grads)
             total += loss * len(batch)
         history.append(total / len(indexed))
-    trained = EmbedderParams(**{k: a.astype(np.float64) for k, a in arrays.items()})
-    return vocabs, trained, history
+    return vocabs, params, history
 
 
 def training_accuracy(
@@ -448,9 +447,10 @@ def unpack_model(
     meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""
 ) -> tuple[EmbedderParams, Vocabularies]:
     """Embedder and vocabularies from a bundle's metadata and its arrays
-    named `prefix` + field name.  Raises KeyError, IndexError, TypeError
-    or ValueError when they are missing, malformed or of inconsistent
-    dimensions; `load_bundle` has already rejected non-finite arrays."""
+    named `prefix` + field name, the arrays as float32.  Raises KeyError,
+    IndexError, TypeError or ValueError when they are missing, malformed,
+    of inconsistent dimensions or hold a value that float32 cannot
+    represent; `load_bundle` has already rejected non-finite arrays."""
     vocabs = Vocabularies(
         {t: i for i, t in enumerate(meta["token_vocab"])},
         {p: i for i, p in enumerate(meta["path_vocab"])},
@@ -459,9 +459,17 @@ def unpack_model(
     params = EmbedderParams(
         **{f.name: arrays[prefix + f.name] for f in fields(EmbedderParams)}
     )
-    expected = 2 * params.d_t + params.d_p
-    if params.fc_matrix.shape[0] != expected or params.fc_bias.shape != (params.d,):
-        raise ValueError("inconsistent embedder dimensions")
+    d = params.d
+    expected = {
+        "fc_matrix": (2 * params.d_t + params.d_p, d),
+        "fc_bias": (d,),
+        "attention_vector": (d,),
+        "output_matrix": (d, len(meta["name_vocab"])),
+    }
+    for name, shape in expected.items():
+        if getattr(params, name).shape != shape:
+            raise ValueError(f"array {prefix + name!r} has shape "
+                             f"{getattr(params, name).shape}, expected {shape}")
     # The forward pass gathers table rows with mode="clip", which would
     # clamp an index past a short table instead of raising. Indices run
     # over the vocabulary lists (Vocabularies has already refused a list
@@ -470,5 +478,11 @@ def unpack_model(
         len(meta["token_vocab"]), len(meta["path_vocab"])
     ):
         raise ValueError("embedding tables and vocabularies differ in length")
-    return params, vocabs
-
+    narrow = {}
+    for name, array in params.grouped().items():
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: unequal
+            narrow[name] = array.astype(np.float32)
+        if not np.array_equal(narrow[name], array):
+            raise ValueError(f"array {prefix + name!r} holds values that float32 cannot "
+                             "represent; run 'train-embed' again")
+    return EmbedderParams(**narrow), vocabs

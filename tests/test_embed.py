@@ -595,12 +595,30 @@ def test_save_load_round_trip(tmp_path):
     loaded_params, loaded_vocabs = load_model(path)
     assert loaded_vocabs == vocabs
     for key, arr in params.grouped().items():
-        assert arr.dtype == loaded_params.grouped()[key].dtype == np.float64, key
+        assert arr.dtype == loaded_params.grouped()[key].dtype == np.float32, key
         assert np.array_equal(arr, loaded_params.grouped()[key]), key
     bag = samples[0][0]
     before = embed_bag(bag, params, vocabs).values
     after = embed_bag(bag, loaded_params, loaded_vocabs).values
     assert np.array_equal(before, after)
+
+
+def test_corpus_vectors_are_float32_and_survive_the_bundle(tmp_path):
+    # the pipeline embeds with the trained params, the stage commands
+    # with those read back from embedder.pmb: the vectors must be the same bits
+    samples = separable_corpus()
+    config = TrainConfig(d_t=8, d_p=8, d=16, epochs=3, seed=2, min_count=1)
+    vocabs, params, _ = train_embedder(samples, config)
+    path = str(tmp_path / "embedder.pmb")
+    save_model(params, vocabs, path)
+    loaded_params, loaded_vocabs = load_model(path)
+    bags = [bag for bag, _ in samples]
+    direct = embed_corpus(bags, params, vocabs)
+    reloaded = embed_corpus(bags, loaded_params, loaded_vocabs)
+    assert list(direct) == list(reloaded) == [bag.method_id for bag in bags]
+    for method_id, vector in direct.items():
+        assert vector.values.dtype == reloaded[method_id].values.dtype == np.float32
+        assert vector.values.tobytes() == reloaded[method_id].values.tobytes(), method_id
 
 
 def test_load_rejects_nonfinite(tmp_path):

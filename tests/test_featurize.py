@@ -248,6 +248,19 @@ def test_fit_pca_leaves_input_and_matches_two_copy_formula():
     assert model.explained_variance_ratio.tobytes() == ratios.tobytes()
 
 
+def test_fit_pca_same_model_for_float32_rows_and_their_float64_widening():
+    # the pipeline fits on float32 code vectors, train-clf on the same
+    # values read back from dataset.pmb as float64
+    rng = np.random.default_rng(43)
+    data = (rng.normal(size=(200, 24)) * np.linspace(3, 0.1, 24) + 1.0).astype(np.float32)
+    narrow = fit_pca(raw_features(data), k=6)
+    wide = fit_pca(raw_features(data.astype(np.float64)), k=6)
+    for a, b in ((narrow.mean, wide.mean), (narrow.components, wide.components),
+                 (narrow.explained_variance_ratio, wide.explained_variance_ratio)):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+
 def test_fit_pca_holds_one_stacked_copy():
     data = np.random.default_rng(41).normal(size=(400, 48))
     features = raw_features(data)

@@ -1135,6 +1135,29 @@ def test_dataset_stores_each_half_once_and_keeps_signed_zeros(tmp_path):
     assert_same_rows(read_dataset(path), splits)
 
 
+def test_dataset_stores_float32_pairs_as_float32_and_reads_them_back(tmp_path):
+    """Pairs of float32 code vectors, as build-dataset makes them: both
+    half tables are stored as float32, and every row reads back with the
+    values it was written with."""
+    splits = tuple(
+        [LabeledExample(FeatureVector(e.feature.values.astype(np.float32), e.feature.method_id,
+                                      e.feature.class_id, "raw"), e.label) for e in split]
+        for split in dataset_splits()
+    )
+    path = tmp_path / "dataset.pmb"
+    write_dataset(path, splits)
+    header, _ = load_bundle(path, expect_kind="dataset")
+    stored = {entry["name"]: entry["dtype"] for entry in header["arrays"]}
+    assert stored["method_halves"] == stored["class_halves"] == "float32"
+    loaded = read_dataset(path)
+    assert [len(split) for split in loaded] == [len(split) for split in splits]
+    for orig, back in zip((e for split in splits for e in split),
+                          (e for split in loaded for e in split)):
+        assert (back.label, back.feature.method_id, back.feature.class_id) == (
+            orig.label, orig.feature.method_id, orig.feature.class_id)
+        assert np.array_equal(back.feature.values, orig.feature.values)
+
+
 def test_dataset_write_is_deterministic(tmp_path):
     a, b = tmp_path / "a.pmb", tmp_path / "b.pmb"
     write_dataset(a, dataset_splits())

@@ -547,14 +547,15 @@ def fitted_bundle():
     config = RunConfig(seed=2, threshold=0.7, batch_size=7, min_count=3, svm_epochs=60,
                        rff_dim=16, token_dim=2, path_dim=2, code_dim=1)
     pca, rff, svm_model, platt = fit_classifier(train, validate, config)
-    # code vectors of width 1, so that pairs are as wide as the blobs
+    # code vectors of width 1, so that pairs are as wide as the blobs;
+    # float32, the embedder's one precision
     embedder = EmbedderParams(
-        token_matrix=rng.standard_normal((3, 2)),
-        path_matrix=rng.standard_normal((2, 2)),
-        fc_matrix=rng.standard_normal((6, 1)),
-        fc_bias=rng.standard_normal(1),
-        attention_vector=rng.standard_normal(1),
-        output_matrix=rng.standard_normal((1, 2)),
+        token_matrix=rng.standard_normal((3, 2), dtype=np.float32),
+        path_matrix=rng.standard_normal((2, 2), dtype=np.float32),
+        fc_matrix=rng.standard_normal((6, 1), dtype=np.float32),
+        fc_bias=rng.standard_normal(1, dtype=np.float32),
+        attention_vector=rng.standard_normal(1, dtype=np.float32),
+        output_matrix=rng.standard_normal((1, 2), dtype=np.float32),
     )
     vocabs = Vocabularies(
         {UNK: 0, "left": 1, "right": 2},
@@ -572,7 +573,8 @@ class TestBundlePersistence:
         loaded = load_model_bundle(path)
 
         for key, original in bundle.embedder.grouped().items():
-            assert np.array_equal(loaded.embedder.grouped()[key], original)
+            assert loaded.embedder.grouped()[key].dtype == original.dtype == np.float32, key
+            assert np.array_equal(loaded.embedder.grouped()[key], original), key
         assert loaded.vocabs.token_index == bundle.vocabs.token_index
         assert loaded.vocabs.path_index == bundle.vocabs.path_index
         assert loaded.vocabs.name_index == bundle.vocabs.name_index
