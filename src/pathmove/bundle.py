@@ -9,10 +9,10 @@ because the payload is the raw IEEE representation.  A float array is
 stored as float32 when every element survives the cast to float32 (the
 embedder's parameters and the code-vector pairs, which are float32) and
 as float64 otherwise; the reader returns float64 either way, and a
-caller that works in float32 narrows the arrays again (`embed.unpack_model`
-does, refusing a value that float32 cannot hold).  Learned numbers live in the arrays, and a
-reader rejects any float array holding a NaN or an infinity, naming the
-array.
+caller that works in float32 narrows the arrays again
+(`embed.unpack_model` does, refusing a value that float32 cannot hold).
+Learned numbers live in the arrays, and a reader rejects any float
+array holding a NaN or an infinity, naming the array.
 
 A line-delimited artifact (ground truth, recommendations) is a header
 line such as `{"format": "ground-truth", "version": 1}` followed by
@@ -52,18 +52,24 @@ def decode_json(text: str):
         raise ValueError(f"JSON nested too deeply: {exc}") from exc
 
 
+def float32_exact(arr: np.ndarray) -> np.ndarray | None:
+    """`arr` cast to float32 when it equals the cast element for element
+    (which keeps the sign of zero and never holds for a NaN), else None."""
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: unequal
+        narrow = arr.astype(np.float32)
+    return narrow if np.array_equal(narrow, arr) else None
+
+
 def save_bundle(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write a bundle. Integer arrays are stored as int64; a float array
-    as float32 when it equals its float32 cast element for element (which
-    keeps the sign of zero and never holds for a NaN), else as float64."""
+    as float32 when `float32_exact` allows, else as float64."""
     directory = []
     blobs = []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         if np.issubdtype(arr.dtype, np.floating):
-            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: unequal
-                narrow = arr.astype(np.float32)
-            arr = narrow if np.array_equal(narrow, arr) else arr.astype(np.float64, copy=False)
+            narrow = float32_exact(arr)
+            arr = narrow if narrow is not None else arr.astype(np.float64, copy=False)
         elif np.issubdtype(arr.dtype, np.integer):
             arr = arr.astype(np.int64)
         else:

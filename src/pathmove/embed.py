@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundle import load_bundle, save_bundle
+from .bundle import float32_exact, load_bundle, save_bundle
 from .errors import DataError
 from .pathctx import ContextBag
 
@@ -478,11 +478,9 @@ def unpack_model(
         len(meta["token_vocab"]), len(meta["path_vocab"])
     ):
         raise ValueError("embedding tables and vocabularies differ in length")
-    narrow = {}
-    for name, array in params.grouped().items():
-        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: unequal
-            narrow[name] = array.astype(np.float32)
-        if not np.array_equal(narrow[name], array):
+    narrow = {name: float32_exact(array) for name, array in params.grouped().items()}
+    for name, array in narrow.items():
+        if array is None:
             raise ValueError(f"array {prefix + name!r} holds values that float32 cannot "
                              "represent; run 'train-embed' again")
     return EmbedderParams(**narrow), vocabs
