@@ -8,11 +8,9 @@ same data twice produces identical files.  Floats round-trip bit-exactly
 because the payload is the raw IEEE representation.  A float array is
 stored as float32 when every element survives the cast to float32 (the
 embedder's parameters and the code-vector pairs, which are float32) and
-as float64 otherwise; the reader returns float64 either way, and a
-caller that works in float32 narrows the arrays again
-(`embed.unpack_model` does, refusing a value that float32 cannot hold).
-Learned numbers live in the arrays, and a reader rejects any float
-array holding a NaN or an infinity, naming the array.
+as float64 otherwise, and the reader returns every array at its stored
+dtype.  Learned numbers live in the arrays, and a reader rejects any
+float array holding a NaN or an infinity, naming the array.
 
 A line-delimited artifact (ground truth, recommendations) is a header
 line such as `{"format": "ground-truth", "version": 1}` followed by
@@ -39,8 +37,8 @@ from .errors import DataError
 MAGIC = b"PMBNDL\n\x00"
 VERSION = 1
 
-# Stored dtype -> dtype the reader returns.
-_DTYPES = {"float32": np.float64, "float64": np.float64, "int64": np.int64}
+# The dtypes a bundle stores an array in; the reader returns it as stored.
+_DTYPES = {"float32", "float64", "int64"}
 
 
 def decode_json(text: str):
@@ -52,24 +50,18 @@ def decode_json(text: str):
         raise ValueError(f"JSON nested too deeply: {exc}") from exc
 
 
-def float32_exact(arr: np.ndarray) -> np.ndarray | None:
-    """`arr` cast to float32 when it equals the cast element for element
-    (which keeps the sign of zero and never holds for a NaN), else None."""
-    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: unequal
-        narrow = arr.astype(np.float32)
-    return narrow if np.array_equal(narrow, arr) else None
-
-
 def save_bundle(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write a bundle. Integer arrays are stored as int64; a float array
-    as float32 when `float32_exact` allows, else as float64."""
+    as float32 when it equals its float32 cast element for element (which
+    keeps the sign of zero and never holds for a NaN), else as float64."""
     directory = []
     blobs = []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         if np.issubdtype(arr.dtype, np.floating):
-            narrow = float32_exact(arr)
-            arr = narrow if narrow is not None else arr.astype(np.float64, copy=False)
+            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf: unequal
+                narrow = arr.astype(np.float32)
+            arr = narrow if np.array_equal(narrow, arr) else arr.astype(np.float64, copy=False)
         elif np.issubdtype(arr.dtype, np.integer):
             arr = arr.astype(np.int64)
         else:
@@ -87,8 +79,10 @@ def save_bundle(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nd
 
 
 def load_bundle(path: str | Path, expect_kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a bundle of `expect_kind` as (header, arrays). Validates magic,
-    version, kind, declared sizes, finite floats and exact end-of-file."""
+    """Read a bundle of `expect_kind` as (header, arrays), each array a
+    writable copy at its stored dtype. Validates magic, version, kind,
+    distinct array names, declared sizes, finite floats and exact
+    end-of-file."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -118,6 +112,8 @@ def load_bundle(path: str | Path, expect_kind: str) -> tuple[dict, dict[str, np.
     for entry in header["arrays"]:
         if not isinstance(entry, dict) or type(entry.get("name")) is not str:
             raise DataError(f"{path}: array entry {entry!r} has no string name")
+        if entry["name"] in arrays:
+            raise DataError(f"{path}: array {entry['name']!r} is named twice")
         dtype = entry.get("dtype")
         if dtype not in _DTYPES:
             raise DataError(f"{path}: illegal dtype {dtype!r}")
@@ -131,7 +127,7 @@ def load_bundle(path: str | Path, expect_kind: str) -> tuple[dict, dict[str, np.
         flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
         if dtype != "int64" and not np.isfinite(flat).all():
             raise DataError(f"{path}: non-finite values in array {entry['name']!r}")
-        arrays[entry["name"]] = flat.reshape(shape).astype(_DTYPES[dtype])
+        arrays[entry["name"]] = flat.reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")

@@ -4,13 +4,13 @@ Each path-context becomes a combined context vector (start-token
 embedding, path embedding, end-token embedding concatenated), is passed
 through a tanh layer, and the method vector is the attention-weighted sum
 of those transformed contexts.  Training maximizes the likelihood of the
-method's own name under a softmax over a name vocabulary; afterwards the
-name head is discarded for downstream use and only the pooled vector
-matters.  One forward pass serves training and inference, one bag or
-many.  float32 is the one precision, from training through inference:
-the parameters are drawn in float64 and cast once, and every code
-vector comes out float32.  A bundle stores the parameters as float32,
-and loading hands them back as float32, bit for bit.
+method's own name under a softmax over a name vocabulary; the name head
+is not stored, as only the pooled vector matters downstream.  One
+forward pass serves training and inference, one bag or many.  float32 is
+the one precision, from training through inference: the parameters are
+drawn in float64 and cast once, and every code vector comes out float32.
+A bundle stores the parameters as float32, and loading hands them back
+as float32, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundle import float32_exact, load_bundle, save_bundle
+from .bundle import load_bundle, save_bundle
 from .errors import DataError
 from .pathctx import ContextBag
 
@@ -39,6 +39,8 @@ class Vocabularies:
             if vocab.get(UNK) != 0:
                 raise ValueError("token and path vocabularies must map UNK to 0")
         for vocab in (self.token_index, self.path_index, self.name_index):
+            if not all(type(key) is str for key in vocab):
+                raise ValueError("vocabulary entries must be strings")
             if sorted(vocab.values()) != list(range(len(vocab))):
                 raise ValueError("vocabulary indices must be dense from 0")
 
@@ -50,7 +52,7 @@ class EmbedderParams:
     fc_matrix: np.ndarray  # (2*d_t + d_p, d)
     fc_bias: np.ndarray  # (d,)
     attention_vector: np.ndarray  # (d,)
-    output_matrix: np.ndarray  # (d, n_names), training only
+    output_matrix: np.ndarray  # (d, n_names), training only: not stored, (d, 0) once loaded
 
     @property
     def d_t(self) -> int:
@@ -65,14 +67,7 @@ class EmbedderParams:
         return self.fc_matrix.shape[1]
 
     def grouped(self) -> dict[str, np.ndarray]:
-        return {
-            "token_matrix": self.token_matrix,
-            "path_matrix": self.path_matrix,
-            "fc_matrix": self.fc_matrix,
-            "fc_bias": self.fc_bias,
-            "attention_vector": self.attention_vector,
-            "output_matrix": self.output_matrix,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(eq=False)
@@ -422,17 +417,25 @@ def training_accuracy(
 # Persistence
 
 
+# The arrays a bundle stores: every parameter but the name head.
+_STORED = tuple(f.name for f in fields(EmbedderParams) if f.name != "output_matrix")
+
+
 def save_model(params: EmbedderParams, vocabs: Vocabularies, path: str) -> None:
-    save_bundle(path, "embedder", vocab_meta(vocabs), params.grouped())
+    save_bundle(path, "embedder", *embedder_record(params, vocabs))
 
 
-def vocab_meta(vocabs: Vocabularies) -> dict[str, list[str]]:
-    """Bundle metadata holding each vocabulary as a list in index order."""
-    return {
+def embedder_record(
+    params: EmbedderParams, vocabs: Vocabularies, prefix: str = ""
+) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
+    """(metadata, arrays) storing the embedder in a bundle: the token and
+    path vocabularies as lists in index order, and the _STORED arrays
+    named `prefix` + field name."""
+    meta = {
         "token_vocab": sorted(vocabs.token_index, key=vocabs.token_index.get),
         "path_vocab": sorted(vocabs.path_index, key=vocabs.path_index.get),
-        "name_vocab": sorted(vocabs.name_index, key=vocabs.name_index.get),
     }
+    return meta, {prefix + name: getattr(params, name) for name in _STORED}
 
 
 def load_model(path: str) -> tuple[EmbedderParams, Vocabularies]:
@@ -446,30 +449,28 @@ def load_model(path: str) -> tuple[EmbedderParams, Vocabularies]:
 def unpack_model(
     meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""
 ) -> tuple[EmbedderParams, Vocabularies]:
-    """Embedder and vocabularies from a bundle's metadata and its arrays
-    named `prefix` + field name, the arrays as float32.  Raises KeyError,
-    IndexError, TypeError or ValueError when they are missing, malformed,
-    of inconsistent dimensions or hold a value that float32 cannot
-    represent; `load_bundle` has already rejected non-finite arrays."""
+    """Embedder and vocabularies from the metadata and float32 arrays that
+    `embedder_record` stores, with a (d, 0) name head and no names (a
+    stored head is ignored).  Raises KeyError, IndexError, TypeError or
+    ValueError when they are missing, malformed, not float32 or of
+    inconsistent dimensions; `load_bundle` has rejected non-finite ones."""
     vocabs = Vocabularies(
         {t: i for i, t in enumerate(meta["token_vocab"])},
         {p: i for i, p in enumerate(meta["path_vocab"])},
-        {n: i for i, n in enumerate(meta["name_vocab"])},
+        {},
     )
-    params = EmbedderParams(
-        **{f.name: arrays[prefix + f.name] for f in fields(EmbedderParams)}
-    )
-    d = params.d
-    expected = {
-        "fc_matrix": (2 * params.d_t + params.d_p, d),
-        "fc_bias": (d,),
-        "attention_vector": (d,),
-        "output_matrix": (d, len(meta["name_vocab"])),
-    }
-    for name, shape in expected.items():
-        if getattr(params, name).shape != shape:
-            raise ValueError(f"array {prefix + name!r} has shape "
-                             f"{getattr(params, name).shape}, expected {shape}")
+    stored = {name: arrays[prefix + name] for name in _STORED}
+    d = stored["fc_matrix"].shape[1]
+    params = EmbedderParams(**stored, output_matrix=np.zeros((d, 0), dtype=np.float32))
+    expected = {"fc_matrix": (2 * params.d_t + params.d_p, d), "fc_bias": (d,),
+                "attention_vector": (d,)}
+    for name, array in stored.items():
+        if array.dtype != np.float32:
+            raise ValueError(f"array {prefix + name!r} is stored as {array.dtype}, not "
+                             "float32; run 'train-embed' again")
+        if array.shape != expected.get(name, array.shape):
+            raise ValueError(f"array {prefix + name!r} has shape {array.shape}, "
+                             f"expected {expected[name]}")
     # The forward pass gathers table rows with mode="clip", which would
     # clamp an index past a short table instead of raising. Indices run
     # over the vocabulary lists (Vocabularies has already refused a list
@@ -478,9 +479,4 @@ def unpack_model(
         len(meta["token_vocab"]), len(meta["path_vocab"])
     ):
         raise ValueError("embedding tables and vocabularies differ in length")
-    narrow = {name: float32_exact(array) for name, array in params.grouped().items()}
-    for name, array in narrow.items():
-        if array is None:
-            raise ValueError(f"array {prefix + name!r} holds values that float32 cannot "
-                             "represent; run 'train-embed' again")
-    return EmbedderParams(**narrow), vocabs
+    return params, vocabs

@@ -105,8 +105,8 @@ def fit_pca(
     Keeps the smallest k whose cumulative explained variance reaches the
     threshold, unless a fixed k overrides. Fit on training vectors only;
     the caller owns that discipline. The rows are stacked into a float64
-    copy, as in `apply_pca_matrix`, so float32 code vectors and the same
-    values read back as float64 give the same model.
+    copy, as in `apply_pca_matrix`, so float32 code vectors and their
+    float64 widening give the same model.
     """
     if len(raw_vectors) < 2:
         raise DataError(f"PCA needs at least 2 samples, got {len(raw_vectors)}")

@@ -23,9 +23,9 @@ from .embed import (
     EmbedderParams,
     Vocabularies,
     embed_corpus,
+    embedder_record,
     train_embedder,
     unpack_model,
-    vocab_meta,
 )
 from .bundle import load_bundle, read_jsonl, save_bundle, write_jsonl
 from .errors import ConfigError, DataError
@@ -353,7 +353,7 @@ def _model_settings(config: RunConfig) -> dict:
 
 
 def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
-    arrays = {f"emb_{k}": v for k, v in bundle.embedder.grouped().items()}
+    embedder_meta, arrays = embedder_record(bundle.embedder, bundle.vocabs, prefix="emb_")
     arrays["pca_mean"] = bundle.pca.mean
     arrays["pca_components"] = bundle.pca.components
     arrays["pca_evr"] = bundle.pca.explained_variance_ratio
@@ -363,7 +363,7 @@ def save_model_bundle(path: str | Path, bundle: ModelBundle) -> None:
     arrays["rff_omega"] = bundle.rff.omega
     arrays["rff_phases"] = bundle.rff.phases
     meta = {
-        **vocab_meta(bundle.vocabs),
+        **embedder_meta,
         "settings": _model_settings(bundle.config),
         "platt_converged": bundle.platt.converged,
     }

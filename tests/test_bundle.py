@@ -37,6 +37,7 @@ def test_round_trip_bit_exact(tmp_path):
     for name in arrays:
         assert loaded[name].dtype == arrays[name].dtype
         assert np.array_equal(loaded[name], arrays[name])
+        assert loaded[name].flags.writeable
 
 
 def test_writes_are_byte_deterministic(tmp_path):
@@ -94,11 +95,11 @@ def test_missing_file():
         load_bundle("/nonexistent/model.pmb", "model")
 
 
-def test_float32_upcast_and_object_rejected(tmp_path):
+def test_float32_read_as_float32_and_object_rejected(tmp_path):
     path = tmp_path / "model.pmb"
     save_bundle(path, "k", {}, {"w": np.ones(3, dtype=np.float32)})
     _, loaded = load_bundle(path, "k")
-    assert loaded["w"].dtype == np.float64
+    assert loaded["w"].dtype == np.float32
     with pytest.raises(ValueError):
         save_bundle(path, "k", {}, {"w": np.array(["a"], dtype=object)})
 
@@ -123,8 +124,10 @@ def test_float32_exact_array_stored_as_float32_and_read_bit_equal(tmp_path):
     save_bundle(path, "k", {}, {"exact": exact, "wide": exact + 1e-12})
     assert stored_dtypes(path) == {"exact": "float32", "wide": "float64"}
     _, loaded = load_bundle(path, "k")
-    assert loaded["exact"].dtype == np.float64
-    assert loaded["exact"].tobytes() == exact.tobytes()
+    assert loaded["exact"].dtype == np.float32
+    assert loaded["exact"].tobytes() == exact.astype(np.float32).tobytes()
+    assert np.array_equal(loaded["exact"], exact)
+    assert loaded["wide"].dtype == np.float64
     assert loaded["wide"].tobytes() == (exact + 1e-12).tobytes()
 
 
@@ -156,4 +159,15 @@ def test_non_finite_value_in_stored_float32_array_rejected_by_name(tmp_path, bad
     assert blob.count(struct.pack("<f", 3.0)) == 1
     path.write_bytes(blob.replace(struct.pack("<f", 3.0), struct.pack("<f", bad)))
     with pytest.raises(DataError, match="non-finite values in array 'tables'"):
+        load_bundle(path, "k")
+
+
+def test_array_named_twice_rejected(tmp_path):
+    # the directory names "w" twice; each entry still has its own bytes
+    path = tmp_path / "model.pmb"
+    save_bundle(path, "k", {}, {"v": np.arange(3), "w": np.arange(3, 6)})
+    blob = path.read_bytes()
+    assert blob.count(b'"name":"v"') == 1
+    path.write_bytes(blob.replace(b'"name":"v"', b'"name":"w"'))
+    with pytest.raises(DataError, match=f"{path}: array 'w' is named twice"):
         load_bundle(path, "k")

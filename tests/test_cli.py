@@ -862,15 +862,14 @@ class TestStageChain:
         [
             (MODEL_FILE, "emb_attention_vector", lambda a: a[:-1], "has shape", ["recommend"]),
             (EMBEDDER_FILE, "attention_vector", lambda a: a[:-1], "has shape", ["build-dataset"]),
-            (MODEL_FILE, "emb_output_matrix", lambda a: a[:, :-1], "has shape", ["recommend"]),
-            # 1/3 has no float32 value, so the bundle stores the array as float64
-            (MODEL_FILE, "emb_fc_bias", lambda a: np.r_[1 / 3, a[1:]],
-             "float32 cannot represent; run 'train-embed' again", ["recommend"]),
-            (EMBEDDER_FILE, "fc_bias", lambda a: np.r_[1 / 3, a[1:]],
-             "float32 cannot represent; run 'train-embed' again", ["build-dataset"]),
+            # widened, and 1/3 has no float32 value, so the bundle stores
+            # the array as float64
+            (MODEL_FILE, "emb_fc_bias", lambda a: np.r_[1 / 3, a[1:].astype(np.float64)],
+             "is stored as float64, not float32; run 'train-embed' again", ["recommend"]),
+            (EMBEDDER_FILE, "fc_bias", lambda a: np.r_[1 / 3, a[1:].astype(np.float64)],
+             "is stored as float64, not float32; run 'train-embed' again", ["build-dataset"]),
         ],
-        ids=["model-attention", "embedder-attention", "model-output", "model-wide",
-             "embedder-wide"],
+        ids=["model-attention", "embedder-attention", "model-wide", "embedder-wide"],
     )
     def test_unfit_embedder_array_fails_at_load(self, tmp_path, monkeypatch, capsys,
                                                 name, array, edit, message, command):
@@ -885,6 +884,24 @@ class TestStageChain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and f"'{array}' " in err
         assert message in err and "Traceback" not in err
+
+    def test_bundles_store_no_name_head(self, tmp_path, monkeypatch, capsys):
+        """Neither embedder bundle stores the name head; one that does, as
+        older versions wrote it, still serves the stages with the same bytes."""
+        base = self.run_stages(tmp_path, monkeypatch)
+        work = tmp_path / "work"
+        before = {name: (work / name).read_bytes() for name in (DATASET_FILE,
+                                                                RECOMMENDATIONS_FILE)}
+        for name, kind, prefix in ((EMBEDDER_FILE, "embedder", ""), (MODEL_FILE, "model", "emb_")):
+            header, arrays = load_bundle(work / name, expect_kind=kind)
+            assert "name_vocab" not in header["meta"]
+            assert prefix + "output_matrix" not in arrays
+            d = arrays[prefix + "fc_bias"].size
+            arrays[prefix + "output_matrix"] = np.ones((d, 2), dtype=np.float32)
+            save_bundle(work / name, kind, {**header["meta"], "name_vocab": ["f", "g"]}, arrays)
+        assert main(["build-dataset", *base, "--corpus", "corpus"]) == 0
+        assert main(["recommend", *base, "--corpus", "mutated"]) == 0
+        assert {name: (work / name).read_bytes() for name in before} == before
 
     @pytest.mark.parametrize("name, value", [("svm_bias", np.inf), ("platt", np.nan)],
                              ids=["svm-bias-inf", "platt-nan"])

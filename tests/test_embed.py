@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pathmove.bundle import load_bundle, save_bundle
 from pathmove.embed import (
     _CHUNK_BAGS,
     UNK,
@@ -50,6 +51,12 @@ def toy_vocabs(tokens, markers, names) -> Vocabularies:
 def seeded_params(vocabs: Vocabularies, d_t=4, d_p=4, d=6, seed=1) -> EmbedderParams:
     config = TrainConfig(d_t=d_t, d_p=d_p, d=d, min_count=1)
     return init_params(vocabs, config, np.random.default_rng(seed))
+
+
+def float32_params(vocabs: Vocabularies) -> EmbedderParams:
+    """`seeded_params` cast to float32, the one precision a bundle loads."""
+    drawn = seeded_params(vocabs).grouped()
+    return EmbedderParams(**{key: array.astype(np.float32) for key, array in drawn.items()})
 
 
 def test_forward_matches_straight_line_recomputation():
@@ -592,11 +599,21 @@ def test_save_load_round_trip(tmp_path):
     vocabs, params, _ = train_embedder(samples, config)
     path = str(tmp_path / "embedder.pmb")
     save_model(params, vocabs, path)
+    header, arrays = load_bundle(path, expect_kind="embedder")
+    assert set(header["meta"]) == {"token_vocab", "path_vocab"}
+    assert set(arrays) == {"token_matrix", "path_matrix", "fc_matrix", "fc_bias",
+                           "attention_vector"}
     loaded_params, loaded_vocabs = load_model(path)
-    assert loaded_vocabs == vocabs
+    assert loaded_vocabs.token_index == vocabs.token_index
+    assert loaded_vocabs.path_index == vocabs.path_index
+    assert loaded_vocabs.name_index == {}  # the name head is not stored
     for key, arr in params.grouped().items():
-        assert arr.dtype == loaded_params.grouped()[key].dtype == np.float32, key
-        assert np.array_equal(arr, loaded_params.grouped()[key]), key
+        loaded = loaded_params.grouped()[key]
+        assert arr.dtype == loaded.dtype == np.float32, key
+        if key == "output_matrix":
+            assert loaded.shape == (params.d, 0)
+        else:
+            assert np.array_equal(arr, loaded), key
     bag = samples[0][0]
     before = embed_bag(bag, params, vocabs).values
     after = embed_bag(bag, loaded_params, loaded_vocabs).values
@@ -634,7 +651,7 @@ def test_load_rejects_nonfinite(tmp_path):
 @pytest.mark.parametrize("table", ["token_matrix", "path_matrix"])
 def test_load_rejects_table_shorter_than_vocabulary(tmp_path, table):
     vocabs = toy_vocabs(["a", "b"], ["M1", "M2"], ["f", "g"])
-    params = seeded_params(vocabs)
+    params = float32_params(vocabs)
     setattr(params, table, getattr(params, table)[:-1])
     path = str(tmp_path / "short.pmb")
     save_model(params, vocabs, path)
@@ -652,8 +669,6 @@ def test_load_rejects_duplicated_vocabulary_entry(tmp_path, vocab, table):
     params = seeded_params(vocabs)
     path = str(tmp_path / "dup.pmb")
     save_model(params, vocabs, path)
-    from pathmove.bundle import load_bundle, save_bundle
-
     header, arrays = load_bundle(path, expect_kind="embedder")
     meta = header["meta"]
     assert len(getattr(params, table)) == len(meta[vocab]) == 2
@@ -661,6 +676,42 @@ def test_load_rejects_duplicated_vocabulary_entry(tmp_path, vocab, table):
     save_bundle(path, "embedder", meta, arrays)
     with pytest.raises(DataError, match="dense from 0"):
         load_model(path)
+
+
+@pytest.mark.parametrize("vocab", ["token_vocab", "path_vocab"])
+def test_load_rejects_non_string_vocabulary_entry(tmp_path, vocab):
+    # [UNK, 1] would load, and every token or path would then embed as UNK
+    vocabs = toy_vocabs(["a"], ["M1"], ["f", "g"])
+    path = str(tmp_path / "ints.pmb")
+    save_model(float32_params(vocabs), vocabs, path)
+    header, arrays = load_bundle(path, expect_kind="embedder")
+    meta = header["meta"]
+    meta[vocab] = [UNK, *range(1, len(meta[vocab]))]
+    save_bundle(path, "embedder", meta, arrays)
+    with pytest.raises(DataError, match="vocabulary entries must be strings"):
+        load_model(path)
+
+
+def test_loads_bundle_with_removed_name_head(tmp_path):
+    # older bundles also stored the name head and the name vocabulary
+    samples = separable_corpus()
+    config = TrainConfig(d_t=8, d_p=8, d=16, epochs=3, seed=2, min_count=1)
+    vocabs, params, _ = train_embedder(samples, config)
+    path = str(tmp_path / "embedder.pmb")
+    save_model(params, vocabs, path)
+    header, arrays = load_bundle(path, expect_kind="embedder")
+    names = sorted(vocabs.name_index, key=vocabs.name_index.get)
+    save_bundle(path, "embedder", {**header["meta"], "name_vocab": names},
+                {**arrays, "output_matrix": params.output_matrix})
+    loaded_params, loaded_vocabs = load_model(path)
+    assert loaded_vocabs.name_index == {}
+    assert loaded_params.output_matrix.shape == (params.d, 0)
+    bags = [bag for bag, _ in samples]
+    direct = embed_corpus(bags, params, vocabs)
+    reloaded = embed_corpus(bags, loaded_params, loaded_vocabs)
+    assert list(direct) == list(reloaded)
+    for method_id, vector in direct.items():
+        assert vector.values.tobytes() == reloaded[method_id].values.tobytes(), method_id
 
 
 def test_train_config_validation():

@@ -35,7 +35,7 @@ from pathmove.injector import (
     read_ground_truth,
     write_ground_truth,
 )
-from pathmove.pathctx import ExtractionLimits
+from pathmove.pathctx import ContextBag, ExtractionLimits, PathContext
 from pathmove.pipeline import (
     MOVE,
     NO_RECOMMENDATION,
@@ -571,13 +571,21 @@ class TestBundlePersistence:
         path = tmp_path / "model.pmb"
         save_model_bundle(path, bundle)
         loaded = load_model_bundle(path)
+        header, arrays = load_bundle(path, expect_kind="model")
+        assert "name_vocab" not in header["meta"]
+        assert {name for name in arrays if name.startswith("emb_")} == {
+            "emb_token_matrix", "emb_path_matrix", "emb_fc_matrix", "emb_fc_bias",
+            "emb_attention_vector"}
 
         for key, original in bundle.embedder.grouped().items():
             assert loaded.embedder.grouped()[key].dtype == original.dtype == np.float32, key
-            assert np.array_equal(loaded.embedder.grouped()[key], original), key
+            if key == "output_matrix":  # the name head is not stored
+                assert loaded.embedder.output_matrix.shape == (bundle.embedder.d, 0)
+            else:
+                assert np.array_equal(loaded.embedder.grouped()[key], original), key
         assert loaded.vocabs.token_index == bundle.vocabs.token_index
         assert loaded.vocabs.path_index == bundle.vocabs.path_index
-        assert loaded.vocabs.name_index == bundle.vocabs.name_index
+        assert loaded.vocabs.name_index == {}
         assert np.array_equal(loaded.pca.mean, bundle.pca.mean)
         assert np.array_equal(loaded.pca.components, bundle.pca.components)
         assert np.array_equal(loaded.svm_model.weights, bundle.svm_model.weights)
@@ -603,6 +611,26 @@ class TestBundlePersistence:
         loaded = load_model_bundle(path)
         assert np.array_equal(loaded.svm_model.weights, bundle.svm_model.weights)
         assert loaded.svm_model.bias == bundle.svm_model.bias
+
+    def test_loads_model_with_removed_name_head(self, tmp_path):
+        # older models also stored the embedder's name head and name vocabulary
+        bundle = fitted_bundle()
+        path = tmp_path / "model.pmb"
+        save_model_bundle(path, bundle)
+        header, arrays = load_bundle(path, expect_kind="model")
+        meta = {**header["meta"], "name_vocab": ["alpha", "beta"]}
+        save_bundle(path, "model", meta,
+                    {**arrays, "emb_output_matrix": bundle.embedder.output_matrix})
+        loaded = load_model_bundle(path)
+        assert loaded.vocabs.name_index == {}
+        assert loaded.embedder.output_matrix.shape == (bundle.embedder.d, 0)
+        bags = [ContextBag("m", [PathContext("left", "Name↑Plus↓Name", "right"),
+                                 PathContext("right", "Name↑Plus↓Name", "x")])]
+        (before,) = embed_corpus(bags, bundle.embedder, bundle.vocabs).values()
+        (after,) = embed_corpus(bags, loaded.embedder, loaded.vocabs).values()
+        assert after.values.tobytes() == before.values.tobytes()
+        raw = np.random.default_rng(9).standard_normal((8, 2))
+        assert np.array_equal(loaded.pair_probabilities(raw), bundle.pair_probabilities(raw))
 
     def test_save_is_deterministic(self, tmp_path):
         bundle = fitted_bundle()
