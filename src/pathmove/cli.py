@@ -275,7 +275,7 @@ def cmd_pipeline(args: argparse.Namespace, config: RunConfig) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--work-dir", help="artifact directory (default: work)")
+    common.add_argument("--work-dir", help=f"artifact directory (default: {RunConfig.work_dir})")
     common.add_argument("--seed", type=int, help="master seed override")
     common.add_argument("--threshold", type=float, help="decision threshold override")
 
@@ -289,10 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         "gen-corpus", parents=[common], help="generate a synthetic training corpus"
     )
     p.add_argument("--out", required=True, help="corpus output directory")
-    p.add_argument("--projects", type=int, default=20, help="total projects")
-    p.add_argument("--eval-projects", type=int, default=5, help="held-out projects")
-    p.add_argument("--min-classes", type=int, default=5, help="classes per project, lower bound")
-    p.add_argument("--max-classes", type=int, default=7, help="classes per project, upper bound")
+    p.add_argument("--projects", type=int, default=GenConfig.n_projects, help="total projects")
+    p.add_argument("--eval-projects", type=int, default=GenConfig.eval_projects,
+                   help="held-out projects")
+    p.add_argument("--min-classes", type=int, default=GenConfig.min_classes,
+                   help="classes per project, lower bound")
+    p.add_argument("--max-classes", type=int, default=GenConfig.max_classes,
+                   help="classes per project, upper bound")
     p.set_defaults(handler=cmd_gen_corpus)
 
     p = sub.add_parser(
@@ -354,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # any other failure: exit 4, never a traceback

@@ -235,9 +235,8 @@ def _delegation_method(plan: _ClassPlan, rng: random.Random) -> str:
     )
 
 
-def generate_project(
-    project_seed: int, min_classes: int = 5, max_classes: int = 7
-) -> dict[str, str]:
+def generate_project(project_seed: int, min_classes: int = GenConfig.min_classes,
+                     max_classes: int = GenConfig.max_classes) -> dict[str, str]:
     """One project: class name → source text, deterministic in the seed."""
     rng = random.Random(project_seed)
     n_classes = rng.randint(min_classes, max_classes)
@@ -262,7 +261,7 @@ def generate_project(
             parts.append(_cohesive_method(plan, name, rng))
         chunks[plan.theme.class_name] = parts
 
-    # envy methods second, so targets' structure is already final
+    # envy methods after the others: the corpora's bytes depend on this order of rng draws
     for plan in plans:
         others = [p for p in plans if p is not plan]
         for name in plan.envy_names:

@@ -4,43 +4,52 @@ The file is a flat object of sections; unknown keys anywhere are errors
 so typos cannot silently fall back to defaults.  Every field has a
 default, so an empty object {} is a valid config.  A value must have
 its field's annotated type (a bool is not an int, floats are finite).
+
+Each `RunConfig` field is the one declaration of its setting: its
+metadata holds the config key ("seed", "svm.epochs", ...) and whether
+the value must be positive.  A component's setting takes its default
+from the component: the embedder's from `TrainConfig`, `svm.epochs`
+from `svm.EPOCHS`.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .bundle import decode_json
 from .embed import TrainConfig
 from .errors import ConfigError
 from .pathctx import ExtractionLimits
+from .svm import EPOCHS
+
+
+def _setting(key: str, default, positive: bool = False):
+    return field(default=default, metadata={"key": key, "positive": positive})
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    threshold: float = 0.5
-    work_dir: str = "work"
-    token_dim: int = 128
-    path_dim: int = 128
-    code_dim: int = 384
-    batch_size: int = 32
-    epochs: int = 2
-    min_count: int = 2
-    svm_epochs: int = 200
-    rff_enabled: bool = True
-    rff_dim: int = 256
+    seed: int = _setting("seed", 0)
+    threshold: float = _setting("threshold", 0.5)
+    work_dir: str = _setting("work_dir", "work")
+    token_dim: int = _setting("embedder.token_dim", TrainConfig.d_t, positive=True)
+    path_dim: int = _setting("embedder.path_dim", TrainConfig.d_p, positive=True)
+    code_dim: int = _setting("embedder.code_dim", TrainConfig.d, positive=True)
+    batch_size: int = _setting("embedder.batch_size", TrainConfig.batch_size, positive=True)
+    epochs: int = _setting("embedder.epochs", TrainConfig.epochs, positive=True)
+    min_count: int = _setting("embedder.min_count", TrainConfig.min_count, positive=True)
+    svm_epochs: int = _setting("svm.epochs", EPOCHS, positive=True)
+    rff_enabled: bool = _setting("rff.enabled", True)
+    rff_dim: int = _setting("rff.dim", 256, positive=True)
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             what, check = _TYPES[f.type]
             if not check(value):
-                raise ConfigError(
-                    f"config value {_KEYS.get(f.name, f.name)} must be {what}, got {value!r}"
-                )
+                raise ConfigError(f"config value {f.metadata['key']} must be {what}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if not 0.0 < self.threshold < 1.0:
@@ -48,10 +57,10 @@ class RunConfig:
         if not self.rff_enabled:
             raise ConfigError("rff.enabled must be true: without the feature map, "
                               "every method ranks its candidate classes alike")
-        for name in _POSITIVE:
-            value = getattr(self, name)
-            if value <= 0:
-                raise ConfigError(f"{_KEYS[name]} must be positive, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["positive"] and value <= 0:
+                raise ConfigError(f"{f.metadata['key']} must be positive, got {value}")
 
     def limits(self) -> ExtractionLimits:
         return ExtractionLimits(seed=self.seed)
@@ -68,31 +77,10 @@ class RunConfig:
         )
 
 
-_SECTIONS: dict[str, dict[str, str]] = {
-    "embedder": {
-        "token_dim": "token_dim",
-        "path_dim": "path_dim",
-        "code_dim": "code_dim",
-        "batch_size": "batch_size",
-        "epochs": "epochs",
-        "min_count": "min_count",
-    },
-    "svm": {
-        "epochs": "svm_epochs",
-    },
-    "rff": {
-        "enabled": "rff_enabled",
-        "dim": "rff_dim",
-    },
-}
+def setting_key(name: str) -> str:
+    """The config key of the RunConfig field `name`, e.g. "svm.epochs"."""
+    return next(f.metadata["key"] for f in fields(RunConfig) if f.name == name)
 
-_TOP_LEVEL = {"seed", "threshold", "work_dir"}
-
-_KEYS = {attr: f"{section}.{sub}" for section, m in _SECTIONS.items() for sub, attr in m.items()}
-
-# the keys that must be above zero
-_POSITIVE = ("token_dim", "path_dim", "code_dim", "batch_size", "epochs", "min_count",
-             "svm_epochs", "rff_dim")
 
 # annotation -> (description, check); a bool is neither an int nor a float
 _TYPES = {
@@ -110,18 +98,19 @@ _TYPES = {
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    # ("svm", "epochs") -> "svm_epochs"
+    names = {tuple(f.metadata["key"].split(".")): f.name for f in fields(RunConfig)}
     kwargs = {}
     for key, value in data.items():
-        if key in _TOP_LEVEL:
-            kwargs[key] = value
-        elif key in _SECTIONS:
+        if (key,) in names:
+            kwargs[names[(key,)]] = value
+        elif any(path[0] == key for path in names):
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
-            mapping = _SECTIONS[key]
             for sub, sub_value in value.items():
-                if sub not in mapping:
+                if (key, sub) not in names:
                     raise ConfigError(f"unknown config key {key}.{sub}")
-                kwargs[mapping[sub]] = sub_value
+                kwargs[names[(key, sub)]] = sub_value
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return RunConfig(**kwargs)
@@ -129,9 +118,10 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def config_to_dict(config: RunConfig) -> dict:
     """Inverse of config_from_dict; `model.pmb` stores part of it."""
-    out: dict = {key: getattr(config, key) for key in sorted(_TOP_LEVEL)}
-    for section, mapping in _SECTIONS.items():
-        out[section] = {sub: getattr(config, attr) for sub, attr in mapping.items()}
+    out: dict = {}
+    for f in fields(config):
+        section, _, sub = f.metadata["key"].rpartition(".")
+        (out.setdefault(section, {}) if section else out)[sub] = getattr(config, f.name)
     return out
 
 

@@ -95,7 +95,8 @@ class TrainConfig:
             raise ValueError("training dimensions and counts must be positive")
 
 
-def build_vocabularies(samples: list[tuple[ContextBag, str]], min_count: int = 2) -> Vocabularies:
+def build_vocabularies(samples: list[tuple[ContextBag, str]],
+                       min_count: int = TrainConfig.min_count) -> Vocabularies:
     """Count tokens/paths over the training bags; a literal UNK and entries
     below min_count collapse to UNK. Every distinct name is kept."""
     contexts = [ctx for bag, _ in samples for ctx in bag.contexts]

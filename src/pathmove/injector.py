@@ -529,7 +529,7 @@ def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
     DATASET_SPLITS, each a non-empty list of [method_id, class_id] string
     pairs, the two half arrays are matrices of one width, each index
     array is int64 with one entry per id and stays within its halves,
-    and each label is 0 or 1."""
+    and each label is 0 or 1, both present in each split."""
     header, arrays = load_bundle(path, expect_kind="dataset")
     try:
         meta = header["meta"]
@@ -562,8 +562,12 @@ def read_dataset(path: str | Path) -> tuple[list[LabeledExample], ...]:
             raise ValueError(f"method halves {parts[0].shape[1]} wide, "
                              f"class halves {parts[1].shape[1]}")
         rows = iter(zip(np.concatenate(parts, axis=1), labels.tolist()))
-        return tuple([LabeledExample(FeatureVector(values, *pair, "raw"), label)
-                      for pair, (values, label) in zip(split, rows)] for split in ids)
+        splits = tuple([LabeledExample(FeatureVector(values, *pair, "raw"), label)
+                        for pair, (values, label) in zip(split, rows)] for split in ids)
+        for name, split in zip(DATASET_SPLITS, splits):
+            if {e.label for e in split} != {0, 1}:
+                raise ValueError(f"split {name!r} lacks label 0 or 1; run 'build-dataset' again")
+        return splits
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad dataset bundle: {exc}") from exc
 

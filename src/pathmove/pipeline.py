@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .codegen import list_projects, load_project
-from .config import RunConfig, config_from_dict, config_to_dict
+from .config import RunConfig, config_from_dict, config_to_dict, setting_key
 from .embed import (
     CodeVector,
     EmbedderParams,
@@ -417,13 +417,12 @@ def _check_widths(
         raise ValueError(f"RFF map {rff.omega.shape} does not fit PCA k {pca.k}")
     if svm.weights.shape != (width,):
         raise ValueError(f"SVM weights {svm.weights.shape} != feature width {width}")
-    stated = [("embedder.token_dim", config.token_dim, embedder.d_t),
-              ("embedder.path_dim", config.path_dim, embedder.d_p),
-              ("embedder.code_dim", config.code_dim, embedder.d),
-              ("rff.dim", config.rff_dim, width)]
-    for key, setting, actual in stated:
-        if setting != actual:
-            raise ValueError(f"settings {key} {setting} != the arrays' {actual}")
+    stated = {"token_dim": embedder.d_t, "path_dim": embedder.d_p, "code_dim": embedder.d,
+              "rff_dim": width}
+    for name, actual in stated.items():
+        if getattr(config, name) != actual:
+            raise ValueError(f"settings {setting_key(name)} {getattr(config, name)} "
+                             f"!= the arrays' {actual}")
 
 
 # ---------------------------------------------------------------------------

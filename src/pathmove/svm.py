@@ -20,6 +20,7 @@ from .errors import DataError
 from .featurize import FeatureVector
 
 C = 10.0  # the SVM's regularization constant; README "Configuration" says why 10
+EPOCHS = 200  # train_svm's default cap on Newton steps; config key svm.epochs defaults to it
 
 
 @dataclass(eq=False)
@@ -86,7 +87,7 @@ def _newton(
     return x, False
 
 
-def train_svm(train_set: list[tuple[FeatureVector, int]], epochs: int = 200) -> SvmModel:
+def train_svm(train_set: list[tuple[FeatureVector, int]], epochs: int = EPOCHS) -> SvmModel:
     """Newton's method on lam/2 ||w||^2 + mean max(0, 1 - y f(x))^2.
 
     lam = 1/(C*n); the bias is not regularized.  The objective is a

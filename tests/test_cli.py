@@ -42,6 +42,7 @@ from pathmove.codegen import load_project
 from pathmove.errors import DataError
 from pathmove.frontend import split_method_id
 from pathmove.injector import find_movable, read_ground_truth
+from pathmove.pathctx import ContextBag, dump_bags, load_bags
 from pathmove.pipeline import f1_score, load_model_bundle
 
 
@@ -656,6 +657,24 @@ class TestStageChain:
         assert err.startswith("error:") and DATASET_FILE in err and "'test'" in err
         assert "run 'build-dataset' again" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("split", ["train", "validate"])
+    def test_dataset_split_of_one_label_asks_for_build_dataset(self, tmp_path, monkeypatch,
+                                                               capsys, split):
+        """Every pair of one split labeled 1: the SVM and Platt fits need
+        both labels, so the loader refuses the file before either runs."""
+        base = self.run_stages(tmp_path, monkeypatch)
+        capsys.readouterr()
+        path = tmp_path / "work" / DATASET_FILE
+        header, arrays = load_bundle(path, expect_kind="dataset")
+        n_train = len(header["meta"]["train"])
+        arrays["labels"][slice(None, n_train) if split == "train" else slice(n_train, None)] = 1
+        save_bundle(path, "dataset", header["meta"], arrays)
+        assert main(["train-clf", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and DATASET_FILE in err
+        assert f"split '{split}' lacks label 0 or 1" in err
+        assert "run 'build-dataset' again" in err and "Traceback" not in err
+
     def test_ground_truth_id_outside_a_project_is_data_error(self, tmp_path, monkeypatch,
                                                             capsys):
         base = self.run_stages(tmp_path, monkeypatch)
@@ -1014,22 +1033,33 @@ class TestStageChain:
         assert main(["build-dataset", *base, "--corpus", "corpus"]) == 0
         assert (work / DATASET_FILE).read_bytes() == dataset
 
-    @pytest.mark.parametrize("damage", ["missing-method", "foreign-project", "no-file"])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [("missing-method", r"methods of train/proj-\d+ differ from the corpus's"),
+         ("foreign-project", "train/proj-99 is not a training project of the corpus"),
+         ("no-file", "missing artifact")],
+        ids=["missing-method", "foreign-project", "no-file"],
+    )
     def test_build_dataset_rejects_bags_of_other_methods(self, tmp_path, monkeypatch, capsys,
-                                                          damage):
+                                                          damage, message):
+        """Well-formed bags that are not the corpus's: one method short, or
+        one method of a project the corpus does not have."""
         base = self.run_stages(tmp_path, monkeypatch)
         capsys.readouterr()
         path = tmp_path / "work" / BAGS_FILE
-        lines = path.read_text().splitlines()
-        if damage == "missing-method":
-            path.write_text("\n".join(lines[:-1]) + "\n")
-        elif damage == "foreign-project":
-            path.write_text("\n".join([*lines, "train/proj-99/X.java::X::m/0"]) + "\n")
-        else:
+        if damage == "no-file":
             path.unlink()
+        else:
+            bags = load_bags(path.read_text())
+            if damage == "missing-method":
+                bags = bags[:-1]
+            else:
+                bags.append(ContextBag("train/proj-99/X.java::X::m/0"))
+            path.write_text(dump_bags(bags))
         assert main(["build-dataset", *base, "--corpus", "corpus"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and BAGS_FILE in err and "'extract'" in err
+        assert re.search(message, err), err
         assert "Traceback" not in err
 
     def test_recommend_threshold_flag_changes_decisions(self, tmp_path, monkeypatch, capsys):

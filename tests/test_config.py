@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pathmove.config import _KEYS, RunConfig, config_from_dict, config_to_dict, load_config
+from pathmove.config import RunConfig, config_from_dict, config_to_dict, load_config, setting_key
 from pathmove.embed import TrainConfig
 from pathmove.errors import ConfigError
 from pathmove.pathctx import ExtractionLimits
@@ -28,8 +28,8 @@ class TestRunConfig:
         assert config.rff_enabled is True
 
     def test_defaults_agree_with_components_and_readme(self):
-        # each default is written three times: RunConfig, the component
-        # dataclasses or train_svm's epochs, and the README's config block
+        # RunConfig takes its component defaults from the components; the
+        # README's config block states them once more, for the reader
         assert RunConfig().limits() == ExtractionLimits()
         assert RunConfig().train_config() == TrainConfig()
         svm_epochs = inspect.signature(train_svm).parameters["epochs"].default
@@ -73,7 +73,7 @@ class TestRunConfig:
     def test_rejects_out_of_range(self, kwargs):
         # the message names the key as the config file spells it
         (name,) = kwargs
-        with pytest.raises(ConfigError, match=re.escape(_KEYS.get(name, name))):
+        with pytest.raises(ConfigError, match=re.escape(setting_key(name))):
             RunConfig(**kwargs)
 
 

@@ -152,6 +152,7 @@ def test_string_literals_and_comments():
         ("class A extends B { }", "unsupported Java construct 'extends'"),
         ("class A { void f() { for (;;) {} } }", "unsupported Java construct 'for'"),
         ("class A { int x }", "expected"),
+        ("class 5 { }", "expected class name, got '5'"),
         ("class A { void f() { int x; } }", "local declarations require an initializer"),
         ("class A { void f() { 1 = 2; } }", "left side of assignment"),
         ("class A { void f() { @ } }", "unexpected character"),

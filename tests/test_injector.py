@@ -494,6 +494,13 @@ def test_move_rejects_unresolved_target():
         perform_move(units, merge_id, "Ghost")
 
 
+def test_move_rejects_own_class():
+    units = fixture_units()
+    merge_id = method_of(units, "Wallet", "merge")[1].id
+    with pytest.raises(NotMovableError, match="target equals origin class"):
+        perform_move(units, merge_id, "Wallet")
+
+
 def test_move_rejects_signature_clash():
     units = _two_class_corpus(
         "    int add(Ledger ledger) { return ledger.total; }",

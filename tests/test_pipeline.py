@@ -654,8 +654,13 @@ class TestBundlePersistence:
              "RFF map"),
             (lambda b: replace(b, svm_model=replace(b.svm_model, weights=b.svm_model.weights[1:])),
              "SVM weights"),
+            # set after construction, past PcaModel's own check
+            (lambda b: setattr(b.pca, "explained_variance_ratio",
+                               b.pca.explained_variance_ratio + 1.0) or b,
+             r"explained variance ratios must lie in \[0, 1\]"),
         ],
-        ids=["platt-nan", "pca-inf", "pca-width", "rff-phases", "rff-rows", "svm-width"],
+        ids=["platt-nan", "pca-inf", "pca-width", "rff-phases", "rff-rows", "svm-width",
+             "pca-evr-above-one"],
     )
     def test_rejects_inconsistent_classifier(self, tmp_path, damage, message):
         path = tmp_path / "model.pmb"
@@ -705,6 +710,13 @@ class TestRecommendationIO:
         path.write_text('{"format": "dataset", "version": 1}\n')
         with pytest.raises(DataError):
             read_recommendations(path)
+
+    def test_skips_blank_line_between_rows(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        write_recommendations(path, self.sample())
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, "", *rest]) + "\n")
+        assert read_recommendations(path) == self.sample()
 
     def test_rejects_bad_row(self, tmp_path):
         path = tmp_path / "recs.jsonl"

@@ -14,6 +14,7 @@ from pathmove.svm import (
     PlattParams,
     RffMap,
     SvmModel,
+    _newton,
     fit_platt,
     fit_rff,
     platt_probability,
@@ -124,6 +125,20 @@ def test_epochs_cap_the_newton_iterations():
     capped, _ = squared_hinge(one.weights, one.bias, data, labels, lam)
     converged, _ = squared_hinge(full.weights, full.bias, data, labels, lam)
     assert capped > converged
+
+
+def test_newton_stops_when_the_line_search_stalls():
+    """An objective that no step lowers: the descent ends at its start after
+    one gradient, not at the step cap, and reports no convergence."""
+    starts = []
+
+    def gradient(x):
+        starts.append(x)
+        return np.ones(2), lambda: np.eye(2)
+
+    x, converged = _newton(np.zeros(2), lambda x: 0.0, gradient, 1e-10, 50)
+    assert converged is False
+    assert np.array_equal(x, np.zeros(2)) and len(starts) == 1
 
 
 def test_training_determinism():
